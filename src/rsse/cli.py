@@ -25,6 +25,7 @@ from .eigensolver import (
     convergence_order,
     solve_lowest_k,
     solve_numerov_lowest_k,
+    solve_state,
 )
 from .inversion import (
     dirac_theta_chi,
@@ -41,7 +42,9 @@ from .kinematics import (
     total_energy,
     wave_from_particle,
 )
-from .presets import load_presets, parse_kv_file
+# load_presets is unused here but stays importable: benchmark tracers wrap
+# the layer functions in this namespace
+from .presets import get_preset, load_presets, parse_kv_file  # noqa: F401
 from .spectra import bohr_level, compare_report, oscillator_level
 from .units import ATOMIC
 
@@ -128,14 +131,6 @@ def _grid_with_overrides(grid: GridSpec, config: dict[str, Any]) -> GridSpec:
     )
 
 
-def _get_preset(name: str):
-    presets = load_presets()
-    if name not in presets:
-        known = ", ".join(sorted(presets))
-        raise ValueError(f"unknown preset {name!r}; valid presets: {known}")
-    return presets[name]
-
-
 # ---------------------------------------------------------------------------
 # commands
 # ---------------------------------------------------------------------------
@@ -155,7 +150,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         "output": "-",
     }
     config = _resolve_config(args, defaults)
-    preset = _get_preset(config["preset"])
+    preset = get_preset(config["preset"])
     base_grid = preset.fd_grid if config["method"] == "fd" else preset.numerov_grid
     grid = _grid_with_overrides(base_grid, config)
     if config["method"] == "fd":
@@ -353,7 +348,7 @@ def _cmd_convergence(args: argparse.Namespace) -> int:
         "output": "-",
     }
     config = _resolve_config(args, defaults)
-    preset = _get_preset(config["preset"])
+    preset = get_preset(config["preset"])
     problem = preset.problem
     if problem.potential.kind == "harmonic":
         exact = oscillator_level(problem.potential.omega, config["n_index"])
@@ -367,25 +362,13 @@ def _cmd_convergence(args: argparse.Namespace) -> int:
         ]
     else:
         raise ValueError(f"no analytic reference for potential {problem.potential.kind!r}")
-    rows = []
-    for grid in grids:
-        if config["method"] == "fd":
-            result = solve_lowest_k(assemble_tridiagonal(problem, grid), config["n_index"] + 1)
-            epsilon = float(result.epsilons[config["n_index"]])
-        else:
-            result = solve_numerov_lowest_k(problem, grid, config["n_index"] + 1)
-            epsilon = float(result.epsilons[config["n_index"]])
-        rows.append(
-            {
-                "grid_n": grid.n,
-                "h": grid.h,
-                "epsilon": epsilon,
-                "abs_error": abs(epsilon - exact),
-            }
-        )
-    slope = convergence_order(
-        problem, grids, exact, n_index=config["n_index"], method=config["method"]
-    )
+    n_index, method = config["n_index"], config["method"]
+    table = [(grid.h, solve_state(problem, grid, n_index, method)) for grid in grids]
+    rows = [
+        {"grid_n": grid.n, "h": h, "epsilon": epsilon, "abs_error": abs(epsilon - exact)}
+        for grid, (h, epsilon) in zip(grids, table)
+    ]
+    slope = convergence_order(problem, grids, exact, n_index=n_index, method=method, table=table)
     _write_report(
         config,
         ["grid_n", "h", "epsilon", "abs_error"],

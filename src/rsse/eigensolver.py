@@ -10,7 +10,8 @@ with V_eff = V + hbar**2 l(l+1) / (2 mu r**2):
   eigenpairs are extracted by Sturm-sequence bisection plus inverse
   iteration (LAPACK, via ``scipy.linalg.eigh_tridiagonal``), and
 * a Numerov shooting method with outward/inward integration, node
-  counting and logarithmic-derivative matching, accurate to fourth order.
+  counting and matching on the Numerov recurrence residual at the outer
+  classical turning point, accurate to fourth order.
 
 Grids are uniform.  Coulomb-type problems use the reduced radial function
 u(r) = r R(r) and require r_min > 0.
@@ -27,11 +28,6 @@ from scipy.integrate import trapezoid
 from scipy.linalg import eigh_tridiagonal
 
 from .units import ATOMIC, UnitSystem
-
-try:  # optional JIT for the sequential Numerov sweeps
-    from numba import njit as _njit
-except ImportError:  # pragma: no cover - numba is an optional accelerator
-    _njit = None
 
 
 class ConvergenceError(RuntimeError):
@@ -367,7 +363,7 @@ def solve_lowest_k(operator: TridiagonalOperator, k: int) -> EigenResult:
 # ---------------------------------------------------------------------------
 
 
-def _numerov_sweep_py(f: np.ndarray, h: float, u0: float, u1: float) -> np.ndarray:
+def _numerov_sweep(f: np.ndarray, h: float, u0: float, u1: float) -> np.ndarray:
     """Integrate u'' = f u left to right with the Numerov three-term recurrence."""
     n = f.shape[0]
     u = np.empty(n)
@@ -382,12 +378,6 @@ def _numerov_sweep_py(f: np.ndarray, h: float, u0: float, u1: float) -> np.ndarr
         if abs(u[i + 1]) > 1e250:  # rescale the whole prefix before it overflows
             u[: i + 2] *= 1e-250
     return u
-
-
-if _njit is not None:
-    _numerov_sweep = _njit(cache=True)(_numerov_sweep_py)
-else:  # pragma: no cover
-    _numerov_sweep = _numerov_sweep_py
 
 
 def _count_sign_changes(u: np.ndarray) -> int:
@@ -476,9 +466,9 @@ def numerov_solve(
 
     The bracket is first narrowed by bisection on outward node counts until
     it isolates the target state, then the matching defect is driven to zero
-    by bisection plus a secant polish to 1e-10 relative tolerance.  The
-    returned wavefunction has exactly ``n_index`` interior nodes and unit
-    trapezoid norm.
+    by Brent's method (``scipy.optimize.brentq``) to 1e-12 relative
+    tolerance.  The returned wavefunction has exactly ``n_index`` interior
+    nodes and unit trapezoid norm.
 
     Raises
     ------
@@ -521,59 +511,25 @@ def numerov_solve(
 
     f_lo = defect(lo)
     f_hi = defect(hi)
-    if f_lo == 0.0:
-        hi = lo
-    elif f_hi == 0.0:
-        lo = hi
-    elif f_lo * f_hi > 0.0:
+    if f_lo * f_hi > 0.0:
         raise BracketError(
             f"matching defect does not change sign on ({lo}, {hi}): "
             f"F(lo) = {f_lo:.3e}, F(hi) = {f_hi:.3e}"
         )
 
-    def width_tol(rel: float) -> float:
-        return rel * max(abs(lo), abs(hi), 1e-30)
+    # imported on use: scipy.optimize alone costs about 0.3 s of import time,
+    # which commands that never shoot need not pay
+    from scipy.optimize import brentq
 
-    # bisection to a modest width, then secant polish on the smooth defect
-    while hi - lo > width_tol(1e-6):
-        mid = 0.5 * (lo + hi)
-        f_mid = defect(mid)
-        if f_mid == 0.0:
-            lo = hi = mid
-            break
-        if f_lo * f_mid < 0.0:
-            hi, f_hi = mid, f_mid
-        else:
-            lo, f_lo = mid, f_mid
-
-    x_prev, f_prev = lo, f_lo
-    x_curr, f_curr = hi, f_hi
-    epsilon = 0.5 * (lo + hi)
-    if hi > lo:
-        for _ in range(60):
-            if f_curr == f_prev:
-                epsilon = 0.5 * (lo + hi)
-                break
-            x_next = x_curr - f_curr * (x_curr - x_prev) / (f_curr - f_prev)
-            if not (lo <= x_next <= hi) or not math.isfinite(x_next):
-                x_next = 0.5 * (lo + hi)
-            f_next = defect(x_next)
-            if f_next == 0.0 or abs(x_next - x_curr) <= width_tol(1e-10):
-                epsilon = x_next
-                break
-            if f_lo * f_next < 0.0:
-                hi, f_hi = x_next, f_next
-            else:
-                lo, f_lo = x_next, f_next
-            x_prev, f_prev = x_curr, f_curr
-            x_curr, f_curr = x_next, f_next
-        else:
-            raise ConvergenceError(
-                f"eigenvalue iteration stalled near {x_curr} "
-                f"(bracket width {hi - lo:.3e}, defect {f_curr:.3e})"
-            )
-    else:
-        epsilon = lo
+    # a tiny xtol leaves the stopping rule to rtol
+    epsilon, info = brentq(
+        defect, lo, hi, xtol=1e-300, rtol=1e-12, full_output=True, disp=False
+    )
+    if not info.converged:
+        raise ConvergenceError(
+            f"eigenvalue iteration stalled near {epsilon} on ({lo}, {hi}) "
+            f"after {info.iterations} Brent steps: {info.flag}"
+        )
 
     u, _ = shooter.merged_solution(epsilon)
     got_nodes = count_interior_nodes(u)
@@ -614,8 +570,11 @@ def numerov_recurrence_defect(
     For a converged shooting solution this is at the level of the matching
     defect; it serves as the per-state diagnostic of the Numerov route.
     """
-    shooter = _Shooter(problem, grid)
-    t = (grid.h**2 / 12.0) * shooter.f_values(epsilon)
+    _check_origin(problem, grid)
+    hbar = problem.units.hbar
+    pref = 2.0 * problem.mu / (hbar * hbar)
+    f = pref * effective_potential(problem, grid.nodes()) - pref * epsilon
+    t = (grid.h**2 / 12.0) * f
     lhs = (
         (1.0 - t[2:]) * u[2:]
         - (2.0 + 10.0 * t[1:-1]) * u[1:-1]
@@ -682,17 +641,34 @@ def rayleigh_quotient(wavefunction: np.ndarray, problem: RadialProblem, grid: Gr
     return numerator / norm_sq
 
 
+def solve_state(
+    problem: RadialProblem, grid: GridSpec, n_index: int, method: str = "fd"
+) -> float:
+    """Eigenvalue of the single state ``n_index`` on one grid by either route."""
+    if method == "fd":
+        result = solve_lowest_k(assemble_tridiagonal(problem, grid), n_index + 1)
+        return float(result.epsilons[n_index])
+    if method == "numerov":
+        bracket = default_brackets(problem, grid, n_index + 1)[n_index]
+        return numerov_solve(problem, grid, n_index, bracket).epsilon
+    raise ValueError(f"unknown method {method!r}; expected 'fd' or 'numerov'")
+
+
 def convergence_order(
     problem: RadialProblem,
     grids: Sequence[GridSpec],
     epsilon_exact: float,
     n_index: int = 0,
     method: str = "fd",
+    *,
+    table: Sequence[tuple[float, float]] | None = None,
 ) -> float:
     """Least-squares slope of log|eps_h - eps_exact| against log h.
 
     Expect about 2 for the finite-difference route and about 4 for the
-    Numerov route.  Requires at least three distinct grids.
+    Numerov route.  Requires at least three distinct grids.  ``table``
+    takes the ``(h, eps_h)`` pairs of ``grids``, in order, when the caller
+    has already solved them; otherwise each grid is solved here.
     """
     if len(grids) < 3:
         raise ValueError(f"need at least 3 grids for a slope estimate, got {len(grids)}")
@@ -700,17 +676,13 @@ def convergence_order(
         raise ValueError("degenerate fit: identical grids repeated")
     if method not in ("fd", "numerov"):
         raise ValueError(f"unknown method {method!r}; expected 'fd' or 'numerov'")
-    hs = []
-    errors = []
-    for grid in grids:
-        if method == "fd":
-            result = solve_lowest_k(assemble_tridiagonal(problem, grid), n_index + 1)
-            epsilon = result.epsilons[n_index]
-        else:
-            bracket = default_brackets(problem, grid, n_index + 1)[n_index]
-            epsilon, _ = numerov_solve(problem, grid, n_index, bracket)
-        hs.append(grid.h)
-        # floor the error at fp noise so the log never diverges
-        errors.append(max(abs(epsilon - epsilon_exact), 1e-15 * max(1.0, abs(epsilon_exact))))
+    if table is None:
+        table = [(grid.h, solve_state(problem, grid, n_index, method)) for grid in grids]
+    elif len(table) != len(grids):
+        raise ValueError(f"need one (h, eps) pair per grid, got {len(table)} for {len(grids)}")
+    hs = [h for h, _ in table]
+    # floor the error at fp noise so the log never diverges
+    floor = 1e-15 * max(1.0, abs(epsilon_exact))
+    errors = [max(abs(epsilon - epsilon_exact), floor) for _, epsilon in table]
     slope, _ = np.polyfit(np.log(hs), np.log(errors), 1)
     return float(slope)

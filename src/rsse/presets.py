@@ -12,8 +12,8 @@ import os
 from dataclasses import dataclass
 from pathlib import Path
 
-from .eigensolver import GridSpec, PotentialSpec, RadialProblem
-from .spectra import COMPARISON_SYSTEMS
+from .eigensolver import GridSpec, PotentialSpec, RadialProblem, reduce_two_body
+from .units import PROTON_ELECTRON_MASS_RATIO
 
 PRESET_DIR_ENV = "RSSE_PRESET_DIR"
 
@@ -27,17 +27,10 @@ class SolverPreset:
     description: str = ""
 
 
-def _coulomb_problem(system: str) -> RadialProblem:
-    spec = COMPARISON_SYSTEMS[system]
-    return RadialProblem(
-        potential=PotentialSpec.coulomb(spec.Z), l=0, mu=spec.mu, M=spec.M
-    )
-
-
 def builtin_presets() -> dict[str, SolverPreset]:
     hydrogen = SolverPreset(
         name="hydrogen",
-        problem=_coulomb_problem("hydrogen"),
+        problem=RadialProblem(PotentialSpec.coulomb(1.0)),
         fd_grid=GridSpec(1e-4, 30.0, 2000),
         numerov_grid=GridSpec(1e-5, 40.0, 20000),
         description="electron in a fixed unit-charge Coulomb field",
@@ -54,14 +47,14 @@ def builtin_presets() -> dict[str, SolverPreset]:
         ),
         "hydrogen_finite_mass": SolverPreset(
             name="hydrogen_finite_mass",
-            problem=_coulomb_problem("hydrogen_finite_mass"),
+            problem=reduce_two_body(1.0, PROTON_ELECTRON_MASS_RATIO, PotentialSpec.coulomb(1.0)),
             fd_grid=GridSpec(1e-4, 30.0, 2000),
             numerov_grid=GridSpec(1e-5, 40.0, 20000),
             description="hydrogen with the proton mass kept finite",
         ),
         "positronium": SolverPreset(
             name="positronium",
-            problem=_coulomb_problem("positronium"),
+            problem=reduce_two_body(1.0, 1.0, PotentialSpec.coulomb(1.0)),
             fd_grid=GridSpec(1e-4, 60.0, 4000),
             numerov_grid=GridSpec(1e-5, 80.0, 32000),
             description="electron-positron bound state (mu = 1/2)",
@@ -133,3 +126,12 @@ def load_presets(preset_dir: str | None = None) -> dict[str, SolverPreset]:
             name = path.stem
             presets[name] = _preset_from_pairs(name, parse_kv_file(path))
     return presets
+
+
+def get_preset(name: str) -> SolverPreset:
+    """The preset called ``name`` among :func:`load_presets`."""
+    presets = load_presets()
+    if name not in presets:
+        known = ", ".join(sorted(presets))
+        raise ValueError(f"unknown preset {name!r}; valid presets: {known}")
+    return presets[name]

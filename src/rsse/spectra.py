@@ -21,7 +21,8 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from .units import ATOMIC, PROTON_ELECTRON_MASS_RATIO, UnitSystem
+from .presets import get_preset
+from .units import ATOMIC, UnitSystem
 
 
 def _units(units: Optional[UnitSystem]) -> UnitSystem:
@@ -162,33 +163,6 @@ def binding_relativistic(epsilon: float, M: float, units: UnitSystem | None = No
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ComparisonSystem:
-    """A named bound system the report generator knows how to fill in."""
-
-    name: str
-    kind: str  # "coulomb" or "harmonic"
-    mu: float
-    M: float
-    Z: Optional[float] = None
-    omega: Optional[float] = None
-
-
-_MU_HYDROGEN = PROTON_ELECTRON_MASS_RATIO / (1.0 + PROTON_ELECTRON_MASS_RATIO)
-
-COMPARISON_SYSTEMS: dict[str, ComparisonSystem] = {
-    "hydrogen": ComparisonSystem("hydrogen", "coulomb", mu=1.0, M=1.0, Z=1.0),
-    "hydrogen_finite_mass": ComparisonSystem(
-        "hydrogen_finite_mass",
-        "coulomb",
-        mu=_MU_HYDROGEN,
-        M=1.0 + PROTON_ELECTRON_MASS_RATIO,
-        Z=1.0,
-    ),
-    "positronium": ComparisonSystem("positronium", "coulomb", mu=0.5, M=2.0, Z=1.0),
-    "oscillator": ComparisonSystem("oscillator", "harmonic", mu=1.0, M=1.0, omega=1.0),
-}
-
 _L_LETTERS = "spdfghik"
 
 
@@ -231,31 +205,31 @@ class BindingReport:
 def compare_report(
     system: str, n_max: int, units: UnitSystem | None = None
 ) -> BindingReport:
-    """Side-by-side eigenvalue and binding columns for a named system.
+    """Side-by-side eigenvalue and binding columns for a named preset.
 
-    All shipped systems have exact eigenvalues, so the eigenvalue column is
-    analytic and the report is fully deterministic.  The Dirac column is an
-    external reference, present only for Coulomb systems and scaled by the
-    reduced mass.
+    ``system`` is any preset name known to :func:`rsse.presets.load_presets`;
+    its problem supplies Z or omega, mu and M.  Coulomb and harmonic
+    problems have exact eigenvalues, so the eigenvalue column is analytic
+    and the report is fully deterministic; other potentials raise
+    ValueError.  The Dirac column is an external reference, present only for
+    Coulomb systems and scaled by the reduced mass.
     """
     u = _units(units)
-    if system not in COMPARISON_SYSTEMS:
-        known = ", ".join(sorted(COMPARISON_SYSTEMS))
-        raise ValueError(f"unknown preset {system!r}; valid presets: {known}")
+    problem = get_preset(system).problem
     if n_max < 1:
         raise ValueError(f"n_max must be at least 1, got {n_max}")
-    spec = COMPARISON_SYSTEMS[system]
+    potential, mu = problem.potential, problem.mu
     rows: list[BindingRow] = []
-    if spec.kind == "coulomb":
+    if potential.kind == "coulomb":
         for n in range(1, n_max + 1):
-            eps = bohr_level(spec.Z, spec.mu, n)
-            b_rel = binding_relativistic(eps, spec.M, u)
+            eps = bohr_level(potential.Z, mu, n)
+            b_rel = binding_relativistic(eps, problem.M, u)
             for l in range(n):
                 j_values = [l - 0.5, l + 0.5] if l > 0 else [0.5]
                 for j in j_values:
                     # unit-mass Dirac benchmark, scaled to the reduced mass
-                    _, b_unit = dirac_coulomb_level(spec.Z, n, j, u)
-                    b_dirac = spec.mu * b_unit
+                    _, b_unit = dirac_coulomb_level(potential.Z, n, j, u)
+                    b_dirac = mu * b_unit
                     rows.append(
                         BindingRow(
                             state=state_label(n, l, j),
@@ -269,9 +243,9 @@ def compare_report(
                             delta_rel_vs_dirac=b_rel - b_dirac,
                         )
                     )
-    else:
+    elif potential.kind == "harmonic":
         for idx in range(n_max):
-            eps = oscillator_level(spec.omega, idx)
+            eps = oscillator_level(potential.omega, idx)
             rows.append(
                 BindingRow(
                     state=f"n{idx}",
@@ -280,16 +254,18 @@ def compare_report(
                     j=None,
                     epsilon=eps,
                     B_nonrel=binding_nonrel(eps),
-                    B_rel=binding_relativistic(eps, spec.M, u),
+                    B_rel=binding_relativistic(eps, problem.M, u),
                     B_dirac=None,
                     delta_rel_vs_dirac=None,
                 )
             )
+    else:
+        raise ValueError(f"preset {system!r}: no analytic levels for potential {potential.kind!r}")
     return BindingReport(
         system=system,
         n_max=n_max,
-        mu=spec.mu,
-        M=spec.M,
-        has_dirac=spec.kind == "coulomb",
+        mu=mu,
+        M=problem.M,
+        has_dirac=potential.kind == "coulomb",
         rows=tuple(rows),
     )

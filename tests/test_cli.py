@@ -1,9 +1,14 @@
 import json
 
+import numpy as np
 import pytest
 
+import rsse.cli
+import rsse.eigensolver
+import rsse.presets
 from rsse.cli import main
-from rsse.presets import builtin_presets, load_presets
+from rsse.eigensolver import ConvergenceError, GridSpec, PotentialSpec, RadialProblem
+from rsse.presets import SolverPreset, builtin_presets, load_presets
 
 
 def run_csv(tmp_path, argv, name="out.csv"):
@@ -126,6 +131,39 @@ def test_compare_oscillator_drops_dirac_columns(tmp_path):
     assert "B_rel" in rows[0]
 
 
+def test_compare_coulomb_alias_matches_hydrogen(tmp_path):
+    args = ["compare", "--n-max", "2"]
+    code, alias = run_csv(tmp_path, args + ["--preset", "coulomb"], name="alias.csv")
+    assert code == 0
+    _, hydrogen = run_csv(tmp_path, args + ["--preset", "hydrogen"], name="hydrogen.csv")
+    alias_lines, hydrogen_lines = alias.splitlines(), hydrogen.splitlines()
+    differing = [a for a, h in zip(alias_lines, hydrogen_lines) if a != h]
+    assert len(alias_lines) == len(hydrogen_lines)
+    assert differing == ["# preset = coulomb"]
+
+
+def test_compare_reads_preset_dir(tmp_path, monkeypatch):
+    (tmp_path / "tight_oscillator.conf").write_text(
+        "potential = harmonic\nomega = 2\nfd_r_min = -6\nfd_r_max = 6\nfd_n = 500\n"
+    )
+    monkeypatch.setenv("RSSE_PRESET_DIR", str(tmp_path))
+    code, text = run_csv(tmp_path, ["compare", "--preset", "tight_oscillator", "--n-max", "3"])
+    assert code == 0
+    rows = csv_rows(text)
+    assert [row["state"] for row in rows] == ["n0", "n1", "n2"]
+    assert [float(row["epsilon"]) for row in rows] == [1.0, 3.0, 5.0]
+    assert "B_dirac" not in rows[0]
+
+
+def test_compare_without_analytic_levels_exits_2(tmp_path, monkeypatch, capsys):
+    grid = GridSpec(-3.0, 3.0, 100)
+    well = SolverPreset("well", RadialProblem(PotentialSpec.finite_well(1.0, 1.0)), grid, grid)
+    monkeypatch.setattr(rsse.presets, "load_presets", lambda: {"well": well})
+    code = main(["compare", "--preset", "well", "--output", str(tmp_path / "x.csv")])
+    assert code == 2
+    assert "no analytic levels" in capsys.readouterr().err
+
+
 def test_compare_unknown_preset_exits_2(tmp_path, capsys):
     code = main(["compare", "--preset", "unknown", "--output", str(tmp_path / "x.csv")])
     assert code == 2
@@ -196,6 +234,51 @@ def test_convergence_fd_slope(tmp_path):
     assert abs(payload["slope"] - 2.0) < 0.1
     errors = [row["abs_error"] for row in payload["rows"]]
     assert all(b < a for a, b in zip(errors, errors[1:]))
+
+
+@pytest.mark.parametrize("method", ["fd", "numerov"])
+def test_convergence_solves_each_grid_once(tmp_path, monkeypatch, method):
+    calls = {"solve_lowest_k": 0, "numerov_solve": 0}
+
+    def counting(name, fn):
+        def wrapped(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapped
+
+    for module in (rsse.eigensolver, rsse.cli):
+        monkeypatch.setattr(
+            module, "solve_lowest_k", counting("solve_lowest_k", module.solve_lowest_k)
+        )
+    monkeypatch.setattr(
+        rsse.eigensolver, "numerov_solve", counting("numerov_solve", rsse.eigensolver.numerov_solve)
+    )
+    path = tmp_path / "conv.json"
+    code = main(
+        ["convergence", "--preset", "oscillator", "--method", method, "--format", "json",
+         "--output", str(path)]
+    )
+    assert code == 0
+    payload = json.loads(path.read_text())
+    solver = "solve_lowest_k" if method == "fd" else "numerov_solve"
+    assert calls == {**{name: 0 for name in calls}, solver: len(payload["rows"])}
+    # the slope is the fit of the reported rows, errors floored at 1e-15
+    exact = payload["epsilon_exact"]
+    hs = [row["h"] for row in payload["rows"]]
+    errors = [max(row["abs_error"], 1e-15 * max(1.0, abs(exact))) for row in payload["rows"]]
+    assert payload["slope"] == float(np.polyfit(np.log(hs), np.log(errors), 1)[0])
+
+
+def test_convergence_failure_exits_3(tmp_path, monkeypatch, capsys):
+    def stalled(*args, **kwargs):
+        raise ConvergenceError("stalled")
+
+    monkeypatch.setattr(rsse.cli, "solve_numerov_lowest_k", stalled)
+    code = main(
+        ["solve", "--preset", "hydrogen", "--method", "numerov", "--output", str(tmp_path / "x.csv")]
+    )
+    assert code == 3
+    assert "convergence failure" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

@@ -319,6 +319,21 @@ def test_error_taxonomy():
     assert not issubclass(ConvergenceError, ValueError)
 
 
+def test_numerov_unconverged_brent_raises(monkeypatch):
+    from types import SimpleNamespace
+
+    import scipy.optimize
+
+    from rsse.eigensolver import ConvergenceError
+
+    def unconverged(f, a, b, **kwargs):
+        return 0.5 * (a + b), SimpleNamespace(converged=False, iterations=100, flag="stalled")
+
+    monkeypatch.setattr(scipy.optimize, "brentq", unconverged)
+    with pytest.raises(ConvergenceError, match="Brent"):
+        numerov_solve(OSCILLATOR, OSC_NUMEROV_GRID, 0, (0.3, 0.7))
+
+
 def test_numerov_rejects_origin_for_coulomb():
     with pytest.raises(ValueError, match="r_min > 0"):
         numerov_solve(HYDROGEN, GridSpec(0.0, 40.0, 1000), 0, (-0.6, -0.4))
@@ -412,6 +427,10 @@ def test_convergence_order_fd():
     grids = [GridSpec(-8.0, 8.0, n) for n in (128, 255, 509, 1017)]
     slope = convergence_order(OSCILLATOR, grids, 0.5, method="fd")
     assert slope == pytest.approx(2.0, abs=0.1)
+    # a precomputed (h, eps) table gives the same fit without solving again
+    table = [(g.h, float(solve_lowest_k(assemble_tridiagonal(OSCILLATOR, g), 1).epsilons[0]))
+             for g in grids]
+    assert convergence_order(OSCILLATOR, grids, 0.5, method="fd", table=table) == slope
 
 
 def test_convergence_order_numerov():
@@ -433,4 +452,8 @@ def test_convergence_order_guards():
             [GridSpec(-8.0, 8.0, n) for n in (128, 255, 509)],
             0.5,
             method="spectral",
+        )
+    with pytest.raises(ValueError, match="one \\(h, eps\\) pair per grid"):
+        convergence_order(
+            OSCILLATOR, [GridSpec(-8.0, 8.0, n) for n in (128, 255, 509)], 0.5, table=[(0.1, 0.5)]
         )

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from rsse.presets import builtin_presets
 from rsse.spectra import (
-    COMPARISON_SYSTEMS,
     binding_nonrel,
     binding_relativistic,
     bohr_level,
@@ -233,7 +233,7 @@ def test_report_unknown_system_lists_presets():
     with pytest.raises(ValueError) as excinfo:
         compare_report("muonium", 1)
     message = str(excinfo.value)
-    for name in COMPARISON_SYSTEMS:
+    for name in builtin_presets():
         assert name in message
 
 
