@@ -6,7 +6,8 @@ header, and writes a machine-readable CSV or JSON report.  Output bytes are
 deterministic for a fixed configuration and package version.
 
 Exit codes: 0 on success, 2 on usage or domain errors, 3 on numerical
-non-convergence.
+failure (non-convergence, a bracket without a sign change of the matching
+defect, or a state with the wrong node count).
 """
 
 from __future__ import annotations
@@ -19,8 +20,10 @@ from typing import Any, Optional, Sequence
 
 from . import __version__
 from .eigensolver import (
+    BracketError,
     ConvergenceError,
     GridSpec,
+    WrongStateError,
     assemble_tridiagonal,
     convergence_order,
     solve_lowest_k,
@@ -451,6 +454,10 @@ def main(argv: Sequence[str] | None = None) -> int:
         return args.func(args)
     except ConvergenceError as exc:
         print(f"rsse: convergence failure: {exc}", file=sys.stderr)
+        return 3
+    except (BracketError, WrongStateError) as exc:
+        # numerical failures, although the classes subclass ValueError
+        print(f"rsse: numerical failure: {exc}", file=sys.stderr)
         return 3
     except (ValueError, OSError) as exc:
         print(f"rsse: error: {exc}", file=sys.stderr)

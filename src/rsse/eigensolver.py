@@ -11,7 +11,10 @@ with V_eff = V + hbar**2 l(l+1) / (2 mu r**2):
   iteration (LAPACK, via ``scipy.linalg.eigh_tridiagonal``), and
 * a Numerov shooting method with outward/inward integration, node
   counting and matching on the Numerov recurrence residual at the outer
-  classical turning point, accurate to fourth order.
+  classical turning point, accurate to fourth order.  Each sweep solves the
+  three-term recurrence as a lower-banded triangular system with LAPACK
+  (``dtbtrs``), in chunks between which the samples are rescaled by a power
+  of two so that they neither overflow nor lose their signs.
 
 Grids are uniform.  Coulomb-type problems use the reduced radial function
 u(r) = r R(r) and require r_min > 0.
@@ -26,6 +29,7 @@ from typing import NamedTuple, Optional, Sequence
 import numpy as np
 from scipy.integrate import trapezoid
 from scipy.linalg import eigh_tridiagonal
+from scipy.linalg.lapack import dtbtrs
 
 from .units import ATOMIC, UnitSystem
 
@@ -316,12 +320,6 @@ def _normalize(u: np.ndarray, grid: GridSpec) -> np.ndarray:
     return u / math.sqrt(norm_sq)
 
 
-def count_interior_nodes(u: np.ndarray) -> int:
-    """Strict sign changes of the samples away from the two endpoints."""
-    interior = u[1:-1]
-    return int(np.sum(interior[:-1] * interior[1:] < 0.0))
-
-
 def solve_lowest_k(operator: TridiagonalOperator, k: int) -> EigenResult:
     """Lowest k eigenpairs of the tridiagonal operator.
 
@@ -346,7 +344,7 @@ def solve_lowest_k(operator: TridiagonalOperator, k: int) -> EigenResult:
         full[1:-1] = v
         full = _normalize(_fix_sign(full), grid)
         wavefunctions[i] = full
-        nodes[i] = count_interior_nodes(full)
+        nodes[i] = count_sign_changes(full[1:-1])
     return EigenResult(
         epsilons=epsilons,
         wavefunctions=wavefunctions,
@@ -363,27 +361,83 @@ def solve_lowest_k(operator: TridiagonalOperator, k: int) -> EigenResult:
 # ---------------------------------------------------------------------------
 
 
+# rows of the banded system solved per LAPACK call; halved while a chunk
+# overflows, so a chunk starting at 2**600 may grow by up to 2**424
+_SWEEP_CHUNK = 4096
+_RESCALE_ABOVE = 2.0**600
+
+
 def _numerov_sweep(f: np.ndarray, h: float, u0: float, u1: float) -> np.ndarray:
-    """Integrate u'' = f u left to right with the Numerov three-term recurrence."""
+    """Integrate u'' = f u left to right with the Numerov three-term recurrence.
+
+    With t = h**2 f / 12 the recurrence
+
+        (1 - t[i]) u[i] - (2 + 10 t[i-1]) u[i-1] + (1 - t[i-2]) u[i-2] = 0
+
+    is a lower-triangular banded system of bandwidth 2 in the unknowns
+    u[2:], solved chunk by chunk with LAPACK ``dtbtrs``; the first two
+    right-hand-side rows of a chunk carry the last two samples before it.
+    Between chunks the prefix is renormalised (B. R. Johnson, J. Chem. Phys.
+    69, 4678 (1978)): once the last two samples pass 2**600 it is scaled by
+    a power of two, which is exact and keeps every sign bit, also where
+    samples underflow to +-0.  A chunk that overflows is retried at half the
+    length.
+
+    Raises
+    ------
+    ConvergenceError
+        If LAPACK reports a zero diagonal (1 - t = 0) or a single row still
+        overflows.
+    """
     n = f.shape[0]
+    t = (h * h / 12.0) * f
     u = np.empty(n)
     u[0] = u0
     u[1] = u1
-    c = h * h / 12.0
-    for i in range(1, n - 1):
-        t_prev = c * f[i - 1]
-        t_here = c * f[i]
-        t_next = c * f[i + 1]
-        u[i + 1] = ((2.0 + 10.0 * t_here) * u[i] - (1.0 - t_prev) * u[i - 1]) / (1.0 - t_next)
-        if abs(u[i + 1]) > 1e250:  # rescale the whole prefix before it overflows
-            u[: i + 2] *= 1e-250
+    start = 2
+    chunk = _SWEEP_CHUNK
+    with np.errstate(over="ignore", invalid="ignore"):
+        while start < n:
+            stop = min(start + chunk, n)
+            # band storage of the chunk's columns: diagonal, then the two
+            # subdiagonals; Fortran order goes to LAPACK without a copy
+            ab = np.empty((3, stop - start), order="F")
+            ab[0] = 1.0 - t[start:stop]
+            ab[1] = -(2.0 + 10.0 * t[start:stop])
+            ab[2] = ab[0]
+            b = np.zeros(stop - start)
+            b[0] = (2.0 + 10.0 * t[start - 1]) * u[start - 1] - (1.0 - t[start - 2]) * u[start - 2]
+            if b.shape[0] > 1:
+                b[1] = -(1.0 - t[start - 1]) * u[start - 1]
+            x, info = dtbtrs(ab, b, uplo="L", overwrite_b=1)
+            if info != 0:
+                raise ConvergenceError(
+                    f"Numerov sweep is singular at sample {start + info - 1}: 1 - h^2 f / 12 = 0"
+                )
+            if not np.isfinite(x).all():
+                if chunk == 1:
+                    raise ConvergenceError(
+                        f"Numerov sweep overflows within one step at sample {start}"
+                    )
+                chunk //= 2
+                continue
+            u[start:stop] = x
+            start = stop
+            peak = max(abs(u[stop - 2]), abs(u[stop - 1]))
+            if peak > _RESCALE_ABOVE:
+                u[:stop] = np.ldexp(u[:stop], -math.frexp(peak)[1])
     return u
 
 
-def _count_sign_changes(u: np.ndarray) -> int:
-    # skip index 0 where the boundary value may be exactly zero
-    body = u[1:]
-    return int(np.sum(body[:-1] * body[1:] < 0.0))
+def count_sign_changes(u: np.ndarray) -> int:
+    """Sign changes between neighbouring samples, read from the sign bits.
+
+    Samples that underflowed to +-0 in a rescale keep their sign, so their
+    nodes still count.  Callers slice off boundary samples that are zero by
+    construction.
+    """
+    sign = np.signbit(u)
+    return int(np.count_nonzero(sign[:-1] != sign[1:]))
 
 
 class NumerovResult(NamedTuple):
@@ -411,6 +465,12 @@ class _Shooter:
         else:
             self.start_out = (0.0, 1.0)
         self.start_in = (0.0, 1.0)
+        # brentq re-evaluates the bracket ends, so remember each defect.  The
+        # root it returns is one end of its final bracket, which is the
+        # latest energy tried with that sign of the defect: keeping the
+        # latest merge per sign saves sweeping the root again.
+        self._defects: dict[float, float] = {}
+        self._latest_merged: dict[bool, tuple[float, np.ndarray]] = {}
 
     def f_values(self, epsilon: float) -> np.ndarray:
         return self.f_base - self.pref * epsilon
@@ -418,7 +478,8 @@ class _Shooter:
     def count_states_below(self, epsilon: float) -> int:
         """Nodes of the full outward solution = number of eigenvalues below."""
         u = _numerov_sweep(self.f_values(epsilon), self.h, *self.start_out)
-        return _count_sign_changes(u)
+        # index 0 may be an exact zero of the start; the far end has no wall
+        return count_sign_changes(u[1:])
 
     def match_index(self, epsilon: float) -> int:
         """Outermost classical turning point, clipped to the interior."""
@@ -439,7 +500,7 @@ class _Shooter:
         # a node can sit exactly on the match point; nudge inward if so
         for _ in range(3):
             u_out = _numerov_sweep(f[: m + 2], self.h, *self.start_out)
-            u_in = _numerov_sweep(f[m - 1 :][::-1].copy(), self.h, *self.start_in)[::-1]
+            u_in = _numerov_sweep(f[m - 1 :][::-1], self.h, *self.start_in)[::-1]
             if u_out[m] != 0.0 and u_in[1] != 0.0:
                 break
             m -= 1
@@ -454,6 +515,22 @@ class _Shooter:
         )
         reference = max(abs(u_out[m - 1]), abs(u_out[m]), abs(scale * u_in[2]))
         return merged, defect / reference if reference > 0.0 else defect
+
+    def defect(self, epsilon: float) -> float:
+        """Matching defect of :meth:`merged_solution`, evaluated once per energy."""
+        value = self._defects.get(epsilon)
+        if value is None:
+            merged, value = self.merged_solution(epsilon)
+            self._defects[epsilon] = value
+            self._latest_merged[value < 0.0] = (epsilon, merged)
+        return value
+
+    def solution(self, epsilon: float) -> np.ndarray:
+        """Merged samples at ``epsilon``, reusing a kept merge when one matches."""
+        for kept, merged in self._latest_merged.values():
+            if kept == epsilon:
+                return merged
+        return self.merged_solution(epsilon)[0]
 
 
 def numerov_solve(
@@ -506,11 +583,8 @@ def numerov_solve(
         else:
             hi, n_hi = mid, n_mid
 
-    def defect(epsilon: float) -> float:
-        return shooter.merged_solution(epsilon)[1]
-
-    f_lo = defect(lo)
-    f_hi = defect(hi)
+    f_lo = shooter.defect(lo)
+    f_hi = shooter.defect(hi)
     if f_lo * f_hi > 0.0:
         raise BracketError(
             f"matching defect does not change sign on ({lo}, {hi}): "
@@ -523,7 +597,7 @@ def numerov_solve(
 
     # a tiny xtol leaves the stopping rule to rtol
     epsilon, info = brentq(
-        defect, lo, hi, xtol=1e-300, rtol=1e-12, full_output=True, disp=False
+        shooter.defect, lo, hi, xtol=1e-300, rtol=1e-12, full_output=True, disp=False
     )
     if not info.converged:
         raise ConvergenceError(
@@ -531,8 +605,8 @@ def numerov_solve(
             f"after {info.iterations} Brent steps: {info.flag}"
         )
 
-    u, _ = shooter.merged_solution(epsilon)
-    got_nodes = count_interior_nodes(u)
+    u = shooter.solution(epsilon)
+    got_nodes = count_sign_changes(u[1:-1])
     if got_nodes != n_index:
         raise WrongStateError(
             f"converged state at eps = {epsilon} has {got_nodes} interior nodes, "
@@ -605,7 +679,7 @@ def solve_numerov_lowest_k(
         epsilons[i] = epsilon
         wavefunctions[i] = u
         residuals[i] = numerov_recurrence_defect(u, problem, grid, epsilon)
-        nodes[i] = count_interior_nodes(u)
+        nodes[i] = count_sign_changes(u[1:-1])
     return EigenResult(
         epsilons=epsilons,
         wavefunctions=wavefunctions,

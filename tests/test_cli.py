@@ -7,7 +7,14 @@ import rsse.cli
 import rsse.eigensolver
 import rsse.presets
 from rsse.cli import main
-from rsse.eigensolver import ConvergenceError, GridSpec, PotentialSpec, RadialProblem
+from rsse.eigensolver import (
+    BracketError,
+    ConvergenceError,
+    GridSpec,
+    PotentialSpec,
+    RadialProblem,
+    WrongStateError,
+)
 from rsse.presets import SolverPreset, builtin_presets, load_presets
 
 
@@ -279,6 +286,19 @@ def test_convergence_failure_exits_3(tmp_path, monkeypatch, capsys):
     )
     assert code == 3
     assert "convergence failure" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("error", [BracketError, WrongStateError])
+def test_numerical_failure_exits_3(tmp_path, monkeypatch, capsys, error):
+    def failed(*args, **kwargs):
+        raise error("no bound state here")
+
+    monkeypatch.setattr(rsse.cli, "solve_numerov_lowest_k", failed)
+    code = main(
+        ["solve", "--preset", "hydrogen", "--method", "numerov", "--output", str(tmp_path / "x.csv")]
+    )
+    assert code == 3
+    assert "numerical failure: no bound state here" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

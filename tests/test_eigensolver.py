@@ -10,8 +10,11 @@ from rsse.eigensolver import (
     PotentialSpec,
     RadialProblem,
     WrongStateError,
+    _numerov_sweep,
+    _Shooter,
     assemble_tridiagonal,
     convergence_order,
+    count_sign_changes,
     default_brackets,
     effective_potential,
     numerov_solve,
@@ -310,7 +313,8 @@ def test_numerov_invalid_bracket():
 
 def test_error_taxonomy():
     # domain/usage errors are ValueErrors (CLI exit 2); non-convergence is a
-    # RuntimeError (CLI exit 3)
+    # RuntimeError (CLI exit 3); bracket and wrong-state failures stay
+    # catchable as ValueError, although the CLI maps them to exit 3 too
     from rsse.eigensolver import ConvergenceError
 
     assert issubclass(BracketError, ValueError)
@@ -367,6 +371,99 @@ def test_solve_numerov_lowest_k_hydrogen():
     assert np.array_equal(result.nodes, [0, 1, 2])
     assert np.all(result.residuals < 1e-10)
     assert result.method == "numerov"
+
+
+def _python_numerov(f: np.ndarray, h: float, u0: float, u1: float) -> np.ndarray:
+    """Reference three-term Numerov recurrence, one sample at a time."""
+    c = h * h / 12.0
+    u = np.empty(f.shape[0])
+    u[0], u[1] = u0, u1
+    for i in range(1, f.shape[0] - 1):
+        u[i + 1] = ((2.0 + 10.0 * c * f[i]) * u[i] - (1.0 - c * f[i - 1]) * u[i - 1]) / (
+            1.0 - c * f[i + 1]
+        )
+    return u
+
+
+@pytest.mark.parametrize("epsilon", [0.1, 1.0, 2.2, 4.0])
+def test_numerov_sweep_matches_python_recurrence(epsilon):
+    # away from an eigenvalue the growing solution dominates, so rounding is
+    # not amplified and the banded solve must agree with the plain loop
+    grid = GridSpec(-12.0, 12.0, 2000)
+    f = 2.0 * (effective_potential(OSCILLATOR, grid.nodes()) - epsilon)
+    got = _numerov_sweep(f, grid.h, 0.0, 1.0)
+    want = _python_numerov(f, grid.h, 0.0, 1.0)
+    assert np.max(np.abs(got - want)) / np.max(np.abs(want)) < 1e-12
+
+
+@pytest.mark.filterwarnings("error")
+def test_numerov_sweep_halves_overflowing_chunks():
+    # constant f with growth e**0.5 per step: a 4096-row chunk would reach
+    # e**2048, so the sweep must shrink its chunks and rescale between them
+    n, h = 20000, 0.5
+    f = np.full(n, 4.0)
+    u = _numerov_sweep(f, h, 1.0, math.exp(0.5))
+    assert np.all(np.isfinite(u))
+    assert count_sign_changes(u) == 0
+    t = h * h / 12.0 * 4.0
+    growth = (1.0 + 5.0 * t + math.sqrt((1.0 + 5.0 * t) ** 2 - (1.0 - t) ** 2)) / (1.0 - t)
+    tail = u[-100:]
+    assert np.allclose(tail[1:] / tail[:-1], growth, rtol=1e-12)
+
+
+def test_numerov_sweep_failures_raise_convergence_error():
+    from rsse.eigensolver import ConvergenceError
+
+    f = np.zeros(100)
+    f[50] = 12.0  # 1 - h**2 f / 12 = 0: a zero diagonal of the banded system
+    with pytest.raises(ConvergenceError, match="singular"):
+        _numerov_sweep(f, 1.0, 0.0, 1.0)
+    f[50] = np.nan  # stays non-finite at any chunk length
+    with pytest.raises(ConvergenceError, match="overflows"):
+        _numerov_sweep(f, 1.0, 0.0, 1.0)
+
+
+def test_count_sign_changes_reads_signed_zeros():
+    # samples that underflowed in a rescale keep their sign bit
+    assert count_sign_changes(np.array([1e-300, -0.0, -1.0, -0.0, 0.0, 2.0])) == 2
+    assert count_sign_changes(np.array([1.0, 0.0, -1.0])) == 1
+    assert count_sign_changes(np.array([3.0, 2.0, 1.0])) == 0
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "grid", [GridSpec(1e-5, 800.0, 40000), GridSpec(1e-5, 3000.0, 20000)], ids=["r800", "r3000"]
+)
+def test_count_states_below_on_long_boxes(grid):
+    shooter = _Shooter(HYDROGEN, grid)
+    assert [shooter.count_states_below(e) for e in (-0.6, -0.3, -0.1)] == [0, 1, 2]
+
+
+@pytest.mark.filterwarnings("error")
+def test_numerov_hydrogen_long_box():
+    grid = GridSpec(1e-5, 800.0, 40000)
+    result = solve_numerov_lowest_k(HYDROGEN, grid, 2)
+    assert np.array_equal(result.nodes, [0, 1])
+    tolerance = 2e-6 * (grid.h / 0.002) ** 2
+    for n in range(2):
+        assert result.epsilons[n] == pytest.approx(bohr_level(1.0, 1.0, n + 1), abs=tolerance)
+    assert np.all(result.residuals < 1e-10)
+
+
+def test_numerov_solve_evaluates_each_energy_once(monkeypatch):
+    # neither the bracket ends brentq re-evaluates nor the converged root
+    # are merged twice by the same shooter
+    merged = []
+    original = _Shooter.merged_solution
+
+    def spy(self, epsilon):
+        merged.append((self, epsilon))  # holding self keeps shooter ids distinct
+        return original(self, epsilon)
+
+    monkeypatch.setattr(_Shooter, "merged_solution", spy)
+    solve_numerov_lowest_k(HYDROGEN, HYDROGEN_NUMEROV_GRID, 3)
+    keys = [(id(shooter), epsilon) for shooter, epsilon in merged]
+    assert len(keys) == len(set(keys))
 
 
 def test_default_brackets_isolate_states():
