@@ -45,10 +45,10 @@ from .kinematics import (
     total_energy,
     wave_from_particle,
 )
-# load_presets is unused here but stays importable: benchmark tracers wrap
-# the layer functions in this namespace
+# load_presets, bohr_level and oscillator_level are unused here but stay
+# importable: benchmark tracers wrap the layer functions in this namespace
 from .presets import get_preset, load_presets, parse_kv_file  # noqa: F401
-from .spectra import bohr_level, compare_report, oscillator_level
+from .spectra import analytic_level, bohr_level, compare_report, oscillator_level  # noqa: F401
 from .units import ATOMIC
 
 
@@ -90,7 +90,6 @@ def _resolve_config(args: argparse.Namespace, defaults: dict[str, Any]) -> dict[
 
 def _write_report(
     config: dict[str, Any],
-    columns: Sequence[str],
     rows: Sequence[dict[str, Any]],
     fmt: str,
     output: str,
@@ -115,6 +114,8 @@ def _write_report(
         lines = [f"# {key} = {_fmt(value)}" for key, value in header.items()]
         if extra:
             lines += [f"# {key} = {_fmt(value)}" for key, value in extra.items()]
+        # the columns are the keys of the first row, in order
+        columns = list(rows[0])
         lines.append(",".join(columns))
         for row in rows:
             lines.append(",".join(_fmt(row[col]) for col in columns))
@@ -176,13 +177,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     ]
     if config["wavefunctions_dir"]:
         _dump_wavefunctions(config, grid, result)
-    _write_report(
-        config,
-        ["n", "l", "epsilon_hartree", "residual", "nodes"],
-        rows,
-        config["format"],
-        config["output"],
-    )
+    _write_report(config, rows, config["format"], config["output"])
     return 0
 
 
@@ -210,9 +205,6 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     }
     config = _resolve_config(args, defaults)
     report = compare_report(config["preset"], config["n_max"])
-    columns = ["state", "epsilon", "B_nonrel", "B_rel"]
-    if report.has_dirac:
-        columns += ["B_dirac", "delta_rel_vs_dirac"]
     rows = []
     for row in report.rows:
         cells: dict[str, Any] = {
@@ -226,7 +218,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
             cells["delta_rel_vs_dirac"] = row.delta_rel_vs_dirac
         rows.append(cells)
     extra = {"mu": report.mu, "M": report.M}
-    _write_report(config, columns, rows, config["format"], config["output"], extra=extra)
+    _write_report(config, rows, config["format"], config["output"], extra=extra)
     return 0
 
 
@@ -274,19 +266,7 @@ def _cmd_kinematics(args: argparse.Namespace) -> int:
                 "effective_mass": effective_mass(m0, v),
             }
         )
-    columns = [
-        "beta",
-        "gamma",
-        "p",
-        "E",
-        "lambda",
-        "omega_clock",
-        "omega_wave",
-        "phase_residual",
-        "chi_over_theta",
-        "effective_mass",
-    ]
-    _write_report(config, columns, rows, config["format"], config["output"])
+    _write_report(config, rows, config["format"], config["output"])
     return 0
 
 
@@ -326,18 +306,7 @@ def _cmd_invert_demo(args: argparse.Namespace) -> int:
                 "eval_identity_residual": residual,
             }
         )
-    columns = [
-        "state",
-        "branch",
-        "Q",
-        "L",
-        "p",
-        "E",
-        "theta_magnitude",
-        "chi_magnitude",
-        "eval_identity_residual",
-    ]
-    _write_report(config, columns, rows, config["format"], config["output"])
+    _write_report(config, rows, config["format"], config["output"])
     return 0
 
 
@@ -353,19 +322,14 @@ def _cmd_convergence(args: argparse.Namespace) -> int:
     config = _resolve_config(args, defaults)
     preset = get_preset(config["preset"])
     problem = preset.problem
-    if problem.potential.kind == "harmonic":
-        exact = oscillator_level(problem.potential.omega, config["n_index"])
-        grids = [GridSpec(-8.0, 8.0, n) for n in (128, 255, 509, 1017)]
-    elif problem.potential.kind == "coulomb":
-        exact = bohr_level(problem.potential.Z, problem.mu, config["n_index"] + problem.l + 1)
-        base = preset.fd_grid
-        grids = [
-            GridSpec(base.r_min, base.r_max, (base.n - 1) // scale + 1)
-            for scale in (8, 4, 2, 1)
-        ]
-    else:
-        raise ValueError(f"no analytic reference for potential {problem.potential.kind!r}")
     n_index, method = config["n_index"], config["method"]
+    # full-line presets share one fixed ladder; half-line presets refine
+    # their own FD grid
+    base = GridSpec(-8.0, 8.0, 1017) if preset.fd_grid.r_min < 0.0 else preset.fd_grid
+    grids = [
+        GridSpec(base.r_min, base.r_max, (base.n - 1) // scale + 1) for scale in (8, 4, 2, 1)
+    ]
+    exact = analytic_level(problem, n_index, base)
     table = [(grid.h, solve_state(problem, grid, n_index, method)) for grid in grids]
     rows = [
         {"grid_n": grid.n, "h": h, "epsilon": epsilon, "abs_error": abs(epsilon - exact)}
@@ -374,7 +338,6 @@ def _cmd_convergence(args: argparse.Namespace) -> int:
     slope = convergence_order(problem, grids, exact, n_index=n_index, method=method, table=table)
     _write_report(
         config,
-        ["grid_n", "h", "epsilon", "abs_error"],
         rows,
         config["format"],
         config["output"],

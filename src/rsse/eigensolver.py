@@ -27,7 +27,6 @@ from dataclasses import dataclass, field
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
-from scipy.integrate import trapezoid
 from scipy.linalg import eigh_tridiagonal
 from scipy.linalg.lapack import dtbtrs
 
@@ -95,6 +94,11 @@ class PotentialSpec:
 
     @staticmethod
     def infinite_well(a: float) -> "PotentialSpec":
+        """Zero potential between hard walls that are the grid ends.
+
+        ``a`` is validated and stored but places no wall: the Dirichlet
+        boundary at ``r_min`` and ``r_max`` of the solving grid does.
+        """
         if not a > 0.0:
             raise ValueError(f"well width must be positive, got {a}")
         return PotentialSpec(kind="infinite_well", a=a)
@@ -313,8 +317,13 @@ def _fix_sign(u: np.ndarray) -> np.ndarray:
     return u
 
 
+def _trapezoid(y: np.ndarray, h: float) -> float:
+    """Trapezoid rule on uniform samples, the same sum as scipy's ``trapezoid(y, dx=h)``."""
+    return float(np.sum(h * (y[1:] + y[:-1]) / 2.0))
+
+
 def _normalize(u: np.ndarray, grid: GridSpec) -> np.ndarray:
-    norm_sq = trapezoid(u * u, dx=grid.h)
+    norm_sq = _trapezoid(u * u, grid.h)
     if norm_sq <= 0.0:
         raise ValueError("cannot normalize a zero wavefunction")
     return u / math.sqrt(norm_sq)
@@ -705,7 +714,7 @@ def rayleigh_quotient(wavefunction: np.ndarray, problem: RadialProblem, grid: Gr
     u = np.asarray(wavefunction, dtype=float)
     if u.shape[0] != grid.n:
         raise ValueError(f"expected {grid.n} samples, got {u.shape[0]}")
-    norm_sq = trapezoid(u * u, dx=grid.h)
+    norm_sq = _trapezoid(u * u, grid.h)
     if norm_sq <= 0.0:
         raise ValueError("cannot form a Rayleigh quotient from a zero wavefunction")
     operator = assemble_tridiagonal(problem, grid)

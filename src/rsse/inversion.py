@@ -22,7 +22,7 @@ import numpy as np
 
 from .eigensolver import GridSpec
 from .kinematics import gamma_factor, momentum, total_energy
-from .units import ATOMIC, UnitSystem
+from .units import UnitSystem, _units
 
 MATTER = "matter"
 ANTIMATTER = "antimatter"
@@ -31,10 +31,6 @@ _OPPOSITE = {MATTER: ANTIMATTER, ANTIMATTER: MATTER}
 
 # electron convention: the matter branch carries (Q, L) = (-1, +1)
 _ELECTRON_NUMBERS = {MATTER: (-1, +1), ANTIMATTER: (+1, -1)}
-
-
-def _units(units: UnitSystem | None) -> UnitSystem:
-    return ATOMIC if units is None else units
 
 
 def _check_branch(branch: str) -> None:

@@ -14,11 +14,7 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
-from .units import ATOMIC, UnitSystem
-
-
-def _units(units: Optional[UnitSystem]) -> UnitSystem:
-    return ATOMIC if units is None else units
+from .units import UnitSystem, _units
 
 
 def _check_speed(v: float, c: float) -> None:

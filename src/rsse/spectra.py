@@ -18,15 +18,12 @@ comparison reports.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
+from .eigensolver import GridSpec, RadialProblem
 from .presets import get_preset
-from .units import ATOMIC, UnitSystem
-
-
-def _units(units: Optional[UnitSystem]) -> UnitSystem:
-    return ATOMIC if units is None else units
+from .units import UnitSystem, _units
 
 
 # ---------------------------------------------------------------------------
@@ -50,6 +47,26 @@ def oscillator_level(omega: float, n: int) -> float:
     if n < 0:
         raise ValueError(f"oscillator index must be nonnegative, got {n}")
     return omega * (n + 0.5)
+
+
+def analytic_level(problem: RadialProblem, n_index: int, grid: GridSpec) -> float:
+    """Exact eigenvalue of state ``n_index`` (0-based, by node count) of ``problem``.
+
+    Coulomb problems give the Bohr level of principal number n_index + l + 1.
+    Harmonic problems give omega (n_index + 1/2) on a full-line grid
+    (r_min < 0); on a half-line grid (r_min >= 0) the wall at the origin
+    makes them the radial oscillator, omega (2 n_index + l + 3/2).  Other
+    potential kinds raise ValueError.
+    """
+    potential = problem.potential
+    if potential.kind == "coulomb":
+        return bohr_level(potential.Z, problem.mu, n_index + problem.l + 1)
+    if potential.kind == "harmonic":
+        if grid.r_min < 0.0:
+            return oscillator_level(potential.omega, n_index)
+        # omega (2 n_index + l + 3/2) is line level 2 n_index + l + 1
+        return oscillator_level(potential.omega, 2 * n_index + problem.l + 1)
+    raise ValueError(f"no analytic levels for potential {potential.kind!r}")
 
 
 def _check_half_integer_j(j: float, n: int) -> None:
@@ -208,23 +225,27 @@ def compare_report(
     """Side-by-side eigenvalue and binding columns for a named preset.
 
     ``system`` is any preset name known to :func:`rsse.presets.load_presets`;
-    its problem supplies Z or omega, mu and M.  Coulomb and harmonic
-    problems have exact eigenvalues, so the eigenvalue column is analytic
-    and the report is fully deterministic; other potentials raise
-    ValueError.  The Dirac column is an external reference, present only for
-    Coulomb systems and scaled by the reduced mass.
+    its problem supplies Z or omega, mu and M, and every eigenvalue is
+    :func:`analytic_level` on the preset's FD grid, so the report is fully
+    deterministic; potentials without analytic levels raise ValueError.
+    Coulomb rows run over n = 1..n_max and every l < n, whatever the
+    preset's l; other rows are the lowest n_max states.  The Dirac column is
+    an external reference, present only for Coulomb systems and scaled by
+    the reduced mass.
     """
     u = _units(units)
-    problem = get_preset(system).problem
+    preset = get_preset(system)
+    problem, grid = preset.problem, preset.fd_grid
     if n_max < 1:
         raise ValueError(f"n_max must be at least 1, got {n_max}")
     potential, mu = problem.potential, problem.mu
+    has_dirac = potential.kind == "coulomb"
     rows: list[BindingRow] = []
-    if potential.kind == "coulomb":
+    if has_dirac:
         for n in range(1, n_max + 1):
-            eps = bohr_level(potential.Z, mu, n)
-            b_rel = binding_relativistic(eps, problem.M, u)
             for l in range(n):
+                eps = analytic_level(replace(problem, l=l), n - l - 1, grid)
+                b_rel = binding_relativistic(eps, problem.M, u)
                 j_values = [l - 0.5, l + 0.5] if l > 0 else [0.5]
                 for j in j_values:
                     # unit-mass Dirac benchmark, scaled to the reduced mass
@@ -243,9 +264,9 @@ def compare_report(
                             delta_rel_vs_dirac=b_rel - b_dirac,
                         )
                     )
-    elif potential.kind == "harmonic":
+    else:
         for idx in range(n_max):
-            eps = oscillator_level(potential.omega, idx)
+            eps = analytic_level(problem, idx, grid)
             rows.append(
                 BindingRow(
                     state=f"n{idx}",
@@ -259,13 +280,11 @@ def compare_report(
                     delta_rel_vs_dirac=None,
                 )
             )
-    else:
-        raise ValueError(f"preset {system!r}: no analytic levels for potential {potential.kind!r}")
     return BindingReport(
         system=system,
         n_max=n_max,
         mu=mu,
         M=problem.M,
-        has_dirac=potential.kind == "coulomb",
+        has_dirac=has_dirac,
         rows=tuple(rows),
     )

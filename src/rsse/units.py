@@ -69,6 +69,11 @@ def make_atomic_units() -> UnitSystem:
 ATOMIC = make_atomic_units()
 
 
+def _units(units: UnitSystem | None) -> UnitSystem:
+    """The given unit system, or :data:`ATOMIC` for ``None``."""
+    return ATOMIC if units is None else units
+
+
 def convert_energy(value: float, from_unit: str, to_unit: str) -> float:
     """Convert an energy between the labels hartree, eV and MeV.
 

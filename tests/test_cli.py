@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -162,13 +163,101 @@ def test_compare_reads_preset_dir(tmp_path, monkeypatch):
     assert "B_dirac" not in rows[0]
 
 
-def test_compare_without_analytic_levels_exits_2(tmp_path, monkeypatch, capsys):
+# (l, fd_r_min, lowest radial levels omega (2 n + l + 3/2)) of a unit
+# oscillator whose grid starts at the origin
+HALF_LINE_OSCILLATORS = [("1", "1e-4", [2.5, 4.5]), ("0", "0", [1.5, 3.5])]
+
+
+def use_half_line_oscillator(tmp_path, monkeypatch, l, r_min):
+    (tmp_path / "half.conf").write_text(
+        f"potential = harmonic\nl = {l}\nfd_r_min = {r_min}\nfd_r_max = 12\nfd_n = 3000\n"
+    )
+    monkeypatch.setenv("RSSE_PRESET_DIR", str(tmp_path))
+
+
+@pytest.mark.parametrize("l, r_min, levels", HALF_LINE_OSCILLATORS)
+def test_compare_half_line_oscillator_gives_radial_levels(tmp_path, monkeypatch, l, r_min, levels):
+    use_half_line_oscillator(tmp_path, monkeypatch, l, r_min)
+    code, text = run_csv(tmp_path, ["compare", "--preset", "half", "--n-max", "2"])
+    assert code == 0
+    assert [float(row["epsilon"]) for row in csv_rows(text)] == levels
+    code, text = run_csv(tmp_path, ["solve", "--preset", "half", "--n-max", "2"], name="solve.csv")
+    assert code == 0
+    solved = [float(row["epsilon_hartree"]) for row in csv_rows(text)]
+    assert np.allclose(solved, levels, rtol=0.0, atol=1e-4)
+
+
+@pytest.mark.parametrize("method, order", [("fd", 2.0), ("numerov", 4.0)])
+@pytest.mark.parametrize("l, r_min, levels", HALF_LINE_OSCILLATORS)
+def test_convergence_half_line_oscillator_refines_its_own_grid(
+    tmp_path, monkeypatch, l, r_min, levels, method, order
+):
+    use_half_line_oscillator(tmp_path, monkeypatch, l, r_min)
+    path = tmp_path / "conv.json"
+    code = main(
+        ["convergence", "--preset", "half", "--method", method, "--format", "json",
+         "--output", str(path)]
+    )
+    assert code == 0
+    payload = json.loads(path.read_text())
+    assert payload["epsilon_exact"] == levels[0]
+    assert [row["grid_n"] for row in payload["rows"]] == [375, 750, 1500, 3000]
+    assert payload["config"]["preset"] == "half"
+    assert abs(payload["slope"] - order) < 0.05
+
+
+def use_finite_well(monkeypatch):
     grid = GridSpec(-3.0, 3.0, 100)
     well = SolverPreset("well", RadialProblem(PotentialSpec.finite_well(1.0, 1.0)), grid, grid)
     monkeypatch.setattr(rsse.presets, "load_presets", lambda: {"well": well})
+
+
+def test_compare_without_analytic_levels_exits_2(tmp_path, monkeypatch, capsys):
+    use_finite_well(monkeypatch)
     code = main(["compare", "--preset", "well", "--output", str(tmp_path / "x.csv")])
     assert code == 2
     assert "no analytic levels" in capsys.readouterr().err
+
+
+def test_convergence_without_analytic_levels_exits_2_like_compare(tmp_path, monkeypatch, capsys):
+    use_finite_well(monkeypatch)
+    errors = []
+    for command in ("compare", "convergence"):
+        code = main([command, "--preset", "well", "--output", str(tmp_path / "x.csv")])
+        assert code == 2
+        errors.append(capsys.readouterr().err)
+    assert errors[0] == errors[1]
+    assert "no analytic levels" in errors[0]
+
+
+# SHA-256 of the `compare --n-max 3` reports of every built-in preset: any
+# change to their bytes has to be made on purpose, here
+COMPARE_DIGESTS = {
+    ("coulomb", "csv"): "e06fa58e1d8b2f7c774cf2843d2ed4ebc81746c8d8e72d8ce87d2e6c4cf9da5b",
+    ("coulomb", "json"): "8e685e46daff8f4e08e985ae7bc6aee80de13381dee4e3826bcdcbec9bd330d1",
+    ("hydrogen", "csv"): "2dabc677dba6fd09d9d40d2ca324b279dee3c1f47459dabc668be9834743199e",
+    ("hydrogen", "json"): "86435b3629ad4e2e07de020c0045da67219da670091e5fde32c284223229f842",
+    ("hydrogen_finite_mass", "csv"): "55876a9eecd17ec88eb39f10b1ee7e77544038e1df19f019a091371490566e17",
+    ("hydrogen_finite_mass", "json"): "a9e5d175e53feec26c7bb9eaae815e9c7c1c90b69481f4fdbc4ad13256f78258",
+    ("oscillator", "csv"): "aff30ffdbb53eee2db23fe53f2744a8acde0a08f84892555d67ff913104777a9",
+    ("oscillator", "json"): "3501567ce13a7b6c99b317ab807246d44215817f056ee66c777dc019b301fd1a",
+    ("positronium", "csv"): "fc094daa275b00fa75d023bd6a01f5c8de4826f7d9db7b668ccc5fb70283af78",
+    ("positronium", "json"): "1acc24b5d50984400d1d394e427f1d07442438cf734219fb6732991484d7bdb1",
+}
+
+
+def test_compare_digests_cover_every_builtin_preset():
+    assert {name for name, _ in COMPARE_DIGESTS} == set(builtin_presets())
+
+
+@pytest.mark.parametrize("preset, fmt", sorted(COMPARE_DIGESTS))
+def test_compare_report_bytes_are_pinned(tmp_path, preset, fmt):
+    path = tmp_path / f"report.{fmt}"
+    code = main(
+        ["compare", "--preset", preset, "--n-max", "3", "--format", fmt, "--output", str(path)]
+    )
+    assert code == 0
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == COMPARE_DIGESTS[(preset, fmt)]
 
 
 def test_compare_unknown_preset_exits_2(tmp_path, capsys):

@@ -12,6 +12,7 @@ from rsse.eigensolver import (
     WrongStateError,
     _numerov_sweep,
     _Shooter,
+    _trapezoid,
     assemble_tridiagonal,
     convergence_order,
     count_sign_changes,
@@ -489,6 +490,16 @@ def test_fd_and_numerov_agree_within_fd_truncation():
 # ---------------------------------------------------------------------------
 # diagnostics
 # ---------------------------------------------------------------------------
+
+
+def test_trapezoid_matches_scipy_bit_for_bit():
+    # normalisation feeds every reported wavefunction, so the inline rule
+    # must reproduce scipy's sum exactly, not just to round-off
+    rng = np.random.default_rng(7)
+    for size in rng.integers(16, 40002, size=40):
+        y = rng.standard_normal(size) ** 2
+        h = float(rng.uniform(1e-4, 0.1))
+        assert _trapezoid(y, h) == float(trapezoid(y, dx=h))
 
 
 def test_rayleigh_quotient_analytic_gaussian():

@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from rsse.eigensolver import GridSpec, PotentialSpec, RadialProblem
 from rsse.presets import builtin_presets
 from rsse.spectra import (
+    analytic_level,
     binding_nonrel,
     binding_relativistic,
     bohr_level,
@@ -57,6 +59,35 @@ def test_oscillator_levels():
         oscillator_level(0.0, 1)
     with pytest.raises(ValueError):
         oscillator_level(1.0, -1)
+
+
+def test_analytic_level_coulomb_counts_nodes_from_l():
+    grid = GridSpec(1e-4, 30.0, 2000)
+    positronium_2p = RadialProblem(PotentialSpec.coulomb(1.0), l=1, mu=0.5, M=2.0)
+    assert analytic_level(positronium_2p, 0, grid) == bohr_level(1.0, 0.5, 2)
+    assert analytic_level(positronium_2p, 2, grid) == bohr_level(1.0, 0.5, 4)
+
+
+@pytest.mark.parametrize(
+    "l, r_min, levels",
+    [
+        (0, -12.0, [1.0, 3.0, 5.0]),  # full line: omega (n + 1/2)
+        (0, 0.0, [3.0, 7.0, 11.0]),  # half line: omega (2 n + l + 3/2)
+        (1, 1e-4, [5.0, 9.0, 13.0]),
+    ],
+)
+def test_analytic_level_harmonic_reads_the_grid(l, r_min, levels):
+    problem = RadialProblem(PotentialSpec.harmonic(2.0), l=l)
+    grid = GridSpec(r_min, 12.0, 3000)
+    assert [analytic_level(problem, n, grid) for n in range(3)] == levels
+
+
+@pytest.mark.parametrize(
+    "potential", [PotentialSpec.finite_well(1.0, 1.0), PotentialSpec.infinite_well(1.0)]
+)
+def test_analytic_level_other_kinds_raise(potential):
+    with pytest.raises(ValueError, match="no analytic levels"):
+        analytic_level(RadialProblem(potential), 0, GridSpec(-3.0, 3.0, 100))
 
 
 def test_dirac_coulomb_ground_state():
