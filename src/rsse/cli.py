@@ -1,5 +1,8 @@
 """Command-line front end.
 
+``COMMANDS`` is the one declaration of every command and option: it builds
+the argument parser, gives the defaults, checks config-file values against
+the same types and choices as the flags, and orders the report header.
 Every command resolves its configuration as defaults < config file < flags,
 echoes the fully resolved configuration and the unit system into the output
 header, and writes a machine-readable CSV or JSON report.  Output bytes are
@@ -16,7 +19,7 @@ import argparse
 import json
 import sys
 from pathlib import Path
-from typing import Any, Optional, Sequence
+from typing import Any, Callable, Optional, Sequence
 
 from . import __version__
 from .eigensolver import (
@@ -61,40 +64,10 @@ def _fmt(value: Any) -> str:
     return str(value)
 
 
-# config-file values arrive as strings; coerce the numeric keys
-_CONFIG_TYPES = {
-    "n_max": int,
-    "grid_n": int,
-    "n_index": int,
-    "r_min": float,
-    "r_max": float,
-    "time": float,
-    "m0": float,
-}
-
-
-def _resolve_config(args: argparse.Namespace, defaults: dict[str, Any]) -> dict[str, Any]:
-    """defaults < config file < explicitly set flags."""
-    resolved = dict(defaults)
-    if getattr(args, "config", None):
-        for key, value in parse_kv_file(args.config).items():
-            if key not in defaults:
-                raise ValueError(f"unknown config key {key!r} for this command")
-            resolved[key] = _CONFIG_TYPES.get(key, str)(value)
-    for key in defaults:
-        flag = getattr(args, key, None)
-        if flag is not None:
-            resolved[key] = flag
-    return resolved
-
-
 def _write_report(
-    config: dict[str, Any],
-    rows: Sequence[dict[str, Any]],
-    fmt: str,
-    output: str,
-    extra: Optional[dict[str, Any]] = None,
+    config: dict[str, Any], rows: Sequence[dict[str, Any]], extra: Optional[dict[str, Any]] = None
 ) -> None:
+    extra = extra or {}
     # the output destination is not a run parameter: identical configs give
     # identical bytes no matter where the report lands
     header = {
@@ -105,34 +78,21 @@ def _write_report(
         "units_mass": ATOMIC.mass_unit,
         "units_energy": ATOMIC.energy_unit_name,
     }
-    if fmt == "json":
-        payload: dict[str, Any] = {"config": header, "rows": list(rows)}
-        if extra:
-            payload.update(extra)
-        text = json.dumps(payload, indent=2) + "\n"
+    if config["format"] == "json":
+        text = json.dumps({"config": header, "rows": list(rows), **extra}, indent=2) + "\n"
     else:
-        lines = [f"# {key} = {_fmt(value)}" for key, value in header.items()]
-        if extra:
-            lines += [f"# {key} = {_fmt(value)}" for key, value in extra.items()]
+        lines = [f"# {key} = {_fmt(value)}" for key, value in {**header, **extra}.items()]
         # the columns are the keys of the first row, in order
         columns = list(rows[0])
         lines.append(",".join(columns))
         for row in rows:
             lines.append(",".join(_fmt(row[col]) for col in columns))
         text = "\n".join(lines) + "\n"
-    if output == "-":
+    if config["output"] == "-":
         sys.stdout.write(text)
     else:
-        with open(output, "w") as handle:
+        with open(config["output"], "w") as handle:
             handle.write(text)
-
-
-def _grid_with_overrides(grid: GridSpec, config: dict[str, Any]) -> GridSpec:
-    return GridSpec(
-        r_min=config["r_min"] if config["r_min"] is not None else grid.r_min,
-        r_max=config["r_max"] if config["r_max"] is not None else grid.r_max,
-        n=config["grid_n"] if config["grid_n"] is not None else grid.n,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -140,31 +100,18 @@ def _grid_with_overrides(grid: GridSpec, config: dict[str, Any]) -> GridSpec:
 # ---------------------------------------------------------------------------
 
 
-def _cmd_solve(args: argparse.Namespace) -> int:
-    defaults = {
-        "command": "solve",
-        "preset": "hydrogen",
-        "method": "fd",
-        "n_max": 1,
-        "r_min": None,
-        "r_max": None,
-        "grid_n": None,
-        "wavefunctions_dir": None,
-        "format": "csv",
-        "output": "-",
-    }
-    config = _resolve_config(args, defaults)
+def _cmd_solve(config: dict[str, Any]) -> int:
     preset = get_preset(config["preset"])
-    base_grid = preset.fd_grid if config["method"] == "fd" else preset.numerov_grid
-    grid = _grid_with_overrides(base_grid, config)
+    base = preset.fd_grid if config["method"] == "fd" else preset.numerov_grid
+    # the configuration overrides the preset's grid; the header echoes the grid used
+    for key, value in zip(("r_min", "r_max", "grid_n"), (base.r_min, base.r_max, base.n)):
+        if config[key] is None:
+            config[key] = value
+    grid = GridSpec(config["r_min"], config["r_max"], config["grid_n"])
     if config["method"] == "fd":
         result = solve_lowest_k(assemble_tridiagonal(preset.problem, grid), config["n_max"])
-    elif config["method"] == "numerov":
-        result = solve_numerov_lowest_k(preset.problem, grid, config["n_max"])
     else:
-        raise ValueError(f"unknown method {config['method']!r}; expected 'fd' or 'numerov'")
-    # echo the grid actually used
-    config["r_min"], config["r_max"], config["grid_n"] = grid.r_min, grid.r_max, grid.n
+        result = solve_numerov_lowest_k(preset.problem, grid, config["n_max"])
     rows = [
         {
             "n": i,
@@ -177,7 +124,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     ]
     if config["wavefunctions_dir"]:
         _dump_wavefunctions(config, grid, result)
-    _write_report(config, rows, config["format"], config["output"])
+    _write_report(config, rows)
     return 0
 
 
@@ -195,15 +142,7 @@ def _dump_wavefunctions(config: dict[str, Any], grid, result) -> None:
         path.write_text("\n".join(lines) + "\n")
 
 
-def _cmd_compare(args: argparse.Namespace) -> int:
-    defaults = {
-        "command": "compare",
-        "preset": "hydrogen",
-        "n_max": 1,
-        "format": "csv",
-        "output": "-",
-    }
-    config = _resolve_config(args, defaults)
+def _cmd_compare(config: dict[str, Any]) -> int:
     report = compare_report(config["preset"], config["n_max"])
     rows = []
     for row in report.rows:
@@ -218,7 +157,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
             cells["delta_rel_vs_dirac"] = row.delta_rel_vs_dirac
         rows.append(cells)
     extra = {"mu": report.mu, "M": report.M}
-    _write_report(config, rows, config["format"], config["output"], extra=extra)
+    _write_report(config, rows, extra)
     return 0
 
 
@@ -232,17 +171,8 @@ def _parse_betas(raw: str) -> list[float]:
     return betas
 
 
-def _cmd_kinematics(args: argparse.Namespace) -> int:
-    defaults = {
-        "command": "kinematics",
-        "beta": "0.6",
-        "time": 1.0,
-        "m0": 1.0,
-        "format": "csv",
-        "output": "-",
-    }
-    config = _resolve_config(args, defaults)
-    betas = _parse_betas(str(config["beta"]))
+def _cmd_kinematics(config: dict[str, Any]) -> int:
+    betas = _parse_betas(config["beta"])
     m0 = config["m0"]
     rows = []
     for beta in betas:
@@ -266,20 +196,12 @@ def _cmd_kinematics(args: argparse.Namespace) -> int:
                 "effective_mass": effective_mass(m0, v),
             }
         )
-    _write_report(config, rows, config["format"], config["output"])
+    _write_report(config, rows)
     return 0
 
 
-def _cmd_invert_demo(args: argparse.Namespace) -> int:
-    defaults = {
-        "command": "invert-demo",
-        "beta": "0.6",
-        "m0": 1.0,
-        "format": "csv",
-        "output": "-",
-    }
-    config = _resolve_config(args, defaults)
-    betas = _parse_betas(str(config["beta"]))
+def _cmd_invert_demo(config: dict[str, Any]) -> int:
+    betas = _parse_betas(config["beta"])
     beta = betas[0]
     v = beta * ATOMIC.c
     electron = electron_plane_wave(v, m0=config["m0"])
@@ -306,20 +228,11 @@ def _cmd_invert_demo(args: argparse.Namespace) -> int:
                 "eval_identity_residual": residual,
             }
         )
-    _write_report(config, rows, config["format"], config["output"])
+    _write_report(config, rows)
     return 0
 
 
-def _cmd_convergence(args: argparse.Namespace) -> int:
-    defaults = {
-        "command": "convergence",
-        "preset": "oscillator",
-        "method": "fd",
-        "n_index": 0,
-        "format": "csv",
-        "output": "-",
-    }
-    config = _resolve_config(args, defaults)
+def _cmd_convergence(config: dict[str, Any]) -> int:
     preset = get_preset(config["preset"])
     problem = preset.problem
     n_index, method = config["n_index"], config["method"]
@@ -336,19 +249,84 @@ def _cmd_convergence(args: argparse.Namespace) -> int:
         for grid, (h, epsilon) in zip(grids, table)
     ]
     slope = convergence_order(problem, grids, exact, n_index=n_index, method=method, table=table)
-    _write_report(
-        config,
-        rows,
-        config["format"],
-        config["output"],
-        extra={"slope": slope, "epsilon_exact": exact},
-    )
+    _write_report(config, rows, {"slope": slope, "epsilon_exact": exact})
     return 0
 
 
 # ---------------------------------------------------------------------------
-# parser
+# the option table and the parser built from it
 # ---------------------------------------------------------------------------
+
+# an option is key -> (type, or a tuple of choices; default; help); the flag
+# is the key with "-" for "_", and the key order is the report-header order
+_METHOD = (("fd", "numerov"), "fd", None)
+_COMMON = {
+    "format": (("csv", "json"), "csv", None),
+    "output": (str, "-", "output path, '-' for stdout"),
+}
+
+# command -> (handler, help, options)
+COMMANDS: dict[str, tuple[Callable[[dict[str, Any]], int], str, dict[str, tuple]]] = {
+    "solve": (_cmd_solve, "solve a preset eigenproblem", {
+        "preset": (str, "hydrogen", None),
+        "method": _METHOD,
+        "n_max": (int, 1, None),
+        "r_min": (float, None, None),
+        "r_max": (float, None, None),
+        "grid_n": (int, None, None),
+        "wavefunctions_dir": (str, None, "also write per-state two-column (r, u) plot-data files here"),
+        **_COMMON,
+    }),
+    "compare": (_cmd_compare, "binding-energy comparison report", {
+        "preset": (str, "hydrogen", None),
+        "n_max": (int, 1, None),
+        **_COMMON,
+    }),
+    "kinematics": (_cmd_kinematics, "per-velocity kinematics table", {
+        "beta": (str, "0.6", "comma-separated v/c values"),
+        "time": (float, 1.0, "phase-check instant"),
+        "m0": (float, 1.0, None),
+        **_COMMON,
+    }),
+    "invert-demo": (_cmd_invert_demo, "space-time-inversion table", {
+        "beta": (str, "0.6", None),
+        "m0": (float, 1.0, None),
+        **_COMMON,
+    }),
+    "convergence": (_cmd_convergence, "measured convergence order", {
+        "preset": (str, "oscillator", None),
+        "method": _METHOD,
+        "n_index": (int, 0, None),
+        **_COMMON,
+    }),
+}
+
+
+def _coerce(key: str, kind: Any, raw: str) -> Any:
+    """A config-file string, checked like the flag of the same key."""
+    if isinstance(kind, tuple):
+        if raw not in kind:
+            choices = ", ".join(map(repr, kind))
+            raise ValueError(f"config key {key!r}: invalid choice: {raw!r} (choose from {choices})")
+        return raw
+    try:
+        return kind(raw)
+    except ValueError:
+        raise ValueError(f"config key {key!r}: invalid {kind.__name__} value: {raw!r}") from None
+
+
+def _resolve_config(command: str, args: argparse.Namespace) -> dict[str, Any]:
+    """defaults < config file < explicitly set flags."""
+    options = COMMANDS[command][2]
+    config = {"command": command, **{key: default for key, (_, default, _) in options.items()}}
+    if args.config:
+        for key, raw in parse_kv_file(args.config).items():
+            if key not in options:
+                raise ValueError(f"unknown config key {key!r} for this command")
+            config[key] = _coerce(key, options[key][0], raw)
+    flags = vars(args)
+    config.update({key: flags[key] for key in options if flags[key] is not None})
+    return config
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -359,62 +337,26 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"rsse {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--config", help="flat key=value config file; flags override it")
-        p.add_argument("--format", choices=("csv", "json"), default=None)
-        p.add_argument("--output", default=None, help="output path, '-' for stdout")
-
-    solve = sub.add_parser("solve", help="solve a preset eigenproblem")
-    solve.add_argument("--preset", default=None)
-    solve.add_argument("--method", choices=("fd", "numerov"), default=None)
-    solve.add_argument("--n-max", dest="n_max", type=int, default=None)
-    solve.add_argument("--r-min", dest="r_min", type=float, default=None)
-    solve.add_argument("--r-max", dest="r_max", type=float, default=None)
-    solve.add_argument("--grid-n", dest="grid_n", type=int, default=None)
-    solve.add_argument(
-        "--wavefunctions-dir",
-        dest="wavefunctions_dir",
-        default=None,
-        help="also write per-state two-column (r, u) plot-data files here",
-    )
-    add_common(solve)
-    solve.set_defaults(func=_cmd_solve)
-
-    compare = sub.add_parser("compare", help="binding-energy comparison report")
-    compare.add_argument("--preset", default=None)
-    compare.add_argument("--n-max", dest="n_max", type=int, default=None)
-    add_common(compare)
-    compare.set_defaults(func=_cmd_compare)
-
-    kin = sub.add_parser("kinematics", help="per-velocity kinematics table")
-    kin.add_argument("--beta", default=None, help="comma-separated v/c values")
-    kin.add_argument("--time", type=float, default=None, help="phase-check instant")
-    kin.add_argument("--m0", type=float, default=None)
-    add_common(kin)
-    kin.set_defaults(func=_cmd_kinematics)
-
-    inv = sub.add_parser("invert-demo", help="space-time-inversion table")
-    inv.add_argument("--beta", default=None)
-    inv.add_argument("--m0", type=float, default=None)
-    add_common(inv)
-    inv.set_defaults(func=_cmd_invert_demo)
-
-    conv = sub.add_parser("convergence", help="measured convergence order")
-    conv.add_argument("--preset", default=None)
-    conv.add_argument("--method", choices=("fd", "numerov"), default=None)
-    conv.add_argument("--n-index", dest="n_index", type=int, default=None)
-    add_common(conv)
-    conv.set_defaults(func=_cmd_convergence)
-
+    for command, (_, command_help, options) in COMMANDS.items():
+        p = sub.add_parser(command, help=command_help)
+        for key, (kind, _, option_help) in options.items():
+            if key == "format":  # --config goes before the flags every command shares
+                p.add_argument("--config", help="flat key=value config file; flags override it")
+            choices = kind if isinstance(kind, tuple) else None
+            p.add_argument(
+                "--" + key.replace("_", "-"),
+                dest=key,
+                type=None if choices else kind,
+                choices=choices,
+                help=option_help,
+            )
     return parser
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        return COMMANDS[args.command][0](_resolve_config(args.command, args))
     except ConvergenceError as exc:
         print(f"rsse: convergence failure: {exc}", file=sys.stderr)
         return 3

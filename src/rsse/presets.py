@@ -86,7 +86,18 @@ def parse_kv_file(path: Path | str) -> dict[str, str]:
     return pairs
 
 
-def _preset_from_pairs(name: str, pairs: dict[str, str]) -> SolverPreset:
+# every key a preset .conf file may set
+_PRESET_KEYS = (
+    "potential", "Z", "omega", "l", "mu", "M", "fd_r_min", "fd_r_max", "fd_n",
+    "numerov_r_min", "numerov_r_max", "numerov_n", "description",
+)
+
+
+def _preset_from_file(path: Path) -> SolverPreset:
+    name, pairs = path.stem, parse_kv_file(path)
+    for key in pairs:
+        if key not in _PRESET_KEYS:
+            raise ValueError(f"{path}: unknown preset key {key!r}")
     kind = pairs.get("potential", "coulomb")
     if kind == "coulomb":
         potential = PotentialSpec.coulomb(float(pairs.get("Z", "1")))
@@ -123,8 +134,7 @@ def load_presets(preset_dir: str | None = None) -> dict[str, SolverPreset]:
     directory = preset_dir if preset_dir is not None else os.environ.get(PRESET_DIR_ENV)
     if directory:
         for path in sorted(Path(directory).glob("*.conf")):
-            name = path.stem
-            presets[name] = _preset_from_pairs(name, parse_kv_file(path))
+            presets[path.stem] = _preset_from_file(path)
     return presets
 
 

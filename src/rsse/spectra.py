@@ -21,7 +21,7 @@ import math
 from dataclasses import dataclass, replace
 from typing import Optional
 
-from .eigensolver import GridSpec, RadialProblem
+from .eigensolver import GridSpec, RadialProblem, _check_origin
 from .presets import get_preset
 from .units import UnitSystem, _units
 
@@ -54,11 +54,17 @@ def analytic_level(problem: RadialProblem, n_index: int, grid: GridSpec) -> floa
 
     Coulomb problems give the Bohr level of principal number n_index + l + 1.
     Harmonic problems give omega (n_index + 1/2) on a full-line grid
-    (r_min < 0); on a half-line grid (r_min >= 0) the wall at the origin
-    makes them the radial oscillator, omega (2 n_index + l + 3/2).  Other
-    potential kinds raise ValueError.
+    (r_min < 0); on a half-line grid the wall at the origin makes them the
+    radial oscillator, omega (2 n_index + l + 3/2).  These levels put the
+    wall at the origin, so a half-line grid must start within one step of it
+    (r_min <= h); a wall at r_min moves a level by O(r_min**(2 l + 1)).
+    Walls further out, grids the solvers reject as singular at r = 0 and
+    other potential kinds raise ValueError.
     """
+    _check_origin(problem, grid)
     potential = problem.potential
+    if grid.r_min > grid.h:
+        raise ValueError(f"no analytic levels for a wall at r_min = {grid.r_min} > h = {grid.h}")
     if potential.kind == "coulomb":
         return bohr_level(potential.Z, problem.mu, n_index + problem.l + 1)
     if potential.kind == "harmonic":

@@ -7,7 +7,7 @@ import pytest
 import rsse.cli
 import rsse.eigensolver
 import rsse.presets
-from rsse.cli import main
+from rsse.cli import COMMANDS, main
 from rsse.eigensolver import (
     BracketError,
     ConvergenceError,
@@ -230,6 +230,38 @@ def test_convergence_without_analytic_levels_exits_2_like_compare(tmp_path, monk
     assert "no analytic levels" in errors[0]
 
 
+def test_line_oscillator_with_l_exits_2_in_compare_like_the_solvers(tmp_path, monkeypatch, capsys):
+    (tmp_path / "line.conf").write_text(
+        "potential = harmonic\nl = 1\nfd_r_min = -12\nfd_r_max = 12\nfd_n = 3000\n"
+    )
+    monkeypatch.setenv("RSSE_PRESET_DIR", str(tmp_path))
+    errors = []
+    for command in ("compare", "solve", "convergence"):
+        code = main([command, "--preset", "line", "--output", str(tmp_path / "x.csv")])
+        assert code == 2
+        errors.append(capsys.readouterr().err)
+    assert errors[0] == errors[1]
+    assert "singular at r = 0" in errors[0] and "singular at r = 0" in errors[2]
+
+
+@pytest.mark.parametrize("potential", ["harmonic", "coulomb"])
+def test_half_line_wall_off_the_origin_has_no_analytic_levels(tmp_path, monkeypatch, capsys, potential):
+    (tmp_path / "walled.conf").write_text(
+        f"potential = {potential}\nfd_r_min = 1.0\nfd_r_max = 12\nfd_n = 3000\n"
+    )
+    monkeypatch.setenv("RSSE_PRESET_DIR", str(tmp_path))
+    errors = []
+    for command in ("compare", "convergence"):
+        code = main([command, "--preset", "walled", "--output", str(tmp_path / "x.csv")])
+        assert code == 2
+        errors.append(capsys.readouterr().err)
+    assert errors[0] == errors[1]
+    assert "no analytic levels for a wall at r_min = 1.0" in errors[0]
+    # the solvers still take the grid: its levels are just not the textbook ones
+    code, text = run_csv(tmp_path, ["solve", "--preset", "walled", "--n-max", "2"])
+    assert code == 0 and len(csv_rows(text)) == 2
+
+
 # SHA-256 of the `compare --n-max 3` reports of every built-in preset: any
 # change to their bytes has to be made on purpose, here
 COMPARE_DIGESTS = {
@@ -416,6 +448,66 @@ def test_unknown_config_key_rejected(tmp_path, capsys):
     assert "mystery" in capsys.readouterr().err
 
 
+# a value for every option key, none of them the default
+OPTION_VALUES = {
+    "preset": "positronium",
+    "method": "numerov",
+    "n_max": "2",
+    "r_min": "0.001",
+    "r_max": "25",
+    "grid_n": "1500",
+    "wavefunctions_dir": "{tmp}/wf",
+    "format": "json",
+    "output": "{tmp}/report",
+    "beta": "0.3,0.5",
+    "time": "2.5",
+    "m0": "2",
+    "n_index": "1",
+}
+
+
+@pytest.mark.parametrize(
+    "command, key", [(command, key) for command, (_, _, options) in COMMANDS.items() for key in options]
+)
+def test_flag_and_config_file_give_the_same_report(tmp_path, command, key):
+    report, config = tmp_path / "report", tmp_path / "run.conf"
+    value = OPTION_VALUES[key].format(tmp=tmp_path)
+
+    def run(argv, config_text):
+        config.write_text(config_text)
+        report.unlink(missing_ok=True)
+        assert main([command, "--config", str(config)] + argv) == 0
+        return report.read_bytes()
+
+    to_file = [] if key == "output" else ["--output", str(report)]
+    by_flag = run(["--" + key.replace("_", "-"), value] + to_file, "")
+    assert run(to_file, f"{key} = {value}\n") == by_flag
+    if key != "output":
+        assert run(to_file, "") != by_flag
+
+
+@pytest.mark.parametrize(
+    "command, line",
+    [("compare", "format = xml"), ("solve", "method = foo"), ("compare", "n_max = 2.5")],
+)
+def test_config_file_values_are_checked_like_flags(tmp_path, capsys, command, line):
+    cfg = tmp_path / "run.conf"
+    cfg.write_text(line + "\n")
+    code = main([command, "--config", str(cfg), "--output", str(tmp_path / "x.csv")])
+    assert code == 2
+    key = line.split(" = ")[0]
+    assert f"config key {key!r}" in capsys.readouterr().err
+    assert not (tmp_path / "x.csv").exists()
+
+
+def test_command_is_not_a_config_key(tmp_path, capsys):
+    cfg = tmp_path / "run.conf"
+    cfg.write_text("command = solve\n")
+    code = main(["solve", "--config", str(cfg), "--output", str(tmp_path / "x.csv")])
+    assert code == 2
+    assert "unknown config key 'command'" in capsys.readouterr().err
+
+
 def test_byte_identical_reruns(tmp_path):
     args = ["compare", "--preset", "hydrogen", "--n-max", "2"]
     _, first = run_csv(tmp_path, args, name="one.csv")
@@ -438,6 +530,18 @@ def test_builtin_presets_cover_benchmarks():
         assert name in presets
 
 
+def test_unknown_preset_key_is_rejected(tmp_path, monkeypatch, capsys):
+    conf = tmp_path / "typo.conf"
+    conf.write_text("potential = harmonic\nomgea = 2\nfd_r_min = -6\nfd_r_max = 6\nfd_n = 500\n")
+    with pytest.raises(ValueError, match="unknown preset key 'omgea'") as info:
+        load_presets(str(tmp_path))
+    assert str(conf) in str(info.value)
+    monkeypatch.setenv("RSSE_PRESET_DIR", str(tmp_path))
+    code = main(["compare", "--preset", "typo", "--output", str(tmp_path / "x.csv")])
+    assert code == 2
+    assert "omgea" in capsys.readouterr().err
+
+
 def test_preset_dir_extends_and_overrides(tmp_path, monkeypatch):
     (tmp_path / "tight_oscillator.conf").write_text(
         "potential = harmonic\nomega = 1\nfd_r_min = -6\nfd_r_max = 6\nfd_n = 500\n"
@@ -455,3 +559,114 @@ def test_preset_dir_extends_and_overrides(tmp_path, monkeypatch):
     assert code == 0
     row = csv_rows((tmp_path / "o.csv").read_text())[0]
     assert abs(float(row["epsilon_hartree"]) - 0.5) < 1e-3
+
+
+# ---------------------------------------------------------------------------
+# help
+# ---------------------------------------------------------------------------
+
+
+# `--help` texts at 80 columns, byte for byte
+HELP_TEXTS = {
+    "": """\
+usage: rsse [-h] [--version]
+            {solve,compare,kinematics,invert-demo,convergence} ...
+
+Stationary eigenproblem solvers with a relativistic binding-energy correction
+and matter-wave demonstrations.
+
+positional arguments:
+  {solve,compare,kinematics,invert-demo,convergence}
+    solve               solve a preset eigenproblem
+    compare             binding-energy comparison report
+    kinematics          per-velocity kinematics table
+    invert-demo         space-time-inversion table
+    convergence         measured convergence order
+
+options:
+  -h, --help            show this help message and exit
+  --version             show program's version number and exit
+""",
+    "solve": """\
+usage: rsse solve [-h] [--preset PRESET] [--method {fd,numerov}]
+                  [--n-max N_MAX] [--r-min R_MIN] [--r-max R_MAX]
+                  [--grid-n GRID_N] [--wavefunctions-dir WAVEFUNCTIONS_DIR]
+                  [--config CONFIG] [--format {csv,json}] [--output OUTPUT]
+
+options:
+  -h, --help            show this help message and exit
+  --preset PRESET
+  --method {fd,numerov}
+  --n-max N_MAX
+  --r-min R_MIN
+  --r-max R_MAX
+  --grid-n GRID_N
+  --wavefunctions-dir WAVEFUNCTIONS_DIR
+                        also write per-state two-column (r, u) plot-data files
+                        here
+  --config CONFIG       flat key=value config file; flags override it
+  --format {csv,json}
+  --output OUTPUT       output path, '-' for stdout
+""",
+    "compare": """\
+usage: rsse compare [-h] [--preset PRESET] [--n-max N_MAX] [--config CONFIG]
+                    [--format {csv,json}] [--output OUTPUT]
+
+options:
+  -h, --help           show this help message and exit
+  --preset PRESET
+  --n-max N_MAX
+  --config CONFIG      flat key=value config file; flags override it
+  --format {csv,json}
+  --output OUTPUT      output path, '-' for stdout
+""",
+    "kinematics": """\
+usage: rsse kinematics [-h] [--beta BETA] [--time TIME] [--m0 M0]
+                       [--config CONFIG] [--format {csv,json}]
+                       [--output OUTPUT]
+
+options:
+  -h, --help           show this help message and exit
+  --beta BETA          comma-separated v/c values
+  --time TIME          phase-check instant
+  --m0 M0
+  --config CONFIG      flat key=value config file; flags override it
+  --format {csv,json}
+  --output OUTPUT      output path, '-' for stdout
+""",
+    "invert-demo": """\
+usage: rsse invert-demo [-h] [--beta BETA] [--m0 M0] [--config CONFIG]
+                        [--format {csv,json}] [--output OUTPUT]
+
+options:
+  -h, --help           show this help message and exit
+  --beta BETA
+  --m0 M0
+  --config CONFIG      flat key=value config file; flags override it
+  --format {csv,json}
+  --output OUTPUT      output path, '-' for stdout
+""",
+    "convergence": """\
+usage: rsse convergence [-h] [--preset PRESET] [--method {fd,numerov}]
+                        [--n-index N_INDEX] [--config CONFIG]
+                        [--format {csv,json}] [--output OUTPUT]
+
+options:
+  -h, --help            show this help message and exit
+  --preset PRESET
+  --method {fd,numerov}
+  --n-index N_INDEX
+  --config CONFIG       flat key=value config file; flags override it
+  --format {csv,json}
+  --output OUTPUT       output path, '-' for stdout
+""",
+}
+
+
+@pytest.mark.parametrize("command", sorted(HELP_TEXTS))
+def test_help_texts_are_pinned(monkeypatch, capsys, command):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as info:
+        main([command, "--help"] if command else ["--help"])
+    assert info.value.code == 0
+    assert capsys.readouterr().out == HELP_TEXTS[command]
