@@ -18,6 +18,12 @@ with V_eff = V + hbar**2 l(l+1) / (2 mu r**2):
 
 Grids are uniform.  Coulomb-type problems use the reduced radial function
 u(r) = r R(r) and require r_min > 0.
+
+scipy is imported inside the solver functions (``solve_lowest_k``,
+``default_brackets``, ``_numerov_sweep``, ``numerov_solve``), not at module
+level: every rsse module imports this one, and the analytic commands
+(``kinematics``, ``invert-demo``, ``compare``) then start on numpy alone,
+without the ~0.3 s import of ``scipy.linalg``.
 """
 
 from __future__ import annotations
@@ -27,8 +33,6 @@ from dataclasses import dataclass, field
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
-from scipy.linalg.lapack import dtbtrs
 
 from .units import ATOMIC, UnitSystem
 
@@ -339,6 +343,8 @@ def solve_lowest_k(operator: TridiagonalOperator, k: int) -> EigenResult:
     """
     if not 1 <= k <= operator.dim:
         raise ValueError(f"k must be in [1, {operator.dim}], got {k}")
+    from scipy.linalg import eigh_tridiagonal
+
     epsilons, vectors = eigh_tridiagonal(
         operator.diagonal, operator.off_diagonal, select="i", select_range=(0, k - 1)
     )
@@ -398,6 +404,8 @@ def _numerov_sweep(f: np.ndarray, h: float, u0: float, u1: float) -> np.ndarray:
         If LAPACK reports a zero diagonal (1 - t = 0) or a single row still
         overflows.
     """
+    from scipy.linalg.lapack import dtbtrs
+
     n = f.shape[0]
     t = (h * h / 12.0) * f
     u = np.empty(n)
@@ -600,8 +608,6 @@ def numerov_solve(
             f"F(lo) = {f_lo:.3e}, F(hi) = {f_hi:.3e}"
         )
 
-    # imported on use: scipy.optimize alone costs about 0.3 s of import time,
-    # which commands that never shoot need not pay
     from scipy.optimize import brentq
 
     # a tiny xtol leaves the stopping rule to rtol
@@ -631,6 +637,8 @@ def default_brackets(problem: RadialProblem, grid: GridSpec, k: int) -> list[tup
     Each bracket spans half the gap to the neighbouring FD eigenvalues,
     which comfortably covers the FD truncation error on any usable grid.
     """
+    from scipy.linalg import eigh_tridiagonal
+
     operator = assemble_tridiagonal(problem, grid)
     n_seed = min(k + 1, operator.dim)
     seed = eigh_tridiagonal(

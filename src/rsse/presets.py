@@ -98,6 +98,10 @@ def _preset_from_file(path: Path) -> SolverPreset:
     for key in pairs:
         if key not in _PRESET_KEYS:
             raise ValueError(f"{path}: unknown preset key {key!r}")
+    # the FD grid has no default, and the Numerov grid falls back on it
+    for key in ("fd_r_min", "fd_r_max", "fd_n"):
+        if key not in pairs:
+            raise ValueError(f"{path}: missing preset key {key!r}")
     kind = pairs.get("potential", "coulomb")
     if kind == "coulomb":
         potential = PotentialSpec.coulomb(float(pairs.get("Z", "1")))

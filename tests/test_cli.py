@@ -542,6 +542,16 @@ def test_unknown_preset_key_is_rejected(tmp_path, monkeypatch, capsys):
     assert "omgea" in capsys.readouterr().err
 
 
+def test_preset_without_grid_key_exits_2(tmp_path, monkeypatch, capsys):
+    conf = tmp_path / "gridless.conf"
+    conf.write_text("potential = harmonic\nfd_r_min = -6\nfd_r_max = 6\n")
+    monkeypatch.setenv("RSSE_PRESET_DIR", str(tmp_path))
+    code = main(["compare", "--preset", "gridless", "--output", str(tmp_path / "x.csv")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert str(conf) in err and "missing preset key 'fd_n'" in err
+
+
 def test_preset_dir_extends_and_overrides(tmp_path, monkeypatch):
     (tmp_path / "tight_oscillator.conf").write_text(
         "potential = harmonic\nomega = 1\nfd_r_min = -6\nfd_r_max = 6\nfd_n = 500\n"
