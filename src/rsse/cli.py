@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 from typing import Any, Callable, Optional, Sequence
@@ -166,7 +167,7 @@ def _parse_betas(raw: str) -> list[float]:
     if not betas:
         raise ValueError("no beta values supplied")
     for beta in betas:
-        if abs(beta) >= 1.0:
+        if not abs(beta) < 1.0:
             raise ValueError(f"beta must satisfy |beta| < 1, got {beta}")
     return betas
 
@@ -316,7 +317,7 @@ def _coerce(key: str, kind: Any, raw: str) -> Any:
 
 
 def _resolve_config(command: str, args: argparse.Namespace) -> dict[str, Any]:
-    """defaults < config file < explicitly set flags."""
+    """defaults < config file < explicitly set flags; float values must be finite."""
     options = COMMANDS[command][2]
     config = {"command": command, **{key: default for key, (_, default, _) in options.items()}}
     if args.config:
@@ -326,6 +327,9 @@ def _resolve_config(command: str, args: argparse.Namespace) -> dict[str, Any]:
             config[key] = _coerce(key, options[key][0], raw)
     flags = vars(args)
     config.update({key: flags[key] for key in options if flags[key] is not None})
+    for key, value in config.items():
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ValueError(f"option {key!r} must be a finite number, got {value}")
     return config
 
 

@@ -29,7 +29,7 @@ without the ~0.3 s import of ``scipy.linalg``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -181,7 +181,7 @@ class RadialProblem:
     l: int = 0
     mu: float = 1.0
     M: float = 1.0
-    units: UnitSystem = field(default_factory=lambda: ATOMIC)
+    units: UnitSystem = ATOMIC
 
     def __post_init__(self) -> None:
         if not self.mu > 0.0:
@@ -202,19 +202,12 @@ def reduce_two_body(
     m2: float,
     potential: PotentialSpec,
     l: int = 0,
-    units: UnitSystem | None = None,
+    units: UnitSystem = ATOMIC,
 ) -> RadialProblem:
     """Reduce two interacting masses to an effective one-body radial problem."""
     if not (m1 > 0.0 and m2 > 0.0):
         raise ValueError(f"masses must be positive, got {m1}, {m2}")
-    mu = m1 * m2 / (m1 + m2)
-    return RadialProblem(
-        potential=potential,
-        l=l,
-        mu=mu,
-        M=m1 + m2,
-        units=ATOMIC if units is None else units,
-    )
+    return RadialProblem(potential, l=l, mu=m1 * m2 / (m1 + m2), M=m1 + m2, units=units)
 
 
 def effective_potential(problem: RadialProblem, r: np.ndarray) -> np.ndarray:
@@ -287,13 +280,27 @@ class EigenResult:
 DEGENERACY_GAP = 1e-12  # hartree
 
 
-def _degeneracy_flags(epsilons: np.ndarray) -> np.ndarray:
-    flags = np.zeros(epsilons.shape[0], dtype=bool)
-    if epsilons.shape[0] > 1:
-        close = np.abs(np.diff(epsilons)) < DEGENERACY_GAP
-        flags[:-1] |= close
-        flags[1:] |= close
-    return flags
+def _eigen_result(
+    epsilons: np.ndarray, wavefunctions: np.ndarray, residuals: np.ndarray, method: str,
+    grid: GridSpec,
+) -> EigenResult:
+    """The :class:`EigenResult` of either route.
+
+    Node counts and degeneracy flags are derived here, once for both routes.
+    """
+    degenerate = np.zeros(epsilons.shape[0], dtype=bool)
+    close = np.abs(np.diff(epsilons)) < DEGENERACY_GAP
+    degenerate[:-1] |= close
+    degenerate[1:] |= close
+    return EigenResult(
+        epsilons=epsilons,
+        wavefunctions=wavefunctions,
+        residuals=residuals,
+        method=method,
+        grid=grid,
+        nodes=np.array([count_sign_changes(u[1:-1]) for u in wavefunctions], dtype=int),
+        degenerate=degenerate,
+    )
 
 
 def assemble_tridiagonal(problem: RadialProblem, grid: GridSpec) -> TridiagonalOperator:
@@ -351,24 +358,12 @@ def solve_lowest_k(operator: TridiagonalOperator, k: int) -> EigenResult:
     grid = operator.grid
     wavefunctions = np.zeros((k, grid.n))
     residuals = np.empty(k)
-    nodes = np.empty(k, dtype=int)
     for i in range(k):
         v = vectors[:, i]
         residuals[i] = np.max(np.abs(operator.apply(v) - epsilons[i] * v)) / np.max(np.abs(v))
-        full = np.zeros(grid.n)
-        full[1:-1] = v
-        full = _normalize(_fix_sign(full), grid)
-        wavefunctions[i] = full
-        nodes[i] = count_sign_changes(full[1:-1])
-    return EigenResult(
-        epsilons=epsilons,
-        wavefunctions=wavefunctions,
-        residuals=residuals,
-        method="fd",
-        grid=grid,
-        nodes=nodes,
-        degenerate=_degeneracy_flags(epsilons),
-    )
+        wavefunctions[i, 1:-1] = v
+        wavefunctions[i] = _normalize(_fix_sign(wavefunctions[i]), grid)
+    return _eigen_result(epsilons, wavefunctions, residuals, "fd", grid)
 
 
 # ---------------------------------------------------------------------------
@@ -636,20 +631,21 @@ def default_brackets(problem: RadialProblem, grid: GridSpec, k: int) -> list[tup
 
     Each bracket spans half the gap to the neighbouring FD eigenvalues,
     which comfortably covers the FD truncation error on any usable grid.
+    The top bracket needs the FD level above it, so k + 1 levels must fit
+    on the grid's grid.n - 2 interior nodes: 1 <= k <= grid.n - 3.
     """
+    operator = assemble_tridiagonal(problem, grid)
+    if not 1 <= k < operator.dim:
+        raise ValueError(f"k must be in [1, {operator.dim - 1}] to seed Numerov brackets, got {k}")
     from scipy.linalg import eigh_tridiagonal
 
-    operator = assemble_tridiagonal(problem, grid)
-    n_seed = min(k + 1, operator.dim)
     seed = eigh_tridiagonal(
-        operator.diagonal, operator.off_diagonal, select="i", select_range=(0, n_seed - 1),
-        eigvals_only=True,
+        operator.diagonal, operator.off_diagonal, select="i", select_range=(0, k), eigvals_only=True
     )
     brackets = []
     for i in range(k):
-        gap_below = seed[i] - seed[i - 1] if i > 0 else seed[min(1, n_seed - 1)] - seed[0]
-        gap_above = seed[i + 1] - seed[i] if i + 1 < n_seed else gap_below
-        brackets.append((seed[i] - 0.5 * gap_below, seed[i] + 0.5 * gap_above))
+        gap_below = seed[i] - seed[i - 1] if i > 0 else seed[1] - seed[0]
+        brackets.append((seed[i] - 0.5 * gap_below, seed[i] + 0.5 * (seed[i + 1] - seed[i])))
     return brackets
 
 
@@ -661,11 +657,7 @@ def numerov_recurrence_defect(
     For a converged shooting solution this is at the level of the matching
     defect; it serves as the per-state diagnostic of the Numerov route.
     """
-    _check_origin(problem, grid)
-    hbar = problem.units.hbar
-    pref = 2.0 * problem.mu / (hbar * hbar)
-    f = pref * effective_potential(problem, grid.nodes()) - pref * epsilon
-    t = (grid.h**2 / 12.0) * f
+    t = (grid.h**2 / 12.0) * _Shooter(problem, grid).f_values(epsilon)
     lhs = (
         (1.0 - t[2:]) * u[2:]
         - (2.0 + 10.0 * t[1:-1]) * u[1:-1]
@@ -690,22 +682,10 @@ def solve_numerov_lowest_k(
     epsilons = np.empty(k)
     wavefunctions = np.empty((k, grid.n))
     residuals = np.empty(k)
-    nodes = np.empty(k, dtype=int)
     for i in range(k):
-        epsilon, u = numerov_solve(problem, grid, i, brackets[i])
-        epsilons[i] = epsilon
-        wavefunctions[i] = u
-        residuals[i] = numerov_recurrence_defect(u, problem, grid, epsilon)
-        nodes[i] = count_sign_changes(u[1:-1])
-    return EigenResult(
-        epsilons=epsilons,
-        wavefunctions=wavefunctions,
-        residuals=residuals,
-        method="numerov",
-        grid=grid,
-        nodes=nodes,
-        degenerate=_degeneracy_flags(epsilons),
-    )
+        epsilons[i], wavefunctions[i] = numerov_solve(problem, grid, i, brackets[i])
+        residuals[i] = numerov_recurrence_defect(wavefunctions[i], problem, grid, epsilons[i])
+    return _eigen_result(epsilons, wavefunctions, residuals, "numerov", grid)
 
 
 # ---------------------------------------------------------------------------

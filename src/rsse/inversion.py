@@ -21,8 +21,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .eigensolver import GridSpec
-from .kinematics import gamma_factor, momentum, total_energy
-from .units import UnitSystem, _units
+from .kinematics import _check_rest_mass, gamma_factor, momentum, total_energy
+from .units import ATOMIC, UnitSystem
 
 MATTER = "matter"
 ANTIMATTER = "antimatter"
@@ -58,8 +58,7 @@ class PlaneWaveState:
         _check_branch(self.branch)
         if not self.E > 0.0:
             raise ValueError(f"plane-wave energy must be positive, got {self.E}")
-        if not self.m0 > 0.0:
-            raise ValueError(f"rest mass must be positive, got {self.m0}")
+        _check_rest_mass(self.m0)
 
 
 def electron_plane_wave(
@@ -67,16 +66,15 @@ def electron_plane_wave(
     m0: float = 1.0,
     branch: str = MATTER,
     amplitude: complex = 1.0 + 0.0j,
-    units: UnitSystem | None = None,
+    units: UnitSystem = ATOMIC,
 ) -> PlaneWaveState:
     """On-shell plane wave for an electron-like particle moving at v."""
-    u = _units(units)
     _check_branch(branch)
-    p = momentum(m0, v, u)
+    p = momentum(m0, v, units)
     q, lep = _ELECTRON_NUMBERS[branch]
     return PlaneWaveState(
         p=p,
-        E=total_energy(m0, p, u),
+        E=total_energy(m0, p, units),
         branch=branch,
         Q=q,
         L=lep,
@@ -85,17 +83,15 @@ def electron_plane_wave(
     )
 
 
-def is_on_shell(state: PlaneWaveState, units: UnitSystem | None = None, rtol: float = 1e-10) -> bool:
-    u = _units(units)
-    return math.isclose(state.E, total_energy(state.m0, state.p, u), rel_tol=rtol)
+def is_on_shell(state: PlaneWaveState, units: UnitSystem = ATOMIC, rtol: float = 1e-10) -> bool:
+    return math.isclose(state.E, total_energy(state.m0, state.p, units), rel_tol=rtol)
 
 
 def evaluate_plane_wave(
-    state: PlaneWaveState, x: float, t: float, units: UnitSystem | None = None
+    state: PlaneWaveState, x: float, t: float, units: UnitSystem = ATOMIC
 ) -> complex:
     """amplitude * exp(+-i (p x - E t)/hbar), sign set by the branch."""
-    u = _units(units)
-    phase = (state.p * x - state.E * t) / u.hbar
+    phase = (state.p * x - state.E * t) / units.hbar
     sign = 1.0 if state.branch == MATTER else -1.0
     return state.amplitude * cmath.exp(1j * sign * phase)
 
@@ -112,10 +108,9 @@ def spacetime_invert(state: PlaneWaveState) -> PlaneWaveState:
     return replace(state, branch=_OPPOSITE[state.branch], Q=-state.Q, L=-state.L)
 
 
-def effective_mass(m0: float, v: float, units: UnitSystem | None = None) -> float:
+def effective_mass(m0: float, v: float, units: UnitSystem = ATOMIC) -> float:
     """Inertial mass gamma * m0; strictly increasing in |v|, divergent at c."""
-    if not m0 > 0.0:
-        raise ValueError(f"rest mass must be positive, got {m0}")
+    _check_rest_mass(m0)
     return gamma_factor(v, units) * m0
 
 
@@ -140,19 +135,17 @@ class ThetaChi:
 
 
 def dirac_theta_chi(
-    m0: float, v: float, branch: str = MATTER, units: UnitSystem | None = None
+    m0: float, v: float, branch: str = MATTER, units: UnitSystem = ATOMIC
 ) -> ThetaChi:
     """Free-mode component amplitudes at speed v.
 
     The minority/majority weight ratio is p*c/(E + m0*c**2) = gamma*beta/(gamma+1):
     zero at rest, strictly increasing with |v|, approaching 1 as |v| -> c.
     """
-    u = _units(units)
-    if not m0 > 0.0:
-        raise ValueError(f"rest mass must be positive, got {m0}")
+    _check_rest_mass(m0)
     _check_branch(branch)
-    beta = abs(v) / u.c
-    g = gamma_factor(v, u)
+    beta = abs(v) / units.c
+    g = gamma_factor(v, units)
     ratio = g * beta / (g + 1.0)
     major = 1.0 / math.sqrt(1.0 + ratio * ratio)
     minor = ratio * major
@@ -178,7 +171,7 @@ def time_reversal_check(
     potential: np.ndarray,
     grid: GridSpec,
     mu: float = 1.0,
-    units: UnitSystem | None = None,
+    units: UnitSystem = ATOMIC,
 ) -> float:
     """Residual of the conjugated, time-reversed stationary solution.
 
@@ -192,7 +185,6 @@ def time_reversal_check(
     evaluated with the second-difference H on the interior nodes.  For a
     real eigenfunction this equals the residual of psi itself.
     """
-    u = _units(units)
     psi = np.asarray(psi_spatial, dtype=complex)
     v = np.asarray(potential, dtype=float)
     if psi.shape[0] != grid.n or v.shape[0] != grid.n:
@@ -205,6 +197,6 @@ def time_reversal_check(
         raise ValueError("cannot check a zero wavefunction")
     conj = psi.conj()
     h = grid.h
-    kinetic = -(u.hbar**2) / (2.0 * mu) * (conj[2:] - 2.0 * conj[1:-1] + conj[:-2]) / (h * h)
+    kinetic = -(units.hbar**2) / (2.0 * mu) * (conj[2:] - 2.0 * conj[1:-1] + conj[:-2]) / (h * h)
     residual = kinetic + v[1:-1] * conj[1:-1] - epsilon * conj[1:-1]
     return float(np.max(np.abs(residual)) / peak)

@@ -14,11 +14,11 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
-from .units import UnitSystem, _units
+from .units import ATOMIC, UnitSystem
 
 
 def _check_speed(v: float, c: float) -> None:
-    if abs(v) >= c:
+    if not abs(v) < c:
         raise ValueError(f"speed must satisfy |v| < c = {c}, got v = {v}")
 
 
@@ -27,32 +27,30 @@ def _check_rest_mass(m0: float) -> None:
         raise ValueError(f"rest mass must be strictly positive, got {m0}")
 
 
-def gamma_factor(v: float, units: UnitSystem | None = None) -> float:
+def gamma_factor(v: float, units: UnitSystem = ATOMIC) -> float:
     """Lorentz factor (1 - v**2/c**2)**(-1/2)."""
-    u = _units(units)
-    _check_speed(v, u.c)
-    beta = v / u.c
+    _check_speed(v, units.c)
+    beta = v / units.c
     # (1-b)(1+b) keeps precision as |beta| -> 1
     return 1.0 / math.sqrt((1.0 - beta) * (1.0 + beta))
 
 
-def momentum(m0: float, v: float, units: UnitSystem | None = None) -> float:
+def momentum(m0: float, v: float, units: UnitSystem = ATOMIC) -> float:
     """Relativistic momentum gamma * m0 * v."""
     _check_rest_mass(m0)
     return gamma_factor(v, units) * m0 * v
 
 
-def total_energy(m0: float, p: float, units: UnitSystem | None = None) -> float:
+def total_energy(m0: float, p: float, units: UnitSystem = ATOMIC) -> float:
     """Positive root of E**2 = (m0*c**2)**2 + (p*c)**2.
 
     Admits the massless case m0 = 0 provided p != 0.
     """
-    u = _units(units)
     if m0 < 0.0:
         raise ValueError(f"rest mass must be nonnegative, got {m0}")
     if m0 == 0.0 and p == 0.0:
         raise ValueError("a massless particle needs nonzero momentum")
-    return math.hypot(m0 * u.c * u.c, p * u.c)
+    return math.hypot(m0 * units.c * units.c, p * units.c)
 
 
 @dataclass(frozen=True)
@@ -65,17 +63,15 @@ class MassiveParticle:
     units: UnitSystem
 
     @classmethod
-    def from_velocity(cls, m0: float, v: float, units: UnitSystem | None = None) -> "MassiveParticle":
-        u = _units(units)
-        return cls(m0=m0, v=v, p=momentum(m0, v, u), units=u)
+    def from_velocity(cls, m0: float, v: float, units: UnitSystem = ATOMIC) -> "MassiveParticle":
+        return cls(m0=m0, v=v, p=momentum(m0, v, units), units=units)
 
     @classmethod
-    def from_momentum(cls, m0: float, p: float, units: UnitSystem | None = None) -> "MassiveParticle":
-        u = _units(units)
+    def from_momentum(cls, m0: float, p: float, units: UnitSystem = ATOMIC) -> "MassiveParticle":
         _check_rest_mass(m0)
         # invert p = gamma m0 v:  v = p c / sqrt((m0 c)^2 + p^2)
-        v = p * u.c / math.hypot(m0 * u.c, p)
-        return cls(m0=m0, v=v, p=p, units=u)
+        v = p * units.c / math.hypot(m0 * units.c, p)
+        return cls(m0=m0, v=v, p=p, units=units)
 
     @property
     def gamma(self) -> float:
@@ -97,34 +93,32 @@ class WaveParameters(NamedTuple):
     wavelength: Optional[float]
 
 
-def wave_from_particle(m0: float, v: float, units: UnitSystem | None = None) -> WaveParameters:
+def wave_from_particle(m0: float, v: float, units: UnitSystem = ATOMIC) -> WaveParameters:
     """Wave parameters omega = E/hbar, k = p/hbar, wavelength = 2*pi*hbar/|p|."""
-    u = _units(units)
     _check_rest_mass(m0)
-    _check_speed(v, u.c)
-    p = momentum(m0, v, u)
-    energy = total_energy(m0, p, u)
-    k = p / u.hbar
-    wavelength = None if p == 0.0 else 2.0 * math.pi * u.hbar / abs(p)
-    return WaveParameters(omega=energy / u.hbar, k=k, wavelength=wavelength)
+    _check_speed(v, units.c)
+    p = momentum(m0, v, units)
+    energy = total_energy(m0, p, units)
+    k = p / units.hbar
+    wavelength = None if p == 0.0 else 2.0 * math.pi * units.hbar / abs(p)
+    return WaveParameters(omega=energy / units.hbar, k=k, wavelength=wavelength)
 
 
-def velocities(m0: float, p: float, units: UnitSystem | None = None) -> tuple[float, float]:
+def velocities(m0: float, p: float, units: UnitSystem = ATOMIC) -> tuple[float, float]:
     """Group and phase velocity (dE/dp, E/p) of the accompanying wave.
 
     Their product is c**2.  Phase velocity is undefined at p = 0.
     """
-    u = _units(units)
     if p == 0.0:
         raise ValueError("phase velocity is undefined at p = 0")
-    energy = total_energy(m0, p, u)
-    v_group = p * u.c * u.c / energy
+    energy = total_energy(m0, p, units)
+    v_group = p * units.c * units.c / energy
     v_phase = energy / p
     return v_group, v_phase
 
 
 def clock_and_wave_frequencies(
-    m0: float, v: float, units: UnitSystem | None = None
+    m0: float, v: float, units: UnitSystem = ATOMIC
 ) -> tuple[float, float]:
     """Frequencies of the co-moving clock and of the accompanying wave.
 
@@ -132,11 +126,10 @@ def clock_and_wave_frequencies(
     (time dilation) while the wave measured at a fixed point oscillates at
     omega0/sqrt(1-beta**2) = E/hbar.  Their product is omega0**2.
     """
-    u = _units(units)
     _check_rest_mass(m0)
-    _check_speed(v, u.c)
-    omega0 = m0 * u.c * u.c / u.hbar
-    beta = v / u.c
+    _check_speed(v, units.c)
+    omega0 = m0 * units.c * units.c / units.hbar
+    beta = v / units.c
     root = math.sqrt((1.0 - beta) * (1.0 + beta))
     return omega0 * root, omega0 / root
 
@@ -147,9 +140,7 @@ class PhaseHarmony(NamedTuple):
     residual: float
 
 
-def check_phase_harmony(
-    m0: float, v: float, t: float, units: UnitSystem | None = None
-) -> PhaseHarmony:
+def check_phase_harmony(m0: float, v: float, t: float, units: UnitSystem = ATOMIC) -> PhaseHarmony:
     """Compare clock phase and wave phase on the trajectory x = v*t.
 
     The clock carries phase -omega_clock*t; the wave evaluated at x = v*t
@@ -157,30 +148,27 @@ def check_phase_harmony(
     k*v - omega_wave = -omega_clock, so the returned residual is zero up
     to rounding.
     """
-    u = _units(units)
-    omega_clock, omega_wave = clock_and_wave_frequencies(m0, v, u)
-    k = momentum(m0, v, u) / u.hbar
+    omega_clock, omega_wave = clock_and_wave_frequencies(m0, v, units)
+    k = momentum(m0, v, units) / units.hbar
     phi_clock = -omega_clock * t
     phi_wave = k * (v * t) - omega_wave * t
     return PhaseHarmony(phi_clock, phi_wave, abs(phi_clock - phi_wave))
 
 
 def lorentz_boost_event(
-    x: float, t: float, v: float, units: UnitSystem | None = None
+    x: float, t: float, v: float, units: UnitSystem = ATOMIC
 ) -> tuple[float, float]:
     """Boost an event (x, t) into the frame moving with velocity v."""
-    u = _units(units)
-    g = gamma_factor(v, u)
-    return g * (x - v * t), g * (t - v * x / (u.c * u.c))
+    g = gamma_factor(v, units)
+    return g * (x - v * t), g * (t - v * x / (units.c * units.c))
 
 
 def lorentz_boost_energy_momentum(
-    energy: float, p: float, v: float, units: UnitSystem | None = None
+    energy: float, p: float, v: float, units: UnitSystem = ATOMIC
 ) -> tuple[float, float]:
     """Boost an (E, p) pair; the invariant E**2 - (p*c)**2 is preserved."""
-    u = _units(units)
-    g = gamma_factor(v, u)
-    return g * (energy - v * p), g * (p - v * energy / (u.c * u.c))
+    g = gamma_factor(v, units)
+    return g * (energy - v * p), g * (p - v * energy / (units.c * units.c))
 
 
 class DeBroglieResult(NamedTuple):
@@ -188,9 +176,7 @@ class DeBroglieResult(NamedTuple):
     matches_p_over_hbar: bool
 
 
-def derive_de_broglie(
-    m0: float, v: float, units: UnitSystem | None = None
-) -> DeBroglieResult:
+def derive_de_broglie(m0: float, v: float, units: UnitSystem = ATOMIC) -> DeBroglieResult:
     """Reconstruct the wavenumber from the group-velocity condition alone.
 
     Imposing omega(k) = sqrt((m0*c**2)**2 + (hbar*k*c)**2)/hbar on the
@@ -201,22 +187,21 @@ def derive_de_broglie(
     Only the positive-frequency branch is searched; side conditions for
     other branches are not defined here.
     """
-    u = _units(units)
     _check_rest_mass(m0)
-    _check_speed(v, u.c)
+    _check_speed(v, units.c)
     if v == 0.0:
         raise ValueError("the group-velocity condition needs a moving particle (v != 0)")
 
     speed = abs(v)
-    rest_energy = m0 * u.c * u.c
+    rest_energy = m0 * units.c * units.c
 
     def group_velocity(k: float) -> float:
         # d(omega)/dk = p c^2 / E with p = hbar k
-        p = u.hbar * k
-        return p * u.c * u.c / math.hypot(rest_energy, p * u.c)
+        p = units.hbar * k
+        return p * units.c * units.c / math.hypot(rest_energy, p * units.c)
 
     lo = 0.0
-    hi = 1.0e3 * gamma_factor(v, u) * m0 * u.c / u.hbar
+    hi = 1.0e3 * gamma_factor(v, units) * m0 * units.c / units.hbar
     if group_velocity(hi) <= speed:  # pragma: no cover - bracket is generous
         raise ValueError("bisection bracket does not contain the group-velocity root")
     # g(k) = v_group(k) - speed is strictly monotone, so plain bisection is safe.
@@ -227,6 +212,6 @@ def derive_de_broglie(
         else:
             hi = mid
     k = math.copysign(0.5 * (lo + hi), v)
-    k_expected = momentum(m0, v, u) / u.hbar
+    k_expected = momentum(m0, v, units) / units.hbar
     matches = abs(k - k_expected) <= 1.0e-9 * abs(k_expected)
     return DeBroglieResult(k=k, matches_p_over_hbar=matches)

@@ -23,7 +23,7 @@ from typing import Optional
 
 from .eigensolver import GridSpec, RadialProblem, _check_origin
 from .presets import get_preset
-from .units import UnitSystem, _units
+from .units import ATOMIC, UnitSystem
 
 
 # ---------------------------------------------------------------------------
@@ -56,15 +56,19 @@ def analytic_level(problem: RadialProblem, n_index: int, grid: GridSpec) -> floa
     Harmonic problems give omega (n_index + 1/2) on a full-line grid
     (r_min < 0); on a half-line grid the wall at the origin makes them the
     radial oscillator, omega (2 n_index + l + 3/2).  These levels put the
-    wall at the origin, so a half-line grid must start within one step of it
-    (r_min <= h); a wall at r_min moves a level by O(r_min**(2 l + 1)).
-    Walls further out, grids the solvers reject as singular at r = 0 and
-    other potential kinds raise ValueError.
+    wall at the origin.  A wall at r_min > 0 moves a level by
+    O(r_min**(2 l + 1)), so a half-line grid must have
+    r_min**(2 l + 1) <= h**2, which keeps that shift at the order of the
+    stencil's own error.  Walls further out, grids the solvers reject as
+    singular at r = 0 and other potential kinds raise ValueError.
     """
     _check_origin(problem, grid)
     potential = problem.potential
-    if grid.r_min > grid.h:
-        raise ValueError(f"no analytic levels for a wall at r_min = {grid.r_min} > h = {grid.h}")
+    if grid.r_min ** (2 * problem.l + 1) > grid.h**2:
+        raise ValueError(
+            f"no analytic levels for a wall at r_min = {grid.r_min}: "
+            f"r_min**(2 l + 1) > h**2 = {grid.h**2} for l = {problem.l}"
+        )
     if potential.kind == "coulomb":
         return bohr_level(potential.Z, problem.mu, n_index + problem.l + 1)
     if potential.kind == "harmonic":
@@ -84,7 +88,7 @@ def _check_half_integer_j(j: float, n: int) -> None:
 
 
 def dirac_coulomb_level(
-    Z: float, n: int, j: float, units: UnitSystem | None = None
+    Z: float, n: int, j: float, units: UnitSystem = ATOMIC
 ) -> tuple[float, float]:
     """Exact point-Coulomb spectrum for a unit-mass fermion: (E_total, binding).
 
@@ -94,11 +98,10 @@ def dirac_coulomb_level(
     other operations in this module.  Raises for the supercritical regime
     Z alpha >= j + 1/2.
     """
-    u = _units(units)
     if n < 1:
         raise ValueError(f"principal quantum number must be >= 1, got {n}")
     _check_half_integer_j(j, n)
-    za = Z * u.alpha
+    za = Z * units.alpha
     kappa = j + 0.5
     if za >= kappa:
         raise ValueError(
@@ -107,7 +110,7 @@ def dirac_coulomb_level(
     gamma_rel = math.sqrt((kappa - za) * (kappa + za))
     denom = n - kappa + gamma_rel
     x = (za / denom) ** 2
-    mc2 = u.mass_unit * u.c * u.c
+    mc2 = units.mass_unit * units.c * units.c
     # (1+x)**(-1/2) via expm1/log1p keeps the binding relative-accurate even
     # though it is a ~1e-5 fraction of the rest energy
     z = -0.5 * math.log1p(x)
@@ -126,6 +129,13 @@ def binding_nonrel(epsilon: float) -> float:
     return -epsilon
 
 
+def _rest_energy(M: float, units: UnitSystem) -> float:
+    """M c**2 of a strictly positive total rest mass M."""
+    if not M > 0.0:
+        raise ValueError(f"total rest mass must be positive, got {M}")
+    return M * units.c * units.c
+
+
 def _check_domain(epsilon: float, mc2: float) -> float:
     y = 2.0 * epsilon / mc2
     if y < -1.0:
@@ -135,46 +145,33 @@ def _check_domain(epsilon: float, mc2: float) -> float:
     return y
 
 
-def epsilon_from_total_energy(
-    energy: float, M: float, units: UnitSystem | None = None
-) -> float:
+def epsilon_from_total_energy(energy: float, M: float, units: UnitSystem = ATOMIC) -> float:
     """eps = (E**2 - (M c**2)**2) / (2 M c**2) on the E > 0 branch."""
-    u = _units(units)
     if not energy > 0.0:
         raise ValueError(f"total energy must be positive, got {energy}")
-    if not M > 0.0:
-        raise ValueError(f"total rest mass must be positive, got {M}")
-    mc2 = M * u.c * u.c
+    mc2 = _rest_energy(M, units)
     # factored form keeps accuracy for E close to M c**2
     return (energy - mc2) * (energy + mc2) / (2.0 * mc2)
 
 
-def total_energy_from_epsilon(
-    epsilon: float, M: float, units: UnitSystem | None = None
-) -> float:
+def total_energy_from_epsilon(epsilon: float, M: float, units: UnitSystem = ATOMIC) -> float:
     """E = M c**2 sqrt(1 + 2 eps / (M c**2)), positive branch.
 
     Defined for eps >= -M c**2 / 2; the lower edge maps to E = 0.
     """
-    u = _units(units)
-    if not M > 0.0:
-        raise ValueError(f"total rest mass must be positive, got {M}")
-    mc2 = M * u.c * u.c
+    mc2 = _rest_energy(M, units)
     y = _check_domain(epsilon, mc2)
     return mc2 * math.sqrt(1.0 + y)
 
 
-def binding_relativistic(epsilon: float, M: float, units: UnitSystem | None = None) -> float:
+def binding_relativistic(epsilon: float, M: float, units: UnitSystem = ATOMIC) -> float:
     """B = M c**2 [1 - sqrt(1 + 2 eps / (M c**2))].
 
     Agrees with M c**2 - total_energy_from_epsilon(eps, M) and with -eps to
     leading order; the next correction is +eps**2/(2 M c**2).  Evaluated
     through expm1/log1p so small bindings keep full relative accuracy.
     """
-    u = _units(units)
-    if not M > 0.0:
-        raise ValueError(f"total rest mass must be positive, got {M}")
-    mc2 = M * u.c * u.c
+    mc2 = _rest_energy(M, units)
     y = _check_domain(epsilon, mc2)
     if y == -1.0:
         return mc2  # E = 0 edge of the domain
@@ -225,9 +222,7 @@ class BindingReport:
     rows: tuple[BindingRow, ...]
 
 
-def compare_report(
-    system: str, n_max: int, units: UnitSystem | None = None
-) -> BindingReport:
+def compare_report(system: str, n_max: int, units: UnitSystem = ATOMIC) -> BindingReport:
     """Side-by-side eigenvalue and binding columns for a named preset.
 
     ``system`` is any preset name known to :func:`rsse.presets.load_presets`;
@@ -239,7 +234,6 @@ def compare_report(
     an external reference, present only for Coulomb systems and scaled by
     the reduced mass.
     """
-    u = _units(units)
     preset = get_preset(system)
     problem, grid = preset.problem, preset.fd_grid
     if n_max < 1:
@@ -251,11 +245,11 @@ def compare_report(
         for n in range(1, n_max + 1):
             for l in range(n):
                 eps = analytic_level(replace(problem, l=l), n - l - 1, grid)
-                b_rel = binding_relativistic(eps, problem.M, u)
+                b_rel = binding_relativistic(eps, problem.M, units)
                 j_values = [l - 0.5, l + 0.5] if l > 0 else [0.5]
                 for j in j_values:
                     # unit-mass Dirac benchmark, scaled to the reduced mass
-                    _, b_unit = dirac_coulomb_level(potential.Z, n, j, u)
+                    _, b_unit = dirac_coulomb_level(potential.Z, n, j, units)
                     b_dirac = mu * b_unit
                     rows.append(
                         BindingRow(
@@ -281,7 +275,7 @@ def compare_report(
                     j=None,
                     epsilon=eps,
                     B_nonrel=binding_nonrel(eps),
-                    B_rel=binding_relativistic(eps, problem.M, u),
+                    B_rel=binding_relativistic(eps, problem.M, units),
                     B_dirac=None,
                     delta_rel_vs_dirac=None,
                 )

@@ -56,22 +56,12 @@ class UnitSystem:
 
 
 def make_atomic_units() -> UnitSystem:
-    """Hartree atomic units: hbar = 1, electron mass = 1, c = 1/alpha."""
-    return UnitSystem(
-        hbar=1.0,
-        c=1.0 / FINE_STRUCTURE,
-        mass_unit=1.0,
-        energy_unit_name="hartree",
-    )
+    """Hartree atomic units: hbar = 1, electron mass = 1, c = 1/alpha (the defaults)."""
+    return UnitSystem()
 
 
-#: Shared default unit system used by every module that accepts ``units=None``.
+#: Default ``units`` of every function that takes a unit system.
 ATOMIC = make_atomic_units()
-
-
-def _units(units: UnitSystem | None) -> UnitSystem:
-    """The given unit system, or :data:`ATOMIC` for ``None``."""
-    return ATOMIC if units is None else units
 
 
 def convert_energy(value: float, from_unit: str, to_unit: str) -> float:

@@ -262,6 +262,27 @@ def test_half_line_wall_off_the_origin_has_no_analytic_levels(tmp_path, monkeypa
     assert code == 0 and len(csv_rows(text)) == 2
 
 
+def test_wall_that_shifts_the_level_past_h_squared_has_no_analytic_levels(
+    tmp_path, monkeypatch, capsys
+):
+    # h = 0.015: r_min <= h, but the 1s level moves by about 2 r_min
+    (tmp_path / "near.conf").write_text(
+        "potential = coulomb\nfd_r_min = 0.015\nfd_r_max = 30\nfd_n = 2000\n"
+    )
+    monkeypatch.setenv("RSSE_PRESET_DIR", str(tmp_path))
+    for command in ("compare", "convergence"):
+        code = main([command, "--preset", "near", "--output", str(tmp_path / "x.csv")])
+        assert code == 2
+        assert "no analytic levels for a wall at r_min = 0.015" in capsys.readouterr().err
+
+
+def test_numerov_solve_beyond_the_fd_seed_exits_2(tmp_path, capsys):
+    argv = ["solve", "--preset", "oscillator", "--method", "numerov", "--grid-n", "16"]
+    code = main(argv + ["--n-max", "15", "--output", str(tmp_path / "x.csv")])
+    assert code == 2
+    assert "k must be in [1, 13]" in capsys.readouterr().err
+
+
 # SHA-256 of the `compare --n-max 3` reports of every built-in preset: any
 # change to their bytes has to be made on purpose, here
 COMPARE_DIGESTS = {
@@ -332,6 +353,32 @@ def test_kinematics_superluminal_exits_2(tmp_path, capsys):
     code = main(["kinematics", "--beta", "1.2", "--output", str(tmp_path / "x.csv")])
     assert code == 2
     assert "beta" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, key",
+    [
+        (["kinematics", "--beta", "nan"], "beta"),
+        (["kinematics", "--beta", "0.5,-nan"], "beta"),
+        (["kinematics", "--m0", "inf"], "'m0'"),
+        (["kinematics", "--time=-inf"], "'time'"),
+        (["invert-demo", "--m0", "inf"], "'m0'"),
+        (["solve", "--r-max", "nan"], "'r_max'"),
+    ],
+)
+def test_non_finite_options_exit_2(tmp_path, capsys, argv, key):
+    code = main(argv + ["--output", str(tmp_path / "x.csv")])
+    assert code == 2
+    assert key in capsys.readouterr().err
+    assert not (tmp_path / "x.csv").exists()
+
+
+def test_non_finite_config_value_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "run.conf"
+    cfg.write_text("m0 = nan\n")
+    code = main(["invert-demo", "--config", str(cfg), "--output", str(tmp_path / "x.csv")])
+    assert code == 2
+    assert "option 'm0' must be a finite number" in capsys.readouterr().err
 
 
 def test_invert_demo_quantum_number_table(tmp_path):

@@ -473,6 +473,16 @@ def test_default_brackets_isolate_states():
         assert lo < oscillator_level(1.0, n) < hi
 
 
+def test_default_brackets_need_one_fd_level_above_the_top_state():
+    grid = GridSpec(-6.0, 6.0, 16)  # 14 interior nodes, so 14 FD levels
+    assert len(default_brackets(OSCILLATOR, grid, 13)) == 13
+    for k in (0, 14, 15):
+        with pytest.raises(ValueError, match=r"k must be in \[1, 13\]"):
+            default_brackets(OSCILLATOR, grid, k)
+    with pytest.raises(ValueError, match=r"k must be in \[1, 13\]"):
+        solve_numerov_lowest_k(OSCILLATOR, grid, 15)
+
+
 def test_fd_and_numerov_agree_within_fd_truncation():
     # the coarser route's truncation error (from the analytic oracle)
     # bounds the cross-method disagreement

@@ -65,6 +65,8 @@ def test_gamma_rejects_superluminal():
         gamma_factor(C)
     with pytest.raises(ValueError):
         gamma_factor(-1.5 * C)
+    with pytest.raises(ValueError, match="nan"):
+        gamma_factor(math.nan)
 
 
 def test_massive_particle_momentum_velocity_round_trip():
