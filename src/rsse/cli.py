@@ -8,9 +8,10 @@ echoes the fully resolved configuration and the unit system into the output
 header, and writes a machine-readable CSV or JSON report.  Output bytes are
 deterministic for a fixed configuration and package version.
 
-Exit codes: 0 on success, 2 on usage or domain errors, 3 on numerical
-failure (non-convergence, a bracket without a sign change of the matching
-defect, or a state with the wrong node count).
+Exit codes: 0 on success, 2 on usage or domain errors (a Numerov grid too
+coarse for its stencil among them), 3 on numerical failure
+(non-convergence, a bracket that collapses without the energy correction
+falling, or a state with the wrong node count).
 """
 
 from __future__ import annotations

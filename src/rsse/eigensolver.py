@@ -11,7 +11,9 @@ with V_eff = V + hbar**2 l(l+1) / (2 mu r**2):
   iteration (LAPACK, via ``scipy.linalg.eigh_tridiagonal``), and
 * a Numerov shooting method with outward/inward integration, node
   counting and matching on the Numerov recurrence residual at the outer
-  classical turning point, accurate to fourth order.  Each sweep solves the
+  classical turning point, accurate to fourth order.  The eigenvalue is
+  found by Cooley's energy correction from a coarse FD seed, safeguarded
+  by a node-count bracket.  Each sweep solves the
   three-term recurrence as a lower-banded triangular system with LAPACK
   (``dtbtrs``), in chunks between which the samples are rescaled by a power
   of two so that they neither overflow nor lose their signs.
@@ -20,10 +22,10 @@ Grids are uniform.  Coulomb-type problems use the reduced radial function
 u(r) = r R(r) and require r_min > 0.
 
 scipy is imported inside the solver functions (``solve_lowest_k``,
-``default_brackets``, ``_numerov_sweep``, ``numerov_solve``), not at module
-level: every rsse module imports this one, and the analytic commands
-(``kinematics``, ``invert-demo``, ``compare``) then start on numpy alone,
-without the ~0.3 s import of ``scipy.linalg``.
+``_fd_brackets``, ``_numerov_sweep``), not at module level: every rsse
+module imports this one, and the analytic commands (``kinematics``,
+``invert-demo``, ``compare``) then start on numpy alone, without the ~0.3 s
+import of ``scipy.linalg``, the only scipy package rsse uses.
 """
 
 from __future__ import annotations
@@ -477,15 +479,24 @@ class _Shooter:
         else:
             self.start_out = (0.0, 1.0)
         self.start_in = (0.0, 1.0)
-        # brentq re-evaluates the bracket ends, so remember each defect.  The
-        # root it returns is one end of its final bracket, which is the
-        # latest energy tried with that sign of the defect: keeping the
-        # latest merge per sign saves sweeping the root again.
-        self._defects: dict[float, float] = {}
-        self._latest_merged: dict[bool, tuple[float, np.ndarray]] = {}
 
     def f_values(self, epsilon: float) -> np.ndarray:
         return self.f_base - self.pref * epsilon
+
+    def check_stencil(self, epsilon: float) -> None:
+        """Reject a grid on which 1 - h**2 f / 12 is not positive at ``epsilon``.
+
+        f falls as epsilon rises, so the low end of a bracket is the worst
+        case.  Only the samples the sweeps divide by are checked (index 2
+        on); the start values may sit where f is huge.
+        """
+        diagonal = 1.0 - (self.h * self.h / 12.0) * self.f_values(epsilon)[2:]
+        bad = np.nonzero(diagonal <= 0.0)[0]
+        if bad.size:
+            raise ValueError(
+                f"grid {self.grid} is too coarse for the Numerov stencil at eps = {epsilon}: "
+                f"1 - h^2 f / 12 = {diagonal[bad[0]]:.3g} <= 0 at r = {self.r[bad[0] + 2]:.6g}"
+            )
 
     def count_states_below(self, epsilon: float) -> int:
         """Nodes of the full outward solution = number of eigenvalues below."""
@@ -500,12 +511,14 @@ class _Shooter:
         m = int(crossings[-1]) if crossings.size else self.grid.n // 2
         return min(max(m, 2), self.grid.n - 3)
 
-    def merged_solution(self, epsilon: float) -> tuple[np.ndarray, float]:
-        """Outward/inward solutions joined at the turning point.
+    def cooley_step(self, epsilon: float) -> tuple[np.ndarray, float]:
+        """Outward/inward solutions joined at the turning point, and the energy correction.
 
-        Returns the merged samples and the normalized matching defect: the
-        residual of the Numerov recurrence at the match point, which
-        vanishes exactly at an eigenvalue and changes sign across it.
+        The merged samples u satisfy the Numerov recurrence everywhere but
+        at the match point m, where its residual D vanishes exactly at an
+        eigenvalue.  The correction is Cooley's (J. W. Cooley, Math. Comp.
+        15, 363 (1961)), delta = -D u[m] / (pref h**2 sum u**2): first-order
+        perturbation theory of the recurrence in epsilon.
         """
         f = self.f_values(epsilon)
         m = self.match_index(epsilon)
@@ -516,33 +529,21 @@ class _Shooter:
             if u_out[m] != 0.0 and u_in[1] != 0.0:
                 break
             m -= 1
-        c = self.h * self.h / 12.0
         scale = u_out[m] / u_in[1]  # u_in spans indices m-1 .. n-1
         merged = np.concatenate([u_out[: m + 1], scale * u_in[2:]])
-        t = c * f[m - 1 : m + 2]
-        defect = (
-            (1.0 - t[2]) * scale * u_in[2]
-            + (1.0 - t[0]) * u_out[m - 1]
-            - (2.0 + 10.0 * t[1]) * u_out[m]
-        )
-        reference = max(abs(u_out[m - 1]), abs(u_out[m]), abs(scale * u_in[2]))
-        return merged, defect / reference if reference > 0.0 else defect
+        # work on u / max|u|, so that neither D nor sum u**2 overflows
+        peak = np.max(np.abs(merged))
+        u = merged[m - 1 : m + 2] / peak
+        t = (self.h * self.h / 12.0) * f[m - 1 : m + 2]
+        defect = (1.0 - t[2]) * u[2] + (1.0 - t[0]) * u[0] - (2.0 + 10.0 * t[1]) * u[1]
+        norm_sq = float(np.sum(np.square(merged / peak)))
+        return merged, -defect * u[1] / (self.pref * self.h * self.h * norm_sq)
 
-    def defect(self, epsilon: float) -> float:
-        """Matching defect of :meth:`merged_solution`, evaluated once per energy."""
-        value = self._defects.get(epsilon)
-        if value is None:
-            merged, value = self.merged_solution(epsilon)
-            self._defects[epsilon] = value
-            self._latest_merged[value < 0.0] = (epsilon, merged)
-        return value
 
-    def solution(self, epsilon: float) -> np.ndarray:
-        """Merged samples at ``epsilon``, reusing a kept merge when one matches."""
-        for kept, merged in self._latest_merged.values():
-            if kept == epsilon:
-                return merged
-        return self.merged_solution(epsilon)[0]
+# Cooley steps allowed per state: quadratic convergence needs a handful, and
+# bisection from any bracket reaches 1e-12 relative width in about 45
+_COOLEY_MAX_STEPS = 100
+_COOLEY_RTOL = 1e-12
 
 
 def numerov_solve(
@@ -554,20 +555,28 @@ def numerov_solve(
     """Locate the eigenvalue with ``n_index`` interior nodes inside ``bracket``.
 
     The bracket is first narrowed by bisection on outward node counts until
-    it isolates the target state, then the matching defect is driven to zero
-    by Brent's method (``scipy.optimize.brentq``) to 1e-12 relative
-    tolerance.  The returned wavefunction has exactly ``n_index`` interior
-    nodes and unit trapezoid norm.
+    it isolates the target state.  Cooley's energy correction
+    (:meth:`_Shooter.cooley_step`) then iterates from the bracket midpoint,
+    safeguarded by the bracket: each step moves one end, chosen by the sign
+    of the correction while the merged solution has ``n_index`` nodes and by
+    a node count otherwise, and a step that would leave the bracket is a
+    bisection instead.  The search stops when the correction or the bracket
+    falls to 1e-12 relative.  The returned wavefunction has exactly
+    ``n_index`` interior nodes and unit trapezoid norm.
 
     Raises
     ------
+    ValueError
+        If 1 - h**2 f / 12 is not positive on the grid at the bracket's low
+        end, where node counts stop counting levels.
     WrongStateError
         If node counting shows the bracket does not contain the target
         state, or the converged state has the wrong node count.
     BracketError
-        If the matching defect has no sign change on the isolated interval.
+        If the bracket narrows to 1e-12 relative while the correction has not
+        fallen below its first value: no root of the matching lies inside.
     ConvergenceError
-        If the eigenvalue iteration stalls before reaching tolerance.
+        If the iteration has not converged after a fixed number of steps.
     """
     if n_index < 0:
         raise ValueError(f"n_index must be nonnegative, got {n_index}")
@@ -576,6 +585,7 @@ def numerov_solve(
         raise ValueError(f"bracket must satisfy lo < hi, got ({lo}, {hi})")
 
     shooter = _Shooter(problem, grid)
+    shooter.check_stencil(lo)
     n_lo = shooter.count_states_below(lo)
     n_hi = shooter.count_states_below(hi)
     if n_lo > n_index or n_hi <= n_index:
@@ -595,31 +605,49 @@ def numerov_solve(
         else:
             hi, n_hi = mid, n_mid
 
-    f_lo = shooter.defect(lo)
-    f_hi = shooter.defect(hi)
-    if f_lo * f_hi > 0.0:
-        raise BracketError(
-            f"matching defect does not change sign on ({lo}, {hi}): "
-            f"F(lo) = {f_lo:.3e}, F(hi) = {f_hi:.3e}"
-        )
-
-    from scipy.optimize import brentq
-
-    # a tiny xtol leaves the stopping rule to rtol
-    epsilon, info = brentq(
-        shooter.defect, lo, hi, xtol=1e-300, rtol=1e-12, full_output=True, disp=False
-    )
-    if not info.converged:
+    epsilon = 0.5 * (lo + hi)
+    first_delta = None
+    for _ in range(_COOLEY_MAX_STEPS):
+        u, delta = shooter.cooley_step(epsilon)
+        if first_delta is None:
+            first_delta = delta
+        nodes = count_sign_changes(u[1:-1])
+        # with the target's node count the correction points at the root;
+        # otherwise epsilon is past a pole of the mismatch, so count levels
+        if nodes == n_index:
+            below = delta > 0.0
+        else:
+            below = shooter.count_states_below(epsilon) <= n_index
+        if below:
+            lo = epsilon
+        else:
+            hi = epsilon
+        tol = _COOLEY_RTOL * abs(epsilon)
+        if abs(delta) <= tol:
+            break
+        if hi - lo <= tol:
+            # round-off makes the correction a staircase in eps (steps up to
+            # 3.5e-10 relative on a 32000-node finite well), so it can stay
+            # above tol once the bracket has closed on the root; a
+            # correction that never fell finds no root here
+            if abs(delta) >= abs(first_delta):
+                raise BracketError(
+                    f"bracket ({lo}, {hi}) collapsed at eps = {epsilon} while the energy "
+                    f"correction {delta:.3e} did not fall from {first_delta:.3e}"
+                )
+            break
+        epsilon += delta
+        if not lo < epsilon < hi:
+            epsilon = 0.5 * (lo + hi)
+    else:
         raise ConvergenceError(
             f"eigenvalue iteration stalled near {epsilon} on ({lo}, {hi}) "
-            f"after {info.iterations} Brent steps: {info.flag}"
+            f"after {_COOLEY_MAX_STEPS} Cooley steps"
         )
 
-    u = shooter.solution(epsilon)
-    got_nodes = count_sign_changes(u[1:-1])
-    if got_nodes != n_index:
+    if nodes != n_index:
         raise WrongStateError(
-            f"converged state at eps = {epsilon} has {got_nodes} interior nodes, "
+            f"converged state at eps = {epsilon} has {nodes} interior nodes, "
             f"expected {n_index}"
         )
     u = _normalize(_fix_sign(u), grid)
@@ -627,26 +655,66 @@ def numerov_solve(
 
 
 def default_brackets(problem: RadialProblem, grid: GridSpec, k: int) -> list[tuple[float, float]]:
-    """Per-state energy brackets seeded by the finite-difference spectrum.
+    """Per-state energy brackets seeded by a finite-difference spectrum.
 
-    Each bracket spans half the gap to the neighbouring FD eigenvalues,
-    which comfortably covers the FD truncation error on any usable grid.
-    The top bracket needs the FD level above it, so k + 1 levels must fit
-    on the grid's grid.n - 2 interior nodes: 1 <= k <= grid.n - 3.
+    The seed is the FD spectrum on every 8th node of the box,
+    ``(grid.n - 1) // 8 + 1`` nodes; the full grid seeds where that coarse
+    grid has fewer than 16 nodes or cannot hold k + 1 levels.  Each bracket
+    is symmetric about its seed level, ``seed +- min(gap_below, gap_above) / 2``,
+    which comfortably covers the FD truncation error on any usable grid and
+    puts the seed at the bracket midpoint, where :func:`numerov_solve`
+    starts.  The top bracket needs the FD level above it, so k + 1 levels
+    must fit on the grid's grid.n - 2 interior nodes: 1 <= k <= grid.n - 3.
     """
+    if not 1 <= k <= grid.n - 3:
+        raise ValueError(f"k must be in [1, {grid.n - 3}] to seed Numerov brackets, got {k}")
+    return _fd_brackets(problem, _seed_grid(grid, k), k)
+
+
+def _seed_grid(grid: GridSpec, k: int) -> GridSpec:
+    """Every 8th node of ``grid``'s box, or ``grid`` where that holds too few nodes or levels."""
+    n = (grid.n - 1) // 8 + 1
+    if n < 16 or k > n - 3:
+        return grid
+    return GridSpec(grid.r_min, grid.r_max, n)
+
+
+def _fd_brackets(problem: RadialProblem, grid: GridSpec, k: int) -> list[tuple[float, float]]:
+    """The brackets of :func:`default_brackets`, seeded on ``grid`` itself."""
     operator = assemble_tridiagonal(problem, grid)
-    if not 1 <= k < operator.dim:
-        raise ValueError(f"k must be in [1, {operator.dim - 1}] to seed Numerov brackets, got {k}")
     from scipy.linalg import eigh_tridiagonal
 
     seed = eigh_tridiagonal(
         operator.diagonal, operator.off_diagonal, select="i", select_range=(0, k), eigvals_only=True
     )
-    brackets = []
-    for i in range(k):
-        gap_below = seed[i] - seed[i - 1] if i > 0 else seed[1] - seed[0]
-        brackets.append((seed[i] - 0.5 * gap_below, seed[i] + 0.5 * (seed[i + 1] - seed[i])))
-    return brackets
+    gaps = np.diff(seed)
+    half = 0.5 * np.minimum(np.concatenate([gaps[:1], gaps[:-1]]), gaps)
+    return [(float(seed[i] - half[i]), float(seed[i] + half[i])) for i in range(k)]
+
+
+def _seeded_numerov(
+    problem: RadialProblem, grid: GridSpec, k: int, states: Sequence[int]
+) -> list[NumerovResult]:
+    """:func:`numerov_solve` of ``states`` (each below k) on :func:`default_brackets`.
+
+    A coarse seed can miss a state whose level the coarse grid resolves
+    badly, such as a narrow well: the node counts at its bracket ends then
+    do not isolate the state.  When a coarse bracket fails with
+    :class:`WrongStateError`, every bracket is re-seeded from the full grid,
+    once.
+    """
+    brackets = default_brackets(problem, grid, k)
+    reseeded = _seed_grid(grid, k) == grid
+    results = []
+    for i in states:
+        try:
+            results.append(numerov_solve(problem, grid, i, brackets[i]))
+        except WrongStateError:
+            if reseeded:
+                raise
+            brackets, reseeded = _fd_brackets(problem, grid, k), True
+            results.append(numerov_solve(problem, grid, i, brackets[i]))
+    return results
 
 
 def numerov_recurrence_defect(
@@ -676,15 +744,14 @@ def solve_numerov_lowest_k(
     if k < 1:
         raise ValueError(f"k must be at least 1, got {k}")
     if brackets is None:
-        brackets = default_brackets(problem, grid, k)
-    if len(brackets) != k:
+        results = _seeded_numerov(problem, grid, k, range(k))
+    elif len(brackets) != k:
         raise ValueError(f"need {k} brackets, got {len(brackets)}")
-    epsilons = np.empty(k)
-    wavefunctions = np.empty((k, grid.n))
-    residuals = np.empty(k)
-    for i in range(k):
-        epsilons[i], wavefunctions[i] = numerov_solve(problem, grid, i, brackets[i])
-        residuals[i] = numerov_recurrence_defect(wavefunctions[i], problem, grid, epsilons[i])
+    else:
+        results = [numerov_solve(problem, grid, i, brackets[i]) for i in range(k)]
+    epsilons = np.array([epsilon for epsilon, _ in results])
+    wavefunctions = np.array([u for _, u in results])
+    residuals = np.array([numerov_recurrence_defect(u, problem, grid, e) for e, u in results])
     return _eigen_result(epsilons, wavefunctions, residuals, "numerov", grid)
 
 
@@ -720,8 +787,7 @@ def solve_state(
         result = solve_lowest_k(assemble_tridiagonal(problem, grid), n_index + 1)
         return float(result.epsilons[n_index])
     if method == "numerov":
-        bracket = default_brackets(problem, grid, n_index + 1)[n_index]
-        return numerov_solve(problem, grid, n_index, bracket).epsilon
+        return _seeded_numerov(problem, grid, n_index + 1, [n_index])[0].epsilon
     raise ValueError(f"unknown method {method!r}; expected 'fd' or 'numerov'")
 
 

@@ -283,6 +283,15 @@ def test_numerov_solve_beyond_the_fd_seed_exits_2(tmp_path, capsys):
     assert "k must be in [1, 13]" in capsys.readouterr().err
 
 
+def test_numerov_on_a_grid_too_coarse_for_the_stencil_exits_2(tmp_path, capsys):
+    # h = 1.6 on the oscillator box: 1 - h**2 f / 12 turns negative
+    argv = ["solve", "--preset", "oscillator", "--method", "numerov", "--grid-n", "16"]
+    code = main(argv + ["--n-max", "13", "--output", str(tmp_path / "x.csv")])
+    assert code == 2
+    grid = "GridSpec(r_min=-12.0, r_max=12.0, n=16)"
+    assert f"{grid} is too coarse for the Numerov stencil" in capsys.readouterr().err
+
+
 # SHA-256 of the `compare --n-max 3` reports of every built-in preset: any
 # change to their bytes has to be made on purpose, here
 COMPARE_DIGESTS = {

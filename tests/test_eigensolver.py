@@ -1,7 +1,9 @@
+import functools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.integrate import trapezoid
 
 from rsse.eigensolver import (
@@ -324,19 +326,14 @@ def test_error_taxonomy():
     assert not issubclass(ConvergenceError, ValueError)
 
 
-def test_numerov_unconverged_brent_raises(monkeypatch):
-    from types import SimpleNamespace
-
-    import scipy.optimize
-
+def test_numerov_step_cap_raises_convergence_error(monkeypatch):
+    import rsse.eigensolver
     from rsse.eigensolver import ConvergenceError
 
-    def unconverged(f, a, b, **kwargs):
-        return 0.5 * (a + b), SimpleNamespace(converged=False, iterations=100, flag="stalled")
-
-    monkeypatch.setattr(scipy.optimize, "brentq", unconverged)
-    with pytest.raises(ConvergenceError, match="Brent"):
-        numerov_solve(OSCILLATOR, OSC_NUMEROV_GRID, 0, (0.3, 0.7))
+    # one Cooley step from the midpoint 0.55 cannot reach 1e-12 relative
+    monkeypatch.setattr(rsse.eigensolver, "_COOLEY_MAX_STEPS", 1)
+    with pytest.raises(ConvergenceError, match="after 1 Cooley steps"):
+        numerov_solve(OSCILLATOR, OSC_NUMEROV_GRID, 0, (0.2, 0.9))
 
 
 def test_numerov_rejects_origin_for_coulomb():
@@ -348,6 +345,10 @@ def test_numerov_hydrogen_p_channel():
     # lowest l=1 state (2p); exercises the centrifugal term and the
     # r**(l+1) start values
     problem = RadialProblem(PotentialSpec.coulomb(1.0), l=1)
+    # the stencil guard must skip the start values: t[0] is far above 1 at
+    # r_min = 1e-5, but the sweeps never divide by 1 - t[0]
+    t = HYDROGEN_NUMEROV_GRID.h**2 / 12.0 * _Shooter(problem, HYDROGEN_NUMEROV_GRID).f_values(-0.2)
+    assert t[0] > 1e3 and np.all(t[2:] < 1.0)
     eps, u = numerov_solve(problem, HYDROGEN_NUMEROV_GRID, 0, (-0.2, -0.05))
     assert eps == pytest.approx(bohr_level(1.0, 1.0, 2), abs=1e-8)
     assert count_nodes(u) == 0
@@ -452,16 +453,16 @@ def test_numerov_hydrogen_long_box():
 
 
 def test_numerov_solve_evaluates_each_energy_once(monkeypatch):
-    # neither the bracket ends brentq re-evaluates nor the converged root
-    # are merged twice by the same shooter
+    # no energy is merged twice by the same shooter: the converged state
+    # reuses the merge of its last Cooley step
     merged = []
-    original = _Shooter.merged_solution
+    original = _Shooter.cooley_step
 
     def spy(self, epsilon):
         merged.append((self, epsilon))  # holding self keeps shooter ids distinct
         return original(self, epsilon)
 
-    monkeypatch.setattr(_Shooter, "merged_solution", spy)
+    monkeypatch.setattr(_Shooter, "cooley_step", spy)
     solve_numerov_lowest_k(HYDROGEN, HYDROGEN_NUMEROV_GRID, 3)
     keys = [(id(shooter), epsilon) for shooter, epsilon in merged]
     assert len(keys) == len(set(keys))
@@ -481,6 +482,79 @@ def test_default_brackets_need_one_fd_level_above_the_top_state():
             default_brackets(OSCILLATOR, grid, k)
     with pytest.raises(ValueError, match=r"k must be in \[1, 13\]"):
         solve_numerov_lowest_k(OSCILLATOR, grid, 15)
+
+
+@pytest.mark.parametrize(
+    "V0, a, grid, seed_grids",
+    [
+        (50.0, 0.3, GridSpec(-4.0, 4.0, 2000), [250]),
+        # the coarse seed misses state 1 of the narrow well, so the brackets
+        # are re-seeded from the full grid
+        (500.0, 0.05, GridSpec(-3.0, 3.0, 6000), [750, 6000]),
+    ],
+    ids=["wide", "narrow"],
+)
+def test_finite_well_numerov_and_fd_agree_to_order_h(monkeypatch, V0, a, grid, seed_grids):
+    import rsse.eigensolver
+
+    seeded = []
+    original = rsse.eigensolver._fd_brackets
+
+    def spy(problem, seed_grid, k):
+        seeded.append(seed_grid.n)
+        return original(problem, seed_grid, k)
+
+    monkeypatch.setattr(rsse.eigensolver, "_fd_brackets", spy)
+    well = RadialProblem(PotentialSpec.finite_well(V0, a))
+    numerov = solve_numerov_lowest_k(well, grid, 3)
+    fd = solve_lowest_k(assemble_tridiagonal(well, grid), 3)
+    assert seeded == seed_grids
+    assert np.array_equal(numerov.nodes, [0, 1, 2])
+    # both stencils sample the step on the same nodes but weigh it
+    # differently, an O(h) shift that grows with the depth; the measured
+    # constants are 0.010 (V0 = 50) and 0.014 (V0 = 500) in units of V0 h
+    assert np.all(np.abs(numerov.epsilons - fd.epsilons) <= 0.02 * V0 * grid.h)
+
+
+# problem, grid and number of states of the property test below
+_PROPERTY_CASES = {
+    "hydrogen-s": (HYDROGEN, GridSpec(1e-5, 40.0, 4000), 3),
+    "hydrogen-p": (RadialProblem(PotentialSpec.coulomb(1.0), l=1), GridSpec(1e-5, 40.0, 4000), 2),
+    "oscillator": (OSCILLATOR, GridSpec(-8.0, 8.0, 2000), 4),
+}
+
+
+@functools.cache
+def _default_levels(case):
+    problem, grid, k = _PROPERTY_CASES[case]
+    return solve_numerov_lowest_k(problem, grid, k + 1).epsilons
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    case=st.sampled_from(sorted(_PROPERTY_CASES)),
+    state=st.integers(0, 3),
+    near=st.floats(0.02, 0.3),
+    far=st.floats(0.6, 0.98),
+    far_above=st.booleans(),
+)
+def test_numerov_solve_from_off_centre_brackets_reaches_the_default_level(
+    case, state, near, far, far_above
+):
+    # brackets that node counts isolate but whose midpoints sit far from the
+    # root, where the Cooley safeguard has to work
+    problem, grid, k = _PROPERTY_CASES[case]
+    levels = _default_levels(case)
+    n = state % k
+    below = levels[n] - levels[n - 1] if n else levels[1] - levels[0]
+    above = levels[n + 1] - levels[n]
+    if far_above:
+        bracket = (levels[n] - near * below, levels[n] + far * above)
+    else:
+        bracket = (levels[n] - far * below, levels[n] + near * above)
+    eps, u = numerov_solve(problem, grid, n, bracket)
+    assert abs(eps - levels[n]) <= 2e-12 * abs(levels[n])
+    assert count_sign_changes(u[1:-1]) == n
 
 
 def test_fd_and_numerov_agree_within_fd_truncation():

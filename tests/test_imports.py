@@ -58,3 +58,12 @@ def test_analytic_paths_load_no_scipy(code):
 def test_solve_loads_scipy_linalg_on_first_solve():
     code = RUN_MAIN.format(argv=["solve", "--preset", "hydrogen", "--n-max", "1"])
     assert "scipy.linalg" in scipy_modules_after(code)
+
+
+def test_numerov_solve_loads_no_scipy_optimize():
+    code = RUN_MAIN.format(
+        argv=["solve", "--preset", "hydrogen", "--n-max", "1", "--method", "numerov"]
+    )
+    loaded = scipy_modules_after(code)
+    assert "scipy.linalg" in loaded
+    assert "scipy.optimize" not in loaded
