@@ -17,6 +17,7 @@ falling, or a state with the wrong node count).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -125,23 +126,29 @@ def _cmd_solve(config: dict[str, Any]) -> int:
         for i in range(config["n_max"])
     ]
     if config["wavefunctions_dir"]:
-        _dump_wavefunctions(config, grid, result)
+        _dump_wavefunctions(config, result)
     _write_report(config, rows)
     return 0
 
 
-def _dump_wavefunctions(config: dict[str, Any], grid, result) -> None:
-    """Plain two-column (r, u) plot-data files, one per state."""
+def _dump_wavefunctions(config: dict[str, Any], result) -> None:
+    """Plain two-column (r, u) plot-data files, one per state.
+
+    Each file is the resolved config without ``output`` as ``# key = value``
+    lines, then ``# state = i``, then one ``r u`` line per grid node, both at
+    ``%.17g`` (the same text as ``_fmt`` gives a float, ``-0``, ``inf`` and
+    ``nan`` included).  The ``r`` column is formatted once per solve into a
+    row template that every state fills in.
+    """
     directory = Path(config["wavefunctions_dir"])
     directory.mkdir(parents=True, exist_ok=True)
-    r = grid.nodes()
-    header = [f"# {key} = {_fmt(value)}" for key, value in config.items() if key != "output"]
+    header = "".join(
+        f"# {key} = {_fmt(value)}\n" for key, value in config.items() if key != "output"
+    )
+    template = "".join(f"{r:.17g} %.17g\n" for r in result.grid.nodes().tolist())
     for i, u in enumerate(result.wavefunctions):
-        lines = list(header)
-        lines.append(f"# state = {i}")
-        lines += [f"{_fmt(float(x))} {_fmt(float(y))}" for x, y in zip(r, u)]
         path = directory / f"{config['preset']}_{config['method']}_state{i}.dat"
-        path.write_text("\n".join(lines) + "\n")
+        path.write_text(f"{header}# state = {i}\n" + template % tuple(u.tolist()))
 
 
 def _cmd_compare(config: dict[str, Any]) -> int:
@@ -358,8 +365,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# argparse parses without changing the parser, so one per process serves
+# every ``main`` call; ``build_parser`` itself still returns a fresh one
+_parser = functools.lru_cache(maxsize=None)(build_parser)
+
+
 def main(argv: Sequence[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return COMMANDS[args.command][0](_resolve_config(args.command, args))
     except ConvergenceError as exc:

@@ -1,5 +1,7 @@
 import hashlib
 import json
+import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -7,7 +9,7 @@ import pytest
 import rsse.cli
 import rsse.eigensolver
 import rsse.presets
-from rsse.cli import COMMANDS, main
+from rsse.cli import COMMANDS, build_parser, main
 from rsse.eigensolver import (
     BracketError,
     ConvergenceError,
@@ -15,6 +17,9 @@ from rsse.eigensolver import (
     PotentialSpec,
     RadialProblem,
     WrongStateError,
+    assemble_tridiagonal,
+    solve_lowest_k,
+    solve_numerov_lowest_k,
 )
 from rsse.presets import SolverPreset, builtin_presets, load_presets
 
@@ -94,6 +99,91 @@ def test_solve_wavefunction_dump(tmp_path):
     assert len(data) == 3000  # one (r, u) pair per grid node
     assert all(len(pair) == 2 for pair in data[:10])
     assert float(data[0][1]) == 0.0 and float(data[-1][1]) == 0.0
+
+
+def read_dump(path):
+    """(header lines, data lines) of one wavefunction dump."""
+    lines = path.read_text().splitlines()
+    split = next(i for i, line in enumerate(lines) if not line.startswith("#"))
+    return lines[:split], lines[split:]
+
+
+@pytest.mark.parametrize(
+    "preset, method, k",
+    [("oscillator", "fd", 3), ("hydrogen", "fd", 3), ("hydrogen", "numerov", 2)],
+)
+def test_wavefunction_dump_bytes(tmp_path, preset, method, k):
+    wf_dir = tmp_path / "wf"
+    argv = ["solve", "--preset", preset, "--method", method, "--n-max", str(k),
+            "--wavefunctions-dir", str(wf_dir)]
+    code, report = run_csv(tmp_path, argv)
+    assert code == 0
+    preset_spec = load_presets()[preset]
+    if method == "fd":
+        grid = preset_spec.fd_grid
+        result = solve_lowest_k(assemble_tridiagonal(preset_spec.problem, grid), k)
+    else:
+        grid = preset_spec.numerov_grid
+        result = solve_numerov_lowest_k(preset_spec.problem, grid, k)
+    # the header is the resolved config of the report without output
+    config = {key: value for key, value in csv_header(report).items()
+              if key != "version" and not key.startswith("units_")}
+    expected_header = [f"# {key} = {value}" for key, value in config.items()]
+    assert list(config) == ["command"] + [key for key in COMMANDS["solve"][2] if key != "output"]
+    r_columns = set()
+    for i in range(k):
+        header, data = read_dump(wf_dir / f"{preset}_{method}_state{i}.dat")
+        assert header == expected_header + [f"# state = {i}"]
+        assert data == [f"{float(r):.17g} {float(u):.17g}"
+                        for r, u in zip(grid.nodes(), result.wavefunctions[i])]
+        r_columns.add(tuple(line.split()[0] for line in data))
+    assert len(r_columns) == 1
+
+
+def test_wavefunction_dump_formats_special_floats(tmp_path):
+    r = np.array([-0.0, 5e-324, 1e-4, 1.0 / 3.0, 1e300, 7.0])
+    u = np.array([
+        [-0.0, 5e-324, 1e300, math.nan, -math.inf, 0.1],
+        [0.0, -5e-324, -1e300, math.inf, math.nan, -0.1],
+    ])
+    result = SimpleNamespace(grid=SimpleNamespace(nodes=lambda: r.copy()), wavefunctions=u)
+    config = {"command": "solve", "preset": "stub", "method": "fd", "n_max": 2,
+              "wavefunctions_dir": str(tmp_path), "output": "ignored"}
+    rsse.cli._dump_wavefunctions(config, result)
+    dumps = [read_dump(tmp_path / f"stub_fd_state{i}.dat") for i in range(2)]
+    for i, (header, data) in enumerate(dumps):
+        assert header == ["# command = solve", "# preset = stub", "# method = fd", "# n_max = 2",
+                          f"# wavefunctions_dir = {tmp_path}", f"# state = {i}"]
+        assert data == [f"{x:.17g} {y:.17g}" for x, y in zip(r.tolist(), u[i].tolist())]
+    assert dumps[0][1] == [
+        "-0 -0",
+        "4.9406564584124654e-324 4.9406564584124654e-324",
+        "0.0001 1.0000000000000001e+300",
+        "0.33333333333333331 nan",
+        "1.0000000000000001e+300 -inf",
+        "7 0.10000000000000001",
+    ]
+
+
+def test_numerov_wavefunction_dump(tmp_path):
+    wf_dir = tmp_path / "wf"
+    k = 3
+    code, _ = run_csv(tmp_path, ["solve", "--preset", "oscillator", "--method", "numerov",
+                                 "--n-max", str(k), "--wavefunctions-dir", str(wf_dir)])
+    assert code == 0
+    grid = load_presets()["oscillator"].numerov_grid
+    assert sorted(f.name for f in wf_dir.iterdir()) == [
+        f"oscillator_numerov_state{i}.dat" for i in range(k)
+    ]
+    for i in range(k):
+        _, data = read_dump(wf_dir / f"oscillator_numerov_state{i}.dat")
+        r, u = np.array([[float(x) for x in line.split()] for line in data]).T
+        assert len(data) == grid.n  # one row per Numerov-grid node
+        np.testing.assert_array_equal(r, grid.nodes())
+        assert u[0] == 0.0 and u[-1] == 0.0
+        assert abs(np.sum(u * u) * grid.h - 1.0) < 1e-12  # trapezoid with zero ends
+        interior = u[1:-1][u[1:-1] != 0.0]
+        assert np.count_nonzero(np.diff(np.sign(interior))) == i
 
 
 def test_solve_header_echoes_config(tmp_path):
@@ -562,6 +652,47 @@ def test_command_is_not_a_config_key(tmp_path, capsys):
     code = main(["solve", "--config", str(cfg), "--output", str(tmp_path / "x.csv")])
     assert code == 2
     assert "unknown config key 'command'" in capsys.readouterr().err
+
+
+def option_argvs():
+    """Every command bare, with each option alone and with every option set."""
+    argvs = []
+    for command, (_, _, options) in COMMANDS.items():
+        flags = [["--" + key.replace("_", "-"), OPTION_VALUES[key]] for key in options]
+        argvs += [[command]] + [[command] + flag for flag in flags]
+        argvs.append([command, "--config", "run.conf"] + sum(flags, []))
+    return argvs
+
+
+def test_one_parser_parses_every_command_like_a_fresh_one():
+    assert rsse.cli._parser() is rsse.cli._parser()
+    assert build_parser() is not build_parser()
+    reused = build_parser()
+    argvs = option_argvs()
+    for argv in argvs + argvs[::-1]:
+        parsed = reused.parse_args(argv)
+        assert parsed == build_parser().parse_args(argv)
+        assert set(vars(parsed)) == {"command", "config", *COMMANDS[argv[0]][2]}
+
+
+def test_main_calls_in_a_row_do_not_share_options(tmp_path):
+    def report(argv):
+        code, text = run_csv(tmp_path, argv)
+        assert code == 0
+        return text
+
+    plain_solve = report(["solve", "--preset", "oscillator"])
+    plain_compare = report(["compare"])
+    report(["solve", "--preset", "oscillator", "--n-max", "2", "--r-min", "-10", "--grid-n", "1500",
+            "--wavefunctions-dir", str(tmp_path / "wf")])
+    assert report(["compare"]) == plain_compare
+    report(["compare", "--preset", "positronium", "--n-max", "2"])
+    assert report(["solve", "--preset", "oscillator"]) == plain_solve
+    solve, compare = csv_header(plain_solve), csv_header(plain_compare)
+    assert [solve[key] for key in ("n_max", "r_min", "grid_n", "wavefunctions_dir")] == [
+        "1", "-12", "3000", ""
+    ]
+    assert [compare[key] for key in ("preset", "n_max")] == ["hydrogen", "1"]
 
 
 def test_byte_identical_reruns(tmp_path):
