@@ -211,6 +211,8 @@ def _cmd_kinematics(config: dict[str, Any]) -> int:
 
 def _cmd_invert_demo(config: dict[str, Any]) -> int:
     betas = _parse_betas(config["beta"])
+    if len(betas) != 1:
+        raise ValueError(f"invert-demo takes exactly one beta, got {config['beta']!r}")
     beta = betas[0]
     v = beta * ATOMIC.c
     electron = electron_plane_wave(v, m0=config["m0"])

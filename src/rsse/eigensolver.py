@@ -13,10 +13,12 @@ with V_eff = V + hbar**2 l(l+1) / (2 mu r**2):
   counting and matching on the Numerov recurrence residual at the outer
   classical turning point, accurate to fourth order.  The eigenvalue is
   found by Cooley's energy correction from a coarse FD seed, safeguarded
-  by a node-count bracket.  Each sweep solves the
-  three-term recurrence as a lower-banded triangular system with LAPACK
-  (``dtbtrs``), in chunks between which the samples are rescaled by a power
-  of two so that they neither overflow nor lose their signs.
+  by a node-count bracket.  ``_Shooter.stencil`` forms the recurrence
+  coefficients w = 1 - t and c = 2 + 10 t (t = h**2 f / 12) that every
+  sweep, the stencil check and both recurrence defects read.  Each sweep
+  solves the three-term recurrence as a lower-banded triangular system with
+  LAPACK (``dtbtrs``), in chunks between which the samples are rescaled by
+  a power of two so that they neither overflow nor lose their signs.
 
 Grids are uniform.  Coulomb-type problems use the reduced radial function
 u(r) = r R(r) and require r_min > 0.
@@ -30,6 +32,7 @@ import of ``scipy.linalg``, the only scipy package rsse uses.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence
@@ -58,6 +61,11 @@ class WrongStateError(ValueError):
 _POTENTIAL_KINDS = ("harmonic", "coulomb", "finite_well", "infinite_well", "tabulated")
 
 
+def _check_positive(what: str, value: float) -> None:
+    if not 0.0 < value < math.inf:
+        raise ValueError(f"{what} must be positive and finite, got {value}")
+
+
 @dataclass(frozen=True)
 class PotentialSpec:
     """One of the supported interaction potentials.
@@ -82,20 +90,18 @@ class PotentialSpec:
 
     @staticmethod
     def harmonic(omega: float) -> "PotentialSpec":
-        if not omega > 0.0:
-            raise ValueError(f"harmonic frequency must be positive, got {omega}")
+        _check_positive("harmonic frequency", omega)
         return PotentialSpec(kind="harmonic", omega=omega)
 
     @staticmethod
     def coulomb(Z: float) -> "PotentialSpec":
-        if not Z > 0.0:
-            raise ValueError(f"coulomb charge must be positive, got {Z}")
+        _check_positive("coulomb charge", Z)
         return PotentialSpec(kind="coulomb", Z=Z)
 
     @staticmethod
     def finite_well(V0: float, a: float) -> "PotentialSpec":
-        if not (V0 > 0.0 and a > 0.0):
-            raise ValueError(f"finite well needs V0 > 0 and a > 0, got V0={V0}, a={a}")
+        _check_positive("finite well depth V0", V0)
+        _check_positive("finite well half-width a", a)
         return PotentialSpec(kind="finite_well", V0=V0, a=a)
 
     @staticmethod
@@ -105,8 +111,7 @@ class PotentialSpec:
         ``a`` is validated and stored but places no wall: the Dirichlet
         boundary at ``r_min`` and ``r_max`` of the solving grid does.
         """
-        if not a > 0.0:
-            raise ValueError(f"well width must be positive, got {a}")
+        _check_positive("well width", a)
         return PotentialSpec(kind="infinite_well", a=a)
 
     @staticmethod
@@ -115,6 +120,8 @@ class PotentialSpec:
         v = tuple(float(x) for x in V_samples)
         if len(r) != len(v) or len(r) < 2:
             raise ValueError("tabulated potential needs matching r and V samples (>= 2)")
+        if not all(map(math.isfinite, r + v)):
+            raise ValueError("tabulated samples must be finite")
         if any(b <= a for a, b in zip(r, r[1:])):
             raise ValueError("tabulated r samples must be strictly increasing")
         return PotentialSpec(kind="tabulated", r_samples=r, V_samples=v)
@@ -157,8 +164,8 @@ class GridSpec:
     n: int
 
     def __post_init__(self) -> None:
-        if not self.r_min < self.r_max:
-            raise ValueError(f"need r_min < r_max, got [{self.r_min}, {self.r_max}]")
+        if not -math.inf < self.r_min < self.r_max < math.inf:
+            raise ValueError(f"need finite r_min < r_max, got [{self.r_min}, {self.r_max}]")
         if self.n < 16:
             raise ValueError(f"grid needs at least 16 nodes, got {self.n}")
 
@@ -186,10 +193,8 @@ class RadialProblem:
     units: UnitSystem = ATOMIC
 
     def __post_init__(self) -> None:
-        if not self.mu > 0.0:
-            raise ValueError(f"reduced mass must be positive, got {self.mu}")
-        if not self.M > 0.0:
-            raise ValueError(f"total rest mass must be positive, got {self.M}")
+        _check_positive("reduced mass", self.mu)
+        _check_positive("total rest mass", self.M)
         if self.l < 0:
             raise ValueError(f"angular momentum must be nonnegative, got {self.l}")
         if self.mu != self.M and self.mu > 0.5 * self.M * (1.0 + 1e-12):
@@ -379,12 +384,13 @@ _SWEEP_CHUNK = 4096
 _RESCALE_ABOVE = 2.0**600
 
 
-def _numerov_sweep(f: np.ndarray, h: float, u0: float, u1: float) -> np.ndarray:
+def _numerov_sweep(w: np.ndarray, c: np.ndarray, u0: float, u1: float) -> np.ndarray:
     """Integrate u'' = f u left to right with the Numerov three-term recurrence.
 
-    With t = h**2 f / 12 the recurrence
+    With the coefficients w = 1 - t and c = 2 + 10 t (t = h**2 f / 12) of
+    :meth:`_Shooter.stencil` on the swept samples, the recurrence
 
-        (1 - t[i]) u[i] - (2 + 10 t[i-1]) u[i-1] + (1 - t[i-2]) u[i-2] = 0
+        w[i] u[i] - c[i-1] u[i-1] + w[i-2] u[i-2] = 0
 
     is a lower-triangular banded system of bandwidth 2 in the unknowns
     u[2:], solved chunk by chunk with LAPACK ``dtbtrs``; the first two
@@ -398,16 +404,14 @@ def _numerov_sweep(f: np.ndarray, h: float, u0: float, u1: float) -> np.ndarray:
     Raises
     ------
     ConvergenceError
-        If LAPACK reports a zero diagonal (1 - t = 0) or a single row still
+        If LAPACK reports a zero diagonal (w = 0) or a single row still
         overflows.
     """
     from scipy.linalg.lapack import dtbtrs
 
-    n = f.shape[0]
-    t = (h * h / 12.0) * f
+    n = w.shape[0]
     u = np.empty(n)
-    u[0] = u0
-    u[1] = u1
+    u[:2] = u0, u1
     start = 2
     chunk = _SWEEP_CHUNK
     with np.errstate(over="ignore", invalid="ignore"):
@@ -416,13 +420,13 @@ def _numerov_sweep(f: np.ndarray, h: float, u0: float, u1: float) -> np.ndarray:
             # band storage of the chunk's columns: diagonal, then the two
             # subdiagonals; Fortran order goes to LAPACK without a copy
             ab = np.empty((3, stop - start), order="F")
-            ab[0] = 1.0 - t[start:stop]
-            ab[1] = -(2.0 + 10.0 * t[start:stop])
+            ab[0] = w[start:stop]
+            ab[1] = -c[start:stop]
             ab[2] = ab[0]
             b = np.zeros(stop - start)
-            b[0] = (2.0 + 10.0 * t[start - 1]) * u[start - 1] - (1.0 - t[start - 2]) * u[start - 2]
+            b[0] = c[start - 1] * u[start - 1] - w[start - 2] * u[start - 2]
             if b.shape[0] > 1:
-                b[1] = -(1.0 - t[start - 1]) * u[start - 1]
+                b[1] = -w[start - 1] * u[start - 1]
             x, info = dtbtrs(ab, b, uplo="L", overwrite_b=1)
             if info != 0:
                 raise ConvergenceError(
@@ -460,7 +464,7 @@ class NumerovResult(NamedTuple):
 
 
 class _Shooter:
-    """Shared machinery for one Numerov eigenvalue search."""
+    """Numerov machinery for one problem and grid; :func:`_shooter` keeps the last one."""
 
     def __init__(self, problem: RadialProblem, grid: GridSpec):
         _check_origin(problem, grid)
@@ -480,8 +484,10 @@ class _Shooter:
             self.start_out = (0.0, 1.0)
         self.start_in = (0.0, 1.0)
 
-    def f_values(self, epsilon: float) -> np.ndarray:
-        return self.f_base - self.pref * epsilon
+    def stencil(self, epsilon: float) -> tuple[np.ndarray, np.ndarray]:
+        """Recurrence coefficients w = 1 - t and c = 2 + 10 t (t = h**2 f / 12) at ``epsilon``."""
+        t = (self.h * self.h / 12.0) * (self.f_base - self.pref * epsilon)
+        return 1.0 - t, 2.0 + 10.0 * t
 
     def check_stencil(self, epsilon: float) -> None:
         """Reject a grid on which 1 - h**2 f / 12 is not positive at ``epsilon``.
@@ -490,7 +496,7 @@ class _Shooter:
         case.  Only the samples the sweeps divide by are checked (index 2
         on); the start values may sit where f is huge.
         """
-        diagonal = 1.0 - (self.h * self.h / 12.0) * self.f_values(epsilon)[2:]
+        diagonal = self.stencil(epsilon)[0][2:]
         bad = np.nonzero(diagonal <= 0.0)[0]
         if bad.size:
             raise ValueError(
@@ -500,7 +506,7 @@ class _Shooter:
 
     def count_states_below(self, epsilon: float) -> int:
         """Nodes of the full outward solution = number of eigenvalues below."""
-        u = _numerov_sweep(self.f_values(epsilon), self.h, *self.start_out)
+        u = _numerov_sweep(*self.stencil(epsilon), *self.start_out)
         # index 0 may be an exact zero of the start; the far end has no wall
         return count_sign_changes(u[1:])
 
@@ -520,12 +526,12 @@ class _Shooter:
         15, 363 (1961)), delta = -D u[m] / (pref h**2 sum u**2): first-order
         perturbation theory of the recurrence in epsilon.
         """
-        f = self.f_values(epsilon)
+        w, c = self.stencil(epsilon)
         m = self.match_index(epsilon)
         # a node can sit exactly on the match point; nudge inward if so
         for _ in range(3):
-            u_out = _numerov_sweep(f[: m + 2], self.h, *self.start_out)
-            u_in = _numerov_sweep(f[m - 1 :][::-1], self.h, *self.start_in)[::-1]
+            u_out = _numerov_sweep(w[: m + 2], c[: m + 2], *self.start_out)
+            u_in = _numerov_sweep(w[m - 1 :][::-1], c[m - 1 :][::-1], *self.start_in)[::-1]
             if u_out[m] != 0.0 and u_in[1] != 0.0:
                 break
             m -= 1
@@ -534,11 +540,13 @@ class _Shooter:
         # work on u / max|u|, so that neither D nor sum u**2 overflows
         peak = np.max(np.abs(merged))
         u = merged[m - 1 : m + 2] / peak
-        t = (self.h * self.h / 12.0) * f[m - 1 : m + 2]
-        defect = (1.0 - t[2]) * u[2] + (1.0 - t[0]) * u[0] - (2.0 + 10.0 * t[1]) * u[1]
+        defect = w[m + 1] * u[2] + w[m - 1] * u[0] - c[m] * u[1]
         norm_sq = float(np.sum(np.square(merged / peak)))
         return merged, -defect * u[1] / (self.pref * self.h * self.h * norm_sq)
 
+
+# every state of a solve and its recurrence defects share one shooter
+_shooter = functools.lru_cache(maxsize=1)(_Shooter)
 
 # Cooley steps allowed per state: quadratic convergence needs a handful, and
 # bisection from any bracket reaches 1e-12 relative width in about 45
@@ -547,10 +555,7 @@ _COOLEY_RTOL = 1e-12
 
 
 def numerov_solve(
-    problem: RadialProblem,
-    grid: GridSpec,
-    n_index: int,
-    bracket: tuple[float, float],
+    problem: RadialProblem, grid: GridSpec, n_index: int, bracket: tuple[float, float]
 ) -> NumerovResult:
     """Locate the eigenvalue with ``n_index`` interior nodes inside ``bracket``.
 
@@ -584,7 +589,7 @@ def numerov_solve(
     if not lo < hi:
         raise ValueError(f"bracket must satisfy lo < hi, got ({lo}, {hi})")
 
-    shooter = _Shooter(problem, grid)
+    shooter = _shooter(problem, grid)
     shooter.check_stencil(lo)
     n_lo = shooter.count_states_below(lo)
     n_hi = shooter.count_states_below(hi)
@@ -725,19 +730,13 @@ def numerov_recurrence_defect(
     For a converged shooting solution this is at the level of the matching
     defect; it serves as the per-state diagnostic of the Numerov route.
     """
-    t = (grid.h**2 / 12.0) * _Shooter(problem, grid).f_values(epsilon)
-    lhs = (
-        (1.0 - t[2:]) * u[2:]
-        - (2.0 + 10.0 * t[1:-1]) * u[1:-1]
-        + (1.0 - t[:-2]) * u[:-2]
-    )
+    w, c = _shooter(problem, grid).stencil(epsilon)
+    lhs = w[2:] * u[2:] - c[1:-1] * u[1:-1] + w[:-2] * u[:-2]
     return float(np.max(np.abs(lhs)) / np.max(np.abs(u)))
 
 
 def solve_numerov_lowest_k(
-    problem: RadialProblem,
-    grid: GridSpec,
-    k: int,
+    problem: RadialProblem, grid: GridSpec, k: int,
     brackets: Sequence[tuple[float, float]] | None = None,
 ) -> EigenResult:
     """Numerov counterpart of :func:`solve_lowest_k` for the lowest k states."""

@@ -11,6 +11,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Any
 
 from .eigensolver import GridSpec, PotentialSpec, RadialProblem, reduce_two_body
 from .units import PROTON_ELECTRON_MASS_RATIO
@@ -94,34 +95,50 @@ _PRESET_KEYS = (
 
 
 def _preset_from_file(path: Path) -> SolverPreset:
-    name, pairs = path.stem, parse_kv_file(path)
+    """The preset of one .conf file; every error names the file."""
+    pairs = parse_kv_file(path)
+    try:
+        return _preset_from_pairs(path.stem, pairs)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+
+
+def _preset_from_pairs(name: str, pairs: dict[str, str]) -> SolverPreset:
     for key in pairs:
         if key not in _PRESET_KEYS:
-            raise ValueError(f"{path}: unknown preset key {key!r}")
+            raise ValueError(f"unknown preset key {key!r}")
     # the FD grid has no default, and the Numerov grid falls back on it
     for key in ("fd_r_min", "fd_r_max", "fd_n"):
         if key not in pairs:
-            raise ValueError(f"{path}: missing preset key {key!r}")
+            raise ValueError(f"missing preset key {key!r}")
+
+    def value(kind: type, key: str, fallback: str | None = None) -> Any:
+        raw = pairs.get(key, fallback)
+        try:
+            return kind(raw)
+        except ValueError:
+            raise ValueError(
+                f"preset key {key!r}: invalid {kind.__name__} value: {raw!r}"
+            ) from None
+
     kind = pairs.get("potential", "coulomb")
     if kind == "coulomb":
-        potential = PotentialSpec.coulomb(float(pairs.get("Z", "1")))
+        potential = PotentialSpec.coulomb(value(float, "Z", "1"))
     elif kind == "harmonic":
-        potential = PotentialSpec.harmonic(float(pairs.get("omega", "1")))
+        potential = PotentialSpec.harmonic(value(float, "omega", "1"))
     else:
-        raise ValueError(f"preset {name!r}: unsupported potential {kind!r}")
+        raise ValueError(f"unsupported potential {kind!r}")
     problem = RadialProblem(
         potential=potential,
-        l=int(pairs.get("l", "0")),
-        mu=float(pairs.get("mu", "1")),
-        M=float(pairs.get("M", pairs.get("mu", "1"))),
+        l=value(int, "l", "0"),
+        mu=value(float, "mu", "1"),
+        M=value(float, "M", pairs.get("mu", "1")),
     )
-    fd_grid = GridSpec(
-        float(pairs["fd_r_min"]), float(pairs["fd_r_max"]), int(pairs["fd_n"])
-    )
+    fd_grid = GridSpec(value(float, "fd_r_min"), value(float, "fd_r_max"), value(int, "fd_n"))
     numerov_grid = GridSpec(
-        float(pairs.get("numerov_r_min", pairs["fd_r_min"])),
-        float(pairs.get("numerov_r_max", pairs["fd_r_max"])),
-        int(pairs.get("numerov_n", pairs["fd_n"])),
+        value(float, "numerov_r_min", pairs["fd_r_min"]),
+        value(float, "numerov_r_max", pairs["fd_r_max"]),
+        value(int, "numerov_n", pairs["fd_n"]),
     )
     return SolverPreset(
         name=name,

@@ -480,6 +480,14 @@ def test_non_finite_config_value_exits_2(tmp_path, capsys):
     assert "option 'm0' must be a finite number" in capsys.readouterr().err
 
 
+def test_invert_demo_takes_one_beta(tmp_path, capsys):
+    # one inversion table per run; a list would echo betas no row uses
+    code = main(["invert-demo", "--beta", "0.6,0.9", "--output", str(tmp_path / "x.csv")])
+    assert code == 2
+    assert "exactly one beta, got '0.6,0.9'" in capsys.readouterr().err
+    assert not (tmp_path / "x.csv").exists()
+
+
 def test_invert_demo_quantum_number_table(tmp_path):
     code, text = run_csv(tmp_path, ["invert-demo"])
     assert code == 0
@@ -605,7 +613,7 @@ OPTION_VALUES = {
     "wavefunctions_dir": "{tmp}/wf",
     "format": "json",
     "output": "{tmp}/report",
-    "beta": "0.3,0.5",
+    "beta": "0.3",  # invert-demo takes one beta; kinematics lists are tested above
     "time": "2.5",
     "m0": "2",
     "n_index": "1",
@@ -737,6 +745,32 @@ def test_preset_without_grid_key_exits_2(tmp_path, monkeypatch, capsys):
     assert code == 2
     err = capsys.readouterr().err
     assert str(conf) in err and "missing preset key 'fd_n'" in err
+
+
+@pytest.mark.parametrize(
+    "line, words",
+    [("fd_r_max = inf", "finite r_min < r_max"), ("mu = inf", "reduced mass")],
+)
+def test_non_finite_preset_value_exits_2(tmp_path, monkeypatch, capsys, line, words):
+    # a preset file is checked like a flag: no silent rows from an infinite box or mass
+    conf = tmp_path / "wild.conf"
+    conf.write_text(f"potential = coulomb\nfd_r_min = 0.001\nfd_r_max = 30\nfd_n = 2000\n{line}\n")
+    monkeypatch.setenv("RSSE_PRESET_DIR", str(tmp_path))
+    code = main(["solve", "--preset", "wild", "--output", str(tmp_path / "x.csv")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert str(conf) in err and words in err and "finite" in err
+    assert not (tmp_path / "x.csv").exists()
+
+
+def test_unparsable_preset_value_names_file_and_key(tmp_path, monkeypatch, capsys):
+    conf = tmp_path / "typed.conf"
+    conf.write_text("potential = harmonic\nfd_r_min = -6\nfd_r_max = 6\nfd_n = 2e3\n")
+    monkeypatch.setenv("RSSE_PRESET_DIR", str(tmp_path))
+    code = main(["compare", "--preset", "typed", "--output", str(tmp_path / "x.csv")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f"{conf}: preset key 'fd_n': invalid int value: '2e3'" in err
 
 
 def test_preset_dir_extends_and_overrides(tmp_path, monkeypatch):

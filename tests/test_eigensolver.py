@@ -14,6 +14,7 @@ from rsse.eigensolver import (
     WrongStateError,
     _numerov_sweep,
     _Shooter,
+    _shooter,
     _trapezoid,
     assemble_tridiagonal,
     convergence_order,
@@ -67,6 +68,30 @@ def test_potential_factories_validate():
         PotentialSpec.tabulated([0.0, 1.0, 1.0], [0.0, 1.0, 2.0])
     with pytest.raises(ValueError, match="kind"):
         PotentialSpec(kind="yukawa")
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda x: PotentialSpec.harmonic(x),
+        lambda x: PotentialSpec.coulomb(x),
+        lambda x: PotentialSpec.finite_well(x, 1.0),
+        lambda x: PotentialSpec.finite_well(1.0, x),
+        lambda x: PotentialSpec.infinite_well(x),
+        lambda x: PotentialSpec.tabulated([0.0, 1.0], [0.0, x]),
+        lambda x: PotentialSpec.tabulated([0.0, 1.0, x], [0.0, 0.0, 0.0]),
+        lambda x: GridSpec(x, 1.0, 100),
+        lambda x: GridSpec(0.0, x, 100),
+        lambda x: RadialProblem(PotentialSpec.coulomb(1.0), mu=x, M=2.0),
+        lambda x: RadialProblem(PotentialSpec.coulomb(1.0), mu=0.5, M=x),
+    ],
+    ids=["omega", "Z", "V0", "a", "well_width", "V_samples", "r_samples", "r_min", "r_max",
+         "mu", "M"],
+)
+def test_non_finite_inputs_are_rejected(build, bad):
+    with pytest.raises(ValueError, match="finite"):
+        build(bad)
 
 
 def test_potential_values():
@@ -345,10 +370,10 @@ def test_numerov_hydrogen_p_channel():
     # lowest l=1 state (2p); exercises the centrifugal term and the
     # r**(l+1) start values
     problem = RadialProblem(PotentialSpec.coulomb(1.0), l=1)
-    # the stencil guard must skip the start values: t[0] is far above 1 at
-    # r_min = 1e-5, but the sweeps never divide by 1 - t[0]
-    t = HYDROGEN_NUMEROV_GRID.h**2 / 12.0 * _Shooter(problem, HYDROGEN_NUMEROV_GRID).f_values(-0.2)
-    assert t[0] > 1e3 and np.all(t[2:] < 1.0)
+    # the stencil guard must skip the start values: w[0] = 1 - t[0] is far
+    # below 0 at r_min = 1e-5, but the sweeps never divide by w[0]
+    w, _ = _Shooter(problem, HYDROGEN_NUMEROV_GRID).stencil(-0.2)
+    assert w[0] < -999.0 and np.all(w[2:] > 0.0)
     eps, u = numerov_solve(problem, HYDROGEN_NUMEROV_GRID, 0, (-0.2, -0.05))
     assert eps == pytest.approx(bohr_level(1.0, 1.0, 2), abs=1e-8)
     assert count_nodes(u) == 0
@@ -375,6 +400,12 @@ def test_solve_numerov_lowest_k_hydrogen():
     assert result.method == "numerov"
 
 
+def _stencil(f: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarray]:
+    """The sweep's coefficients w = 1 - t and c = 2 + 10 t, t = h**2 f / 12."""
+    t = h * h / 12.0 * f
+    return 1.0 - t, 2.0 + 10.0 * t
+
+
 def _python_numerov(f: np.ndarray, h: float, u0: float, u1: float) -> np.ndarray:
     """Reference three-term Numerov recurrence, one sample at a time."""
     c = h * h / 12.0
@@ -393,7 +424,7 @@ def test_numerov_sweep_matches_python_recurrence(epsilon):
     # not amplified and the banded solve must agree with the plain loop
     grid = GridSpec(-12.0, 12.0, 2000)
     f = 2.0 * (effective_potential(OSCILLATOR, grid.nodes()) - epsilon)
-    got = _numerov_sweep(f, grid.h, 0.0, 1.0)
+    got = _numerov_sweep(*_stencil(f, grid.h), 0.0, 1.0)
     want = _python_numerov(f, grid.h, 0.0, 1.0)
     assert np.max(np.abs(got - want)) / np.max(np.abs(want)) < 1e-12
 
@@ -404,7 +435,7 @@ def test_numerov_sweep_halves_overflowing_chunks():
     # e**2048, so the sweep must shrink its chunks and rescale between them
     n, h = 20000, 0.5
     f = np.full(n, 4.0)
-    u = _numerov_sweep(f, h, 1.0, math.exp(0.5))
+    u = _numerov_sweep(*_stencil(f, h), 1.0, math.exp(0.5))
     assert np.all(np.isfinite(u))
     assert count_sign_changes(u) == 0
     t = h * h / 12.0 * 4.0
@@ -419,10 +450,10 @@ def test_numerov_sweep_failures_raise_convergence_error():
     f = np.zeros(100)
     f[50] = 12.0  # 1 - h**2 f / 12 = 0: a zero diagonal of the banded system
     with pytest.raises(ConvergenceError, match="singular"):
-        _numerov_sweep(f, 1.0, 0.0, 1.0)
+        _numerov_sweep(*_stencil(f, 1.0), 0.0, 1.0)
     f[50] = np.nan  # stays non-finite at any chunk length
     with pytest.raises(ConvergenceError, match="overflows"):
-        _numerov_sweep(f, 1.0, 0.0, 1.0)
+        _numerov_sweep(*_stencil(f, 1.0), 0.0, 1.0)
 
 
 def test_count_sign_changes_reads_signed_zeros():
@@ -466,6 +497,25 @@ def test_numerov_solve_evaluates_each_energy_once(monkeypatch):
     solve_numerov_lowest_k(HYDROGEN, HYDROGEN_NUMEROV_GRID, 3)
     keys = [(id(shooter), epsilon) for shooter, epsilon in merged]
     assert len(keys) == len(set(keys))
+
+
+def test_numerov_solve_builds_one_shooter_per_problem_and_grid(monkeypatch):
+    # every state and every recurrence defect of a solve shares one shooter
+    built = []
+    original = _Shooter.__init__
+
+    def spy(self, problem, grid):
+        built.append((problem, grid))
+        original(self, problem, grid)
+
+    monkeypatch.setattr(_Shooter, "__init__", spy)
+    _shooter.cache_clear()
+    solve_numerov_lowest_k(HYDROGEN, HYDROGEN_NUMEROV_GRID, 3)
+    assert built == [(HYDROGEN, HYDROGEN_NUMEROV_GRID)]
+    # another problem or grid gets its own shooter
+    assert _shooter(OSCILLATOR, OSC_FD_GRID) is _shooter(OSCILLATOR, OSC_FD_GRID)
+    assert _shooter(OSCILLATOR, OSC_NUMEROV_GRID).grid == OSC_NUMEROV_GRID
+    assert len(built) == 3
 
 
 def test_default_brackets_isolate_states():
