@@ -87,6 +87,9 @@ class PotentialSpec:
             raise ValueError(
                 f"unknown potential kind {self.kind!r}; expected one of {_POTENTIAL_KINDS}"
             )
+        for name in ("r_samples", "V_samples"):  # tuples keep every spec hashable
+            if getattr(self, name) is not None:
+                object.__setattr__(self, name, tuple(map(float, getattr(self, name))))
 
     @staticmethod
     def harmonic(omega: float) -> "PotentialSpec":
@@ -146,12 +149,10 @@ class PotentialSpec:
 
     def asymptote(self) -> float:
         """lim V(r -> infinity); bound states must lie below this."""
-        if self.kind == "harmonic":
+        if self.kind in ("harmonic", "infinite_well"):
             return math.inf
         if self.kind == "tabulated":
             return self.V_samples[-1]
-        if self.kind == "infinite_well":
-            return math.inf
         return 0.0
 
 

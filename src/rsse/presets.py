@@ -97,20 +97,6 @@ _PRESET_KEYS = (
 def _preset_from_file(path: Path) -> SolverPreset:
     """The preset of one .conf file; every error names the file."""
     pairs = parse_kv_file(path)
-    try:
-        return _preset_from_pairs(path.stem, pairs)
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None
-
-
-def _preset_from_pairs(name: str, pairs: dict[str, str]) -> SolverPreset:
-    for key in pairs:
-        if key not in _PRESET_KEYS:
-            raise ValueError(f"unknown preset key {key!r}")
-    # the FD grid has no default, and the Numerov grid falls back on it
-    for key in ("fd_r_min", "fd_r_max", "fd_n"):
-        if key not in pairs:
-            raise ValueError(f"missing preset key {key!r}")
 
     def value(kind: type, key: str, fallback: str | None = None) -> Any:
         raw = pairs.get(key, fallback)
@@ -121,48 +107,71 @@ def _preset_from_pairs(name: str, pairs: dict[str, str]) -> SolverPreset:
                 f"preset key {key!r}: invalid {kind.__name__} value: {raw!r}"
             ) from None
 
-    kind = pairs.get("potential", "coulomb")
-    if kind == "coulomb":
-        potential = PotentialSpec.coulomb(value(float, "Z", "1"))
-    elif kind == "harmonic":
-        potential = PotentialSpec.harmonic(value(float, "omega", "1"))
-    else:
-        raise ValueError(f"unsupported potential {kind!r}")
-    problem = RadialProblem(
-        potential=potential,
-        l=value(int, "l", "0"),
-        mu=value(float, "mu", "1"),
-        M=value(float, "M", pairs.get("mu", "1")),
-    )
-    fd_grid = GridSpec(value(float, "fd_r_min"), value(float, "fd_r_max"), value(int, "fd_n"))
-    numerov_grid = GridSpec(
-        value(float, "numerov_r_min", pairs["fd_r_min"]),
-        value(float, "numerov_r_max", pairs["fd_r_max"]),
-        value(int, "numerov_n", pairs["fd_n"]),
-    )
+    try:
+        for key in pairs:
+            if key not in _PRESET_KEYS:
+                raise ValueError(f"unknown preset key {key!r}")
+        # the FD grid has no default, and the Numerov grid falls back on it
+        for key in ("fd_r_min", "fd_r_max", "fd_n"):
+            if key not in pairs:
+                raise ValueError(f"missing preset key {key!r}")
+        kind = pairs.get("potential", "coulomb")
+        if kind == "coulomb":
+            potential = PotentialSpec.coulomb(value(float, "Z", "1"))
+        elif kind == "harmonic":
+            potential = PotentialSpec.harmonic(value(float, "omega", "1"))
+        else:
+            raise ValueError(f"unsupported potential {kind!r}")
+        problem = RadialProblem(
+            potential=potential,
+            l=value(int, "l", "0"),
+            mu=value(float, "mu", "1"),
+            M=value(float, "M", pairs.get("mu", "1")),
+        )
+        fd_grid = GridSpec(value(float, "fd_r_min"), value(float, "fd_r_max"), value(int, "fd_n"))
+        numerov_grid = GridSpec(
+            value(float, "numerov_r_min", pairs["fd_r_min"]),
+            value(float, "numerov_r_max", pairs["fd_r_max"]),
+            value(int, "numerov_n", pairs["fd_n"]),
+        )
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
     return SolverPreset(
-        name=name,
+        name=path.stem,
         problem=problem,
         fd_grid=fd_grid,
         numerov_grid=numerov_grid,
-        description=pairs.get("description", f"loaded from {name}.conf"),
+        description=pairs.get("description", f"loaded from {path.name}"),
     )
+
+
+def _preset_files(preset_dir: str | None = None) -> dict[str, Path]:
+    """The .conf files of the preset directory, by preset name."""
+    directory = preset_dir if preset_dir is not None else os.environ.get(PRESET_DIR_ENV)
+    if not directory:
+        return {}
+    return {path.stem: path for path in sorted(Path(directory).glob("*.conf"))}
 
 
 def load_presets(preset_dir: str | None = None) -> dict[str, SolverPreset]:
     """Built-in presets, extended/overridden by *.conf files if a directory is set."""
     presets = builtin_presets()
-    directory = preset_dir if preset_dir is not None else os.environ.get(PRESET_DIR_ENV)
-    if directory:
-        for path in sorted(Path(directory).glob("*.conf")):
-            presets[path.stem] = _preset_from_file(path)
+    for name, path in _preset_files(preset_dir).items():
+        presets[name] = _preset_from_file(path)
     return presets
 
 
 def get_preset(name: str) -> SolverPreset:
-    """The preset called ``name`` among :func:`load_presets`."""
-    presets = load_presets()
+    """The preset called ``name``: its .conf file if the preset directory has one, else built in.
+
+    Only that one file is parsed, so a bad file breaks its own preset and
+    no other.
+    """
+    files = _preset_files()
+    if name in files:
+        return _preset_from_file(files[name])
+    presets = builtin_presets()
     if name not in presets:
-        known = ", ".join(sorted(presets))
+        known = ", ".join(sorted({*presets, *files}))
         raise ValueError(f"unknown preset {name!r}; valid presets: {known}")
     return presets[name]

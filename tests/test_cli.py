@@ -299,7 +299,7 @@ def test_convergence_half_line_oscillator_refines_its_own_grid(
 def use_finite_well(monkeypatch):
     grid = GridSpec(-3.0, 3.0, 100)
     well = SolverPreset("well", RadialProblem(PotentialSpec.finite_well(1.0, 1.0)), grid, grid)
-    monkeypatch.setattr(rsse.presets, "load_presets", lambda: {"well": well})
+    monkeypatch.setattr(rsse.presets, "builtin_presets", lambda: {"well": well})
 
 
 def test_compare_without_analytic_levels_exits_2(tmp_path, monkeypatch, capsys):
@@ -613,11 +613,17 @@ OPTION_VALUES = {
     "wavefunctions_dir": "{tmp}/wf",
     "format": "json",
     "output": "{tmp}/report",
-    "beta": "0.3",  # invert-demo takes one beta; kinematics lists are tested above
+    "beta": "0.3,0.5",
     "time": "2.5",
     "m0": "2",
     "n_index": "1",
 }
+# where a command takes less than OPTION_VALUES gives
+COMMAND_OPTION_VALUES = {("invert-demo", "beta"): "0.3"}
+
+
+def option_value(command, key):
+    return COMMAND_OPTION_VALUES.get((command, key), OPTION_VALUES[key])
 
 
 @pytest.mark.parametrize(
@@ -625,7 +631,7 @@ OPTION_VALUES = {
 )
 def test_flag_and_config_file_give_the_same_report(tmp_path, command, key):
     report, config = tmp_path / "report", tmp_path / "run.conf"
-    value = OPTION_VALUES[key].format(tmp=tmp_path)
+    value = option_value(command, key).format(tmp=tmp_path)
 
     def run(argv, config_text):
         config.write_text(config_text)
@@ -666,7 +672,7 @@ def option_argvs():
     """Every command bare, with each option alone and with every option set."""
     argvs = []
     for command, (_, _, options) in COMMANDS.items():
-        flags = [["--" + key.replace("_", "-"), OPTION_VALUES[key]] for key in options]
+        flags = [["--" + key.replace("_", "-"), option_value(command, key)] for key in options]
         argvs += [[command]] + [[command] + flag for flag in flags]
         argvs.append([command, "--config", "run.conf"] + sum(flags, []))
     return argvs
@@ -771,6 +777,25 @@ def test_unparsable_preset_value_names_file_and_key(tmp_path, monkeypatch, capsy
     assert code == 2
     err = capsys.readouterr().err
     assert f"{conf}: preset key 'fd_n': invalid int value: '2e3'" in err
+
+
+def test_bad_preset_file_breaks_only_its_own_preset(tmp_path, monkeypatch, capsys):
+    bad = tmp_path / "a.conf"
+    bad.write_text("potential = coulomb\nfd_r_min = 0.001\nfd_r_max = inf\nfd_n = 2000\n")
+    (tmp_path / "b.conf").write_text(
+        "potential = harmonic\nomega = 1\nfd_r_min = -6\nfd_r_max = 6\nfd_n = 500\n"
+    )
+    monkeypatch.setenv("RSSE_PRESET_DIR", str(tmp_path))
+    for preset in ("b", "hydrogen"):
+        assert main(["solve", "--preset", preset, "--output", str(tmp_path / "x.csv")]) == 0
+    assert main(["solve", "--preset", "a", "--output", str(tmp_path / "y.csv")]) == 2
+    assert str(bad) in capsys.readouterr().err
+    assert not (tmp_path / "y.csv").exists()
+    assert main(["solve", "--preset", "c", "--output", str(tmp_path / "y.csv")]) == 2
+    assert "valid presets: a, b, coulomb, hydrogen," in capsys.readouterr().err
+    # listing every preset still parses every file
+    with pytest.raises(ValueError, match="finite r_min < r_max"):
+        load_presets()
 
 
 def test_preset_dir_extends_and_overrides(tmp_path, monkeypatch):

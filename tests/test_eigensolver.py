@@ -518,6 +518,21 @@ def test_numerov_solve_builds_one_shooter_per_problem_and_grid(monkeypatch):
     assert len(built) == 3
 
 
+def test_numerov_solves_a_directly_built_tabulated_spec():
+    # list or ndarray samples become tuples, so the shooter cache can hash the spec
+    grid = GridSpec(-8.0, 8.0, 1200)
+    r = grid.nodes()
+    samples = (r, 0.5 * r * r)
+    raw = PotentialSpec("tabulated", r_samples=list(r), V_samples=samples[1])
+    assert raw == PotentialSpec.tabulated(*samples)
+    assert isinstance(raw.r_samples, tuple) and isinstance(raw.V_samples, tuple)
+    result = solve_numerov_lowest_k(RadialProblem(raw), grid, 2)
+    expected = solve_numerov_lowest_k(RadialProblem(PotentialSpec.tabulated(*samples)), grid, 2)
+    assert list(result.epsilons) == list(expected.epsilons)
+    for n, eps in enumerate(result.epsilons):
+        assert abs(eps - oscillator_level(1.0, n)) < 1e-3
+
+
 def test_default_brackets_isolate_states():
     brackets = default_brackets(OSCILLATOR, OSC_FD_GRID, 3)
     for n, (lo, hi) in enumerate(brackets):
