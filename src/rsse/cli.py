@@ -171,12 +171,15 @@ def _cmd_compare(config: dict[str, Any]) -> int:
 
 
 def _parse_betas(raw: str) -> list[float]:
-    betas = [float(chunk) for chunk in raw.split(",") if chunk.strip()]
-    if not betas:
-        raise ValueError("no beta values supplied")
-    for beta in betas:
+    betas = []
+    for position, chunk in enumerate(raw.split(","), 1):
+        # a stray comma would otherwise be echoed in the header unused
+        if not chunk.strip():
+            raise ValueError(f"beta entry {position} of {raw!r} is empty")
+        beta = float(chunk)
         if not abs(beta) < 1.0:
             raise ValueError(f"beta must satisfy |beta| < 1, got {beta}")
+        betas.append(beta)
     return betas
 
 

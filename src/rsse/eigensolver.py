@@ -8,7 +8,7 @@ with V_eff = V + hbar**2 l(l+1) / (2 mu r**2):
 
 * a symmetric tridiagonal second-difference discretization whose lowest
   eigenpairs are extracted by Sturm-sequence bisection plus inverse
-  iteration (LAPACK, via ``scipy.linalg.eigh_tridiagonal``), and
+  iteration (LAPACK ``dstebz`` and ``dstein``), and
 * a Numerov shooting method with outward/inward integration, node
   counting and matching on the Numerov recurrence residual at the outer
   classical turning point, accurate to fourth order.  The eigenvalue is
@@ -23,17 +23,23 @@ with V_eff = V + hbar**2 l(l+1) / (2 mu r**2):
 Grids are uniform.  Coulomb-type problems use the reduced radial function
 u(r) = r R(r) and require r_min > 0.
 
-scipy is imported inside the solver functions (``solve_lowest_k``,
-``_fd_brackets``, ``_numerov_sweep``), not at module level: every rsse
-module imports this one, and the analytic commands (``kinematics``,
-``invert-demo``, ``compare``) then start on numpy alone, without the ~0.3 s
-import of ``scipy.linalg``, the only scipy package rsse uses.
+The three LAPACK routines come from scipy's compiled wrapper module
+``scipy.linalg._flapack``, which :func:`_lapack` loads from its file on the
+first solve; the ``scipy`` and ``scipy.linalg`` packages are never imported.
+Their ~0.3 s import is mostly a copy of numpy's namespace that loads
+``numpy.f2py``, ``numpy.testing`` and more, none of which rsse uses; the
+extension alone loads in ~10 ms.  Every rsse module imports this one, so the
+analytic commands (``kinematics``, ``invert-demo``, ``compare``) start on
+numpy alone.
 """
 
 from __future__ import annotations
 
 import functools
+import importlib.machinery
+import importlib.util
 import math
+import os
 from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence
 
@@ -348,6 +354,61 @@ def _normalize(u: np.ndarray, grid: GridSpec) -> np.ndarray:
     return u / math.sqrt(norm_sq)
 
 
+@functools.cache
+def _lapack():
+    """scipy's compiled LAPACK wrappers, ``scipy.linalg._flapack``, loaded from their file.
+
+    ``find_spec`` locates the scipy package without running its
+    ``__init__``, so neither ``scipy`` nor ``scipy.linalg`` is imported.
+    """
+    scipy_dir = importlib.util.find_spec("scipy").submodule_search_locations[0]
+    suffix = importlib.machinery.EXTENSION_SUFFIXES[0]
+    path = os.path.join(scipy_dir, "linalg", "_flapack" + suffix)
+    spec = importlib.util.spec_from_file_location("scipy.linalg._flapack", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _tridiagonal_lowest(
+    d: np.ndarray, e: np.ndarray, k: int, *, vectors: bool
+) -> tuple[np.ndarray, Optional[np.ndarray]]:
+    """Lowest k eigenvalues of the symmetric tridiagonal matrix (d, e), ascending.
+
+    With ``vectors`` the eigenvectors come too, as columns, else None.  The
+    LAPACK calls are those of ``scipy.linalg.eigh_tridiagonal(d, e,
+    select="i", select_range=(0, k - 1))``: ``dstebz`` by index, then
+    ``dstein`` on the block-ordered values, reordered by ``argsort``, so the
+    results are scipy's bit for bit.
+
+    Raises
+    ------
+    ValueError
+        If k is outside [1, d.size] or d or e is not finite.
+    ConvergenceError
+        If LAPACK reports a nonzero ``info``.
+    """
+    if not 1 <= k <= d.shape[0]:
+        raise ValueError(f"k must be in [1, {d.shape[0]}], got {k}")
+    if not (np.isfinite(d).all() and np.isfinite(e).all()):
+        raise ValueError("tridiagonal matrix entries must be finite")
+    lapack = _lapack()
+    # range 2: indices 1..k; dstein needs the values in block order ("B")
+    m, w, iblock, isplit, info = lapack.dstebz(
+        d, e, 2, 0.0, 1.0, 1, k, 0.0, "B" if vectors else "E"
+    )
+    if info != 0:
+        raise ConvergenceError(f"LAPACK dstebz failed (info = {info})")
+    w = w[:m]
+    if not vectors:
+        return w, None
+    v, info = lapack.dstein(d, e, w, iblock, isplit)
+    if info != 0:
+        raise ConvergenceError(f"LAPACK dstein failed (info = {info})")
+    order = np.argsort(w)
+    return w[order], v[:, order]
+
+
 def solve_lowest_k(operator: TridiagonalOperator, k: int) -> EigenResult:
     """Lowest k eigenpairs of the tridiagonal operator.
 
@@ -356,12 +417,8 @@ def solve_lowest_k(operator: TridiagonalOperator, k: int) -> EigenResult:
     the full grid, zero at both ends, trapezoid-normalized, with a
     deterministic sign convention.
     """
-    if not 1 <= k <= operator.dim:
-        raise ValueError(f"k must be in [1, {operator.dim}], got {k}")
-    from scipy.linalg import eigh_tridiagonal
-
-    epsilons, vectors = eigh_tridiagonal(
-        operator.diagonal, operator.off_diagonal, select="i", select_range=(0, k - 1)
+    epsilons, vectors = _tridiagonal_lowest(
+        operator.diagonal, operator.off_diagonal, k, vectors=True
     )
     grid = operator.grid
     wavefunctions = np.zeros((k, grid.n))
@@ -408,8 +465,7 @@ def _numerov_sweep(w: np.ndarray, c: np.ndarray, u0: float, u1: float) -> np.nda
         If LAPACK reports a zero diagonal (w = 0) or a single row still
         overflows.
     """
-    from scipy.linalg.lapack import dtbtrs
-
+    dtbtrs = _lapack().dtbtrs
     n = w.shape[0]
     u = np.empty(n)
     u[:2] = u0, u1
@@ -688,11 +744,7 @@ def _seed_grid(grid: GridSpec, k: int) -> GridSpec:
 def _fd_brackets(problem: RadialProblem, grid: GridSpec, k: int) -> list[tuple[float, float]]:
     """The brackets of :func:`default_brackets`, seeded on ``grid`` itself."""
     operator = assemble_tridiagonal(problem, grid)
-    from scipy.linalg import eigh_tridiagonal
-
-    seed = eigh_tridiagonal(
-        operator.diagonal, operator.off_diagonal, select="i", select_range=(0, k), eigvals_only=True
-    )
+    seed, _ = _tridiagonal_lowest(operator.diagonal, operator.off_diagonal, k + 1, vectors=False)
     gaps = np.diff(seed)
     half = 0.5 * np.minimum(np.concatenate([gaps[:1], gaps[:-1]]), gaps)
     return [(float(seed[i] - half[i]), float(seed[i] + half[i])) for i in range(k)]
@@ -784,8 +836,11 @@ def solve_state(
 ) -> float:
     """Eigenvalue of the single state ``n_index`` on one grid by either route."""
     if method == "fd":
-        result = solve_lowest_k(assemble_tridiagonal(problem, grid), n_index + 1)
-        return float(result.epsilons[n_index])
+        operator = assemble_tridiagonal(problem, grid)
+        epsilons, _ = _tridiagonal_lowest(
+            operator.diagonal, operator.off_diagonal, n_index + 1, vectors=False
+        )
+        return float(epsilons[n_index])
     if method == "numerov":
         return _seeded_numerov(problem, grid, n_index + 1, [n_index])[0].epsilon
     raise ValueError(f"unknown method {method!r}; expected 'fd' or 'numerov'")

@@ -488,6 +488,23 @@ def test_invert_demo_takes_one_beta(tmp_path, capsys):
     assert not (tmp_path / "x.csv").exists()
 
 
+@pytest.mark.parametrize(
+    "command, raw, position",
+    [
+        ("invert-demo", "0.6,", 2),
+        ("invert-demo", ",0.6", 1),
+        ("kinematics", "0.6,,0.7", 2),
+        ("kinematics", "0.6, ", 2),
+        ("kinematics", "", 1),
+    ],
+)
+def test_empty_beta_entry_exits_2(tmp_path, capsys, command, raw, position):
+    code = main([command, "--beta", raw, "--output", str(tmp_path / "x.csv")])
+    assert code == 2
+    assert f"beta entry {position} of {raw!r} is empty" in capsys.readouterr().err
+    assert not (tmp_path / "x.csv").exists()
+
+
 def test_invert_demo_quantum_number_table(tmp_path):
     code, text = run_csv(tmp_path, ["invert-demo"])
     assert code == 0
@@ -520,21 +537,25 @@ def test_convergence_fd_slope(tmp_path):
 
 @pytest.mark.parametrize("method", ["fd", "numerov"])
 def test_convergence_solves_each_grid_once(tmp_path, monkeypatch, method):
-    calls = {"solve_lowest_k": 0, "numerov_solve": 0}
+    # an FD row is one eigenvalues-only LAPACK solve; a Numerov row is one
+    # shooting solve on one FD seed
+    names = ("solve_lowest_k", "_tridiagonal_lowest", "numerov_solve")
+    calls = dict.fromkeys(names, 0)
+    with_vectors = []
 
     def counting(name, fn):
         def wrapped(*args, **kwargs):
             calls[name] += 1
+            if name == "_tridiagonal_lowest":
+                with_vectors.append(kwargs["vectors"])
             return fn(*args, **kwargs)
         return wrapped
 
-    for module in (rsse.eigensolver, rsse.cli):
-        monkeypatch.setattr(
-            module, "solve_lowest_k", counting("solve_lowest_k", module.solve_lowest_k)
-        )
-    monkeypatch.setattr(
-        rsse.eigensolver, "numerov_solve", counting("numerov_solve", rsse.eigensolver.numerov_solve)
-    )
+    for name in names:
+        wrapped = counting(name, getattr(rsse.eigensolver, name))
+        monkeypatch.setattr(rsse.eigensolver, name, wrapped)
+    # the CLI's own reference too, so a direct call from the CLI counts
+    monkeypatch.setattr(rsse.cli, "solve_lowest_k", rsse.eigensolver.solve_lowest_k)
     path = tmp_path / "conv.json"
     code = main(
         ["convergence", "--preset", "oscillator", "--method", method, "--format", "json",
@@ -542,8 +563,10 @@ def test_convergence_solves_each_grid_once(tmp_path, monkeypatch, method):
     )
     assert code == 0
     payload = json.loads(path.read_text())
-    solver = "solve_lowest_k" if method == "fd" else "numerov_solve"
-    assert calls == {**{name: 0 for name in calls}, solver: len(payload["rows"])}
+    rows = len(payload["rows"])
+    solvers = ["_tridiagonal_lowest"] + (["numerov_solve"] if method == "numerov" else [])
+    assert calls == {name: rows if name in solvers else 0 for name in names}
+    assert not any(with_vectors)  # eigenvalues only
     # the slope is the fit of the reported rows, errors floored at 1e-15
     exact = payload["epsilon_exact"]
     hs = [row["h"] for row in payload["rows"]]
@@ -561,6 +584,21 @@ def test_convergence_failure_exits_3(tmp_path, monkeypatch, capsys):
     )
     assert code == 3
     assert "convergence failure" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("routine", ["dstebz", "dstein"])
+def test_lapack_failure_exits_3(tmp_path, monkeypatch, capsys, routine):
+    lapack = rsse.eigensolver._lapack()
+    stub = SimpleNamespace(dstebz=lapack.dstebz, dstein=lapack.dstein)
+
+    def failing(*args):
+        return (*getattr(lapack, routine)(*args)[:-1], 1)
+
+    setattr(stub, routine, failing)
+    monkeypatch.setattr(rsse.eigensolver, "_lapack", lambda: stub)
+    code = main(["solve", "--preset", "hydrogen", "--output", str(tmp_path / "x.csv")])
+    assert code == 3
+    assert f"convergence failure: LAPACK {routine} failed (info = 1)" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("error", [BracketError, WrongStateError])

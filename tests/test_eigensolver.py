@@ -14,8 +14,10 @@ from rsse.eigensolver import (
     WrongStateError,
     _numerov_sweep,
     _Shooter,
+    _lapack,
     _shooter,
     _trapezoid,
+    _tridiagonal_lowest,
     assemble_tridiagonal,
     convergence_order,
     count_sign_changes,
@@ -27,6 +29,7 @@ from rsse.eigensolver import (
     solve_lowest_k,
     solve_numerov_lowest_k,
 )
+from rsse.presets import builtin_presets
 from rsse.spectra import bohr_level, oscillator_level
 from rsse.units import PROTON_ELECTRON_MASS_RATIO
 
@@ -291,6 +294,67 @@ def test_fd_boundary_independence():
     e1 = solve_lowest_k(assemble_tridiagonal(HYDROGEN, g1), 1).epsilons[0]
     e2 = solve_lowest_k(assemble_tridiagonal(HYDROGEN, g2), 1).epsilons[0]
     assert abs(e1 - e2) < 1e-10
+
+
+def _split_operator():
+    """Two decoupled blocks (one zero off-diagonal) with interleaved spectra."""
+    d = np.concatenate([np.linspace(0.0, 1.0, 20), np.linspace(0.05, 1.05, 20)])
+    e = np.full(39, -0.3)
+    e[19] = 0.0
+    return d, e
+
+
+def _preset_operator(name):
+    preset = builtin_presets()[name]
+    operator = assemble_tridiagonal(preset.problem, preset.fd_grid)
+    return operator.diagonal, operator.off_diagonal
+
+
+@pytest.mark.parametrize("name", [*sorted(builtin_presets()), "split"])
+@pytest.mark.parametrize("k", [1, 3, 7])
+def test_tridiagonal_lowest_matches_scipy_bit_for_bit(name, k):
+    from scipy.linalg import eigh_tridiagonal
+
+    d, e = _split_operator() if name == "split" else _preset_operator(name)
+    w, v = _tridiagonal_lowest(d, e, k, vectors=True)
+    w_ref, v_ref = eigh_tridiagonal(d, e, select="i", select_range=(0, k - 1))
+    assert np.array_equal(w, w_ref) and np.array_equal(v, v_ref)
+    values, none = _tridiagonal_lowest(d, e, k, vectors=False)
+    ref = eigh_tridiagonal(d, e, select="i", select_range=(0, k - 1), eigvals_only=True)
+    assert none is None and np.array_equal(values, ref)
+
+
+def test_split_operator_needs_the_reorder():
+    # dstebz returns the values of the two blocks one block after the other,
+    # so without the argsort neither values nor vectors would be ascending
+    d, e = _split_operator()
+    m, w, iblock, _, info = _lapack().dstebz(d, e, 2, 0.0, 1.0, 1, 7, 0.0, "B")
+    assert info == 0 and set(iblock[:m]) == {1, 2}
+    assert not np.all(np.diff(w[:m]) >= 0.0)
+    assert np.all(np.diff(_tridiagonal_lowest(d, e, 7, vectors=True)[0]) > 0.0)
+
+
+def test_loaded_dtbtrs_matches_scipy():
+    from scipy.linalg.lapack import dtbtrs
+
+    rng = np.random.default_rng(3)
+    ab = np.asfortranarray(rng.uniform(-1.0, 1.0, (3, 200)))
+    ab[0] = rng.uniform(1.0, 2.0, 200)
+    b = rng.standard_normal(200)
+    x, info = _lapack().dtbtrs(ab, b, uplo="L")
+    x_ref, info_ref = dtbtrs(ab, b, uplo="L")
+    assert info == info_ref == 0
+    assert np.array_equal(x, x_ref)
+
+
+@pytest.mark.parametrize("where", ["diagonal", "off_diagonal"])
+def test_tridiagonal_lowest_rejects_non_finite_entries(where):
+    operator = assemble_tridiagonal(OSCILLATOR, GridSpec(-5.0, 5.0, 64))
+    getattr(operator, where)[3] = np.nan
+    with pytest.raises(ValueError, match="finite"):
+        solve_lowest_k(operator, 2)
+    with pytest.raises(ValueError, match="finite"):
+        _tridiagonal_lowest(operator.diagonal, operator.off_diagonal, 2, vectors=False)
 
 
 # ---------------------------------------------------------------------------
