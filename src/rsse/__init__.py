@@ -1,26 +1,13 @@
 """Stationary Schrodinger eigensolvers with a relativistic binding-energy
-correction, matter-wave kinematics, and space-time-inversion checks."""
+correction, matter-wave kinematics, and space-time-inversion checks.
+
+The solver names (``solve_lowest_k``, ``numerov_solve``, ...) are resolved
+from :mod:`rsse.eigensolver` on first access, so ``import rsse`` and the
+analytic parts of the package load neither numpy nor scipy.
+"""
 
 __version__ = "0.1.0"
 
-from .eigensolver import (
-    BracketError,
-    ConvergenceError,
-    EigenResult,
-    GridSpec,
-    PotentialSpec,
-    RadialProblem,
-    TridiagonalOperator,
-    WrongStateError,
-    assemble_tridiagonal,
-    convergence_order,
-    effective_potential,
-    numerov_solve,
-    rayleigh_quotient,
-    reduce_two_body,
-    solve_lowest_k,
-    solve_numerov_lowest_k,
-)
 from .inversion import (
     ANTIMATTER,
     MATTER,
@@ -51,6 +38,16 @@ from .kinematics import (
     wave_from_particle,
 )
 from .presets import SolverPreset, builtin_presets, load_presets
+from .problem import (
+    BracketError,
+    ConvergenceError,
+    GridSpec,
+    PotentialSpec,
+    RadialProblem,
+    WrongStateError,
+    effective_potential,
+    reduce_two_body,
+)
 from .spectra import (
     BindingReport,
     BindingRow,
@@ -136,3 +133,28 @@ __all__ = [
     "velocities",
     "wave_from_particle",
 ]
+
+# names of ``__all__`` bound from ``rsse.eigensolver`` when first read
+_EIGENSOLVER_NAMES = frozenset({
+    "EigenResult",
+    "TridiagonalOperator",
+    "assemble_tridiagonal",
+    "convergence_order",
+    "numerov_solve",
+    "rayleigh_quotient",
+    "solve_lowest_k",
+    "solve_numerov_lowest_k",
+})
+
+
+def __getattr__(name):
+    if name in _EIGENSOLVER_NAMES:
+        from . import eigensolver
+
+        value = globals()[name] = getattr(eigensolver, name)
+        return value
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted(set(globals()) | _EIGENSOLVER_NAMES)

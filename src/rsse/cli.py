@@ -22,20 +22,9 @@ import json
 import math
 import sys
 from pathlib import Path
-from typing import Any, Callable, Optional, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Optional, Sequence
 
 from . import __version__
-from .eigensolver import (
-    BracketError,
-    ConvergenceError,
-    GridSpec,
-    WrongStateError,
-    assemble_tridiagonal,
-    convergence_order,
-    solve_lowest_k,
-    solve_numerov_lowest_k,
-    solve_state,
-)
 from .inversion import (
     dirac_theta_chi,
     effective_mass,
@@ -54,8 +43,44 @@ from .kinematics import (
 # load_presets, bohr_level and oscillator_level are unused here but stay
 # importable: benchmark tracers wrap the layer functions in this namespace
 from .presets import get_preset, load_presets, parse_kv_file  # noqa: F401
+from .problem import BracketError, ConvergenceError, GridSpec, WrongStateError
 from .spectra import analytic_level, bohr_level, compare_report, oscillator_level  # noqa: F401
 from .units import ATOMIC
+
+# the solver functions load with ``rsse.eigensolver`` (and numpy) on the first
+# solve, so the analytic commands never import it.  They are still attributes
+# of this module: reading one binds them all, and a value set from outside
+# before the first solve (a benchmark tracer's wrapper) is kept
+if TYPE_CHECKING:
+    from .eigensolver import (
+        assemble_tridiagonal,
+        convergence_order,
+        solve_lowest_k,
+        solve_numerov_lowest_k,
+        solve_state,
+    )
+
+_SOLVERS = (
+    "assemble_tridiagonal",
+    "convergence_order",
+    "solve_lowest_k",
+    "solve_numerov_lowest_k",
+    "solve_state",
+)
+
+
+def _bind_solvers() -> None:
+    from . import eigensolver
+
+    for name in _SOLVERS:
+        globals().setdefault(name, getattr(eigensolver, name))
+
+
+def __getattr__(name: str) -> Any:
+    if name in _SOLVERS:
+        _bind_solvers()
+        return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def _fmt(value: Any) -> str:
@@ -104,6 +129,7 @@ def _write_report(
 
 
 def _cmd_solve(config: dict[str, Any]) -> int:
+    _bind_solvers()
     preset = get_preset(config["preset"])
     base = preset.fd_grid if config["method"] == "fd" else preset.numerov_grid
     # the configuration overrides the preset's grid; the header echoes the grid used
@@ -247,6 +273,7 @@ def _cmd_invert_demo(config: dict[str, Any]) -> int:
 
 
 def _cmd_convergence(config: dict[str, Any]) -> int:
+    _bind_solvers()
     preset = get_preset(config["preset"])
     problem = preset.problem
     n_index, method = config["n_index"], config["method"]

@@ -28,9 +28,13 @@ The three LAPACK routines come from scipy's compiled wrapper module
 first solve; the ``scipy`` and ``scipy.linalg`` packages are never imported.
 Their ~0.3 s import is mostly a copy of numpy's namespace that loads
 ``numpy.f2py``, ``numpy.testing`` and more, none of which rsse uses; the
-extension alone loads in ~10 ms.  Every rsse module imports this one, so the
-analytic commands (``kinematics``, ``invert-demo``, ``compare``) start on
-numpy alone.
+extension alone loads in ~10 ms.
+
+This is the only rsse module that imports numpy at module level.  The problem
+description (:class:`GridSpec`, :class:`RadialProblem`, ...) lives in
+:mod:`rsse.problem` and is re-exported here, so the analytic commands
+(``kinematics``, ``invert-demo``, ``compare``) load neither numpy nor scipy,
+and ``solve`` and ``convergence`` import this module on their first solve.
 """
 
 from __future__ import annotations
@@ -45,200 +49,19 @@ from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .units import ATOMIC, UnitSystem
-
-
-class ConvergenceError(RuntimeError):
-    """An iterative eigenvalue search failed to reach its tolerance."""
-
-
-class BracketError(ValueError):
-    """The matching function has no sign change over the supplied bracket."""
-
-
-class WrongStateError(ValueError):
-    """Node counting shows the bracket or the converged state is not the target."""
-
-
-# ---------------------------------------------------------------------------
-# problem description
-# ---------------------------------------------------------------------------
-
-_POTENTIAL_KINDS = ("harmonic", "coulomb", "finite_well", "infinite_well", "tabulated")
-
-
-def _check_positive(what: str, value: float) -> None:
-    if not 0.0 < value < math.inf:
-        raise ValueError(f"{what} must be positive and finite, got {value}")
-
-
-@dataclass(frozen=True)
-class PotentialSpec:
-    """One of the supported interaction potentials.
-
-    Use the factory methods rather than the raw constructor; they validate
-    the parameters that each kind actually needs.
-    """
-
-    kind: str
-    omega: Optional[float] = None
-    Z: Optional[float] = None
-    V0: Optional[float] = None
-    a: Optional[float] = None
-    r_samples: Optional[tuple] = None
-    V_samples: Optional[tuple] = None
-
-    def __post_init__(self) -> None:
-        if self.kind not in _POTENTIAL_KINDS:
-            raise ValueError(
-                f"unknown potential kind {self.kind!r}; expected one of {_POTENTIAL_KINDS}"
-            )
-        for name in ("r_samples", "V_samples"):  # tuples keep every spec hashable
-            if getattr(self, name) is not None:
-                object.__setattr__(self, name, tuple(map(float, getattr(self, name))))
-
-    @staticmethod
-    def harmonic(omega: float) -> "PotentialSpec":
-        _check_positive("harmonic frequency", omega)
-        return PotentialSpec(kind="harmonic", omega=omega)
-
-    @staticmethod
-    def coulomb(Z: float) -> "PotentialSpec":
-        _check_positive("coulomb charge", Z)
-        return PotentialSpec(kind="coulomb", Z=Z)
-
-    @staticmethod
-    def finite_well(V0: float, a: float) -> "PotentialSpec":
-        _check_positive("finite well depth V0", V0)
-        _check_positive("finite well half-width a", a)
-        return PotentialSpec(kind="finite_well", V0=V0, a=a)
-
-    @staticmethod
-    def infinite_well(a: float) -> "PotentialSpec":
-        """Zero potential between hard walls that are the grid ends.
-
-        ``a`` is validated and stored but places no wall: the Dirichlet
-        boundary at ``r_min`` and ``r_max`` of the solving grid does.
-        """
-        _check_positive("well width", a)
-        return PotentialSpec(kind="infinite_well", a=a)
-
-    @staticmethod
-    def tabulated(r_samples: Sequence[float], V_samples: Sequence[float]) -> "PotentialSpec":
-        r = tuple(float(x) for x in r_samples)
-        v = tuple(float(x) for x in V_samples)
-        if len(r) != len(v) or len(r) < 2:
-            raise ValueError("tabulated potential needs matching r and V samples (>= 2)")
-        if not all(map(math.isfinite, r + v)):
-            raise ValueError("tabulated samples must be finite")
-        if any(b <= a for a, b in zip(r, r[1:])):
-            raise ValueError("tabulated r samples must be strictly increasing")
-        return PotentialSpec(kind="tabulated", r_samples=r, V_samples=v)
-
-    @property
-    def singular_at_origin(self) -> bool:
-        return self.kind == "coulomb"
-
-    def evaluate(self, r: np.ndarray, mu: float = 1.0) -> np.ndarray:
-        """Potential values on the given radii (hartree)."""
-        r = np.asarray(r, dtype=float)
-        if self.kind == "harmonic":
-            return 0.5 * mu * self.omega**2 * r * r
-        if self.kind == "coulomb":
-            return -self.Z / r
-        if self.kind == "finite_well":
-            return np.where(np.abs(r) < self.a, -self.V0, 0.0)
-        if self.kind == "infinite_well":
-            # walls live in the Dirichlet boundary, not in V
-            return np.zeros_like(r)
-        return np.interp(r, self.r_samples, self.V_samples)
-
-    def asymptote(self) -> float:
-        """lim V(r -> infinity); bound states must lie below this."""
-        if self.kind in ("harmonic", "infinite_well"):
-            return math.inf
-        if self.kind == "tabulated":
-            return self.V_samples[-1]
-        return 0.0
-
-
-@dataclass(frozen=True)
-class GridSpec:
-    """Uniform grid with n nodes on [r_min, r_max]."""
-
-    r_min: float
-    r_max: float
-    n: int
-
-    def __post_init__(self) -> None:
-        if not -math.inf < self.r_min < self.r_max < math.inf:
-            raise ValueError(f"need finite r_min < r_max, got [{self.r_min}, {self.r_max}]")
-        if self.n < 16:
-            raise ValueError(f"grid needs at least 16 nodes, got {self.n}")
-
-    @property
-    def h(self) -> float:
-        return (self.r_max - self.r_min) / (self.n - 1)
-
-    def nodes(self) -> np.ndarray:
-        return np.linspace(self.r_min, self.r_max, self.n)
-
-
-@dataclass(frozen=True)
-class RadialProblem:
-    """Potential, angular momentum and masses defining one eigenproblem.
-
-    ``mu`` is the mass in the kinetic term; ``M`` is the summed rest mass of
-    the constituents (equal to mu for a single particle in an external
-    potential, and at most M/2 after a two-body reduction).
-    """
-
-    potential: PotentialSpec
-    l: int = 0
-    mu: float = 1.0
-    M: float = 1.0
-    units: UnitSystem = ATOMIC
-
-    def __post_init__(self) -> None:
-        _check_positive("reduced mass", self.mu)
-        _check_positive("total rest mass", self.M)
-        if self.l < 0:
-            raise ValueError(f"angular momentum must be nonnegative, got {self.l}")
-        if self.mu != self.M and self.mu > 0.5 * self.M * (1.0 + 1e-12):
-            raise ValueError(
-                f"mu = {self.mu} is inconsistent: a two-body reduced mass is at most "
-                f"M/2 = {0.5 * self.M} (single particles have mu = M)"
-            )
-
-
-def reduce_two_body(
-    m1: float,
-    m2: float,
-    potential: PotentialSpec,
-    l: int = 0,
-    units: UnitSystem = ATOMIC,
-) -> RadialProblem:
-    """Reduce two interacting masses to an effective one-body radial problem."""
-    if not (m1 > 0.0 and m2 > 0.0):
-        raise ValueError(f"masses must be positive, got {m1}, {m2}")
-    return RadialProblem(potential, l=l, mu=m1 * m2 / (m1 + m2), M=m1 + m2, units=units)
-
-
-def effective_potential(problem: RadialProblem, r: np.ndarray) -> np.ndarray:
-    """V(r) plus the centrifugal term hbar**2 l(l+1) / (2 mu r**2)."""
-    v = problem.potential.evaluate(r, problem.mu)
-    if problem.l > 0:
-        hbar = problem.units.hbar
-        v = v + hbar * hbar * problem.l * (problem.l + 1) / (2.0 * problem.mu * r * r)
-    return v
-
-
-def _check_origin(problem: RadialProblem, grid: GridSpec) -> None:
-    if (problem.potential.singular_at_origin or problem.l > 0) and grid.r_min <= 0.0:
-        raise ValueError(
-            "the effective potential is singular at r = 0; "
-            f"choose r_min > 0 (got r_min = {grid.r_min})"
-        )
+# the problem types and errors live in the numpy-free ``problem`` module and
+# keep their ``rsse.eigensolver`` paths
+from .problem import (  # noqa: F401
+    BracketError,
+    ConvergenceError,
+    GridSpec,
+    PotentialSpec,
+    RadialProblem,
+    WrongStateError,
+    _check_origin,
+    effective_potential,
+    reduce_two_body,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -359,11 +182,26 @@ def _lapack():
     """scipy's compiled LAPACK wrappers, ``scipy.linalg._flapack``, loaded from their file.
 
     ``find_spec`` locates the scipy package without running its
-    ``__init__``, so neither ``scipy`` nor ``scipy.linalg`` is imported.
+    ``__init__``, so neither ``scipy`` nor ``scipy.linalg`` is imported.  The
+    file is the first that exists of ``_flapack`` with each extension suffix
+    in turn, the order importlib's own finder uses.
+
+    Raises
+    ------
+    ImportError
+        If scipy is not installed or none of those files exists.
     """
-    scipy_dir = importlib.util.find_spec("scipy").submodule_search_locations[0]
-    suffix = importlib.machinery.EXTENSION_SUFFIXES[0]
-    path = os.path.join(scipy_dir, "linalg", "_flapack" + suffix)
+    scipy = importlib.util.find_spec("scipy")
+    if scipy is None or not scipy.submodule_search_locations:
+        raise ImportError("the solvers need scipy's LAPACK wrappers, but scipy is not installed")
+    stem = os.path.join(scipy.submodule_search_locations[0], "linalg", "_flapack")
+    paths = [stem + suffix for suffix in importlib.machinery.EXTENSION_SUFFIXES]
+    path = next((path for path in paths if os.path.isfile(path)), None)
+    if path is None:
+        raise ImportError(
+            "the solvers need scipy's LAPACK wrappers scipy.linalg._flapack; "
+            f"none of these files exists: {', '.join(paths)}"
+        )
     spec = importlib.util.spec_from_file_location("scipy.linalg._flapack", path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)

@@ -17,12 +17,14 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, replace
+from typing import TYPE_CHECKING
 
-import numpy as np
-
-from .eigensolver import GridSpec
 from .kinematics import _check_rest_mass, gamma_factor, momentum, total_energy
+from .problem import GridSpec
 from .units import ATOMIC, UnitSystem
+
+if TYPE_CHECKING:
+    import numpy as np
 
 MATTER = "matter"
 ANTIMATTER = "antimatter"
@@ -185,6 +187,8 @@ def time_reversal_check(
     evaluated with the second-difference H on the interior nodes.  For a
     real eigenfunction this equals the residual of psi itself.
     """
+    import numpy as np
+
     psi = np.asarray(psi_spatial, dtype=complex)
     v = np.asarray(potential, dtype=float)
     if psi.shape[0] != grid.n or v.shape[0] != grid.n:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
 
-from .eigensolver import GridSpec, PotentialSpec, RadialProblem, reduce_two_body
+from .problem import GridSpec, PotentialSpec, RadialProblem, reduce_two_body
 from .units import PROTON_ELECTRON_MASS_RATIO
 
 PRESET_DIR_ENV = "RSSE_PRESET_DIR"

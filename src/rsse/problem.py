@@ -1,0 +1,213 @@
+"""The description of one eigenproblem: potential, grid, masses and units.
+
+These are the inputs of both solvers in :mod:`rsse.eigensolver` and of the
+analytic levels in :mod:`rsse.spectra`, together with the errors the
+solvers raise.  The module imports no numpy: only
+:meth:`PotentialSpec.evaluate` and :meth:`GridSpec.nodes` make arrays, and
+they import it when called, so the analytic commands (``kinematics``,
+``invert-demo``, ``compare``) start without numpy or scipy.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Optional, Sequence
+
+from .units import ATOMIC, UnitSystem
+
+if TYPE_CHECKING:
+    import numpy as np
+
+
+class ConvergenceError(RuntimeError):
+    """An iterative eigenvalue search failed to reach its tolerance."""
+
+
+class BracketError(ValueError):
+    """The matching function has no sign change over the supplied bracket."""
+
+
+class WrongStateError(ValueError):
+    """Node counting shows the bracket or the converged state is not the target."""
+
+
+_POTENTIAL_KINDS = ("harmonic", "coulomb", "finite_well", "infinite_well", "tabulated")
+
+
+def _check_positive(what: str, value: float) -> None:
+    if not 0.0 < value < math.inf:
+        raise ValueError(f"{what} must be positive and finite, got {value}")
+
+
+@dataclass(frozen=True)
+class PotentialSpec:
+    """One of the supported interaction potentials.
+
+    Use the factory methods rather than the raw constructor; they validate
+    the parameters that each kind actually needs.
+    """
+
+    kind: str
+    omega: Optional[float] = None
+    Z: Optional[float] = None
+    V0: Optional[float] = None
+    a: Optional[float] = None
+    r_samples: Optional[tuple] = None
+    V_samples: Optional[tuple] = None
+
+    def __post_init__(self) -> None:
+        if self.kind not in _POTENTIAL_KINDS:
+            raise ValueError(
+                f"unknown potential kind {self.kind!r}; expected one of {_POTENTIAL_KINDS}"
+            )
+        for name in ("r_samples", "V_samples"):  # tuples keep every spec hashable
+            if getattr(self, name) is not None:
+                object.__setattr__(self, name, tuple(map(float, getattr(self, name))))
+
+    @staticmethod
+    def harmonic(omega: float) -> "PotentialSpec":
+        _check_positive("harmonic frequency", omega)
+        return PotentialSpec(kind="harmonic", omega=omega)
+
+    @staticmethod
+    def coulomb(Z: float) -> "PotentialSpec":
+        _check_positive("coulomb charge", Z)
+        return PotentialSpec(kind="coulomb", Z=Z)
+
+    @staticmethod
+    def finite_well(V0: float, a: float) -> "PotentialSpec":
+        _check_positive("finite well depth V0", V0)
+        _check_positive("finite well half-width a", a)
+        return PotentialSpec(kind="finite_well", V0=V0, a=a)
+
+    @staticmethod
+    def infinite_well(a: float) -> "PotentialSpec":
+        """Zero potential between hard walls that are the grid ends.
+
+        ``a`` is validated and stored but places no wall: the Dirichlet
+        boundary at ``r_min`` and ``r_max`` of the solving grid does.
+        """
+        _check_positive("well width", a)
+        return PotentialSpec(kind="infinite_well", a=a)
+
+    @staticmethod
+    def tabulated(r_samples: Sequence[float], V_samples: Sequence[float]) -> "PotentialSpec":
+        r = tuple(float(x) for x in r_samples)
+        v = tuple(float(x) for x in V_samples)
+        if len(r) != len(v) or len(r) < 2:
+            raise ValueError("tabulated potential needs matching r and V samples (>= 2)")
+        if not all(map(math.isfinite, r + v)):
+            raise ValueError("tabulated samples must be finite")
+        if any(b <= a for a, b in zip(r, r[1:])):
+            raise ValueError("tabulated r samples must be strictly increasing")
+        return PotentialSpec(kind="tabulated", r_samples=r, V_samples=v)
+
+    @property
+    def singular_at_origin(self) -> bool:
+        return self.kind == "coulomb"
+
+    def evaluate(self, r: np.ndarray, mu: float = 1.0) -> np.ndarray:
+        """Potential values on the given radii (hartree)."""
+        import numpy as np
+
+        r = np.asarray(r, dtype=float)
+        if self.kind == "harmonic":
+            return 0.5 * mu * self.omega**2 * r * r
+        if self.kind == "coulomb":
+            return -self.Z / r
+        if self.kind == "finite_well":
+            return np.where(np.abs(r) < self.a, -self.V0, 0.0)
+        if self.kind == "infinite_well":
+            # walls live in the Dirichlet boundary, not in V
+            return np.zeros_like(r)
+        return np.interp(r, self.r_samples, self.V_samples)
+
+    def asymptote(self) -> float:
+        """lim V(r -> infinity); bound states must lie below this."""
+        if self.kind in ("harmonic", "infinite_well"):
+            return math.inf
+        if self.kind == "tabulated":
+            return self.V_samples[-1]
+        return 0.0
+
+
+@dataclass(frozen=True)
+class GridSpec:
+    """Uniform grid with n nodes on [r_min, r_max]."""
+
+    r_min: float
+    r_max: float
+    n: int
+
+    def __post_init__(self) -> None:
+        if not -math.inf < self.r_min < self.r_max < math.inf:
+            raise ValueError(f"need finite r_min < r_max, got [{self.r_min}, {self.r_max}]")
+        if self.n < 16:
+            raise ValueError(f"grid needs at least 16 nodes, got {self.n}")
+
+    @property
+    def h(self) -> float:
+        return (self.r_max - self.r_min) / (self.n - 1)
+
+    def nodes(self) -> np.ndarray:
+        import numpy as np
+
+        return np.linspace(self.r_min, self.r_max, self.n)
+
+
+@dataclass(frozen=True)
+class RadialProblem:
+    """Potential, angular momentum and masses defining one eigenproblem.
+
+    ``mu`` is the mass in the kinetic term; ``M`` is the summed rest mass of
+    the constituents (equal to mu for a single particle in an external
+    potential, and at most M/2 after a two-body reduction).
+    """
+
+    potential: PotentialSpec
+    l: int = 0
+    mu: float = 1.0
+    M: float = 1.0
+    units: UnitSystem = ATOMIC
+
+    def __post_init__(self) -> None:
+        _check_positive("reduced mass", self.mu)
+        _check_positive("total rest mass", self.M)
+        if self.l < 0:
+            raise ValueError(f"angular momentum must be nonnegative, got {self.l}")
+        if self.mu != self.M and self.mu > 0.5 * self.M * (1.0 + 1e-12):
+            raise ValueError(
+                f"mu = {self.mu} is inconsistent: a two-body reduced mass is at most "
+                f"M/2 = {0.5 * self.M} (single particles have mu = M)"
+            )
+
+
+def reduce_two_body(
+    m1: float,
+    m2: float,
+    potential: PotentialSpec,
+    l: int = 0,
+    units: UnitSystem = ATOMIC,
+) -> RadialProblem:
+    """Reduce two interacting masses to an effective one-body radial problem."""
+    if not (m1 > 0.0 and m2 > 0.0):
+        raise ValueError(f"masses must be positive, got {m1}, {m2}")
+    return RadialProblem(potential, l=l, mu=m1 * m2 / (m1 + m2), M=m1 + m2, units=units)
+
+
+def effective_potential(problem: RadialProblem, r: np.ndarray) -> np.ndarray:
+    """V(r) plus the centrifugal term hbar**2 l(l+1) / (2 mu r**2)."""
+    v = problem.potential.evaluate(r, problem.mu)
+    if problem.l > 0:
+        hbar = problem.units.hbar
+        v = v + hbar * hbar * problem.l * (problem.l + 1) / (2.0 * problem.mu * r * r)
+    return v
+
+
+def _check_origin(problem: RadialProblem, grid: GridSpec) -> None:
+    if (problem.potential.singular_at_origin or problem.l > 0) and grid.r_min <= 0.0:
+        raise ValueError(
+            "the effective potential is singular at r = 0; "
+            f"choose r_min > 0 (got r_min = {grid.r_min})"
+        )

@@ -21,7 +21,7 @@ import math
 from dataclasses import dataclass, replace
 from typing import Optional
 
-from .eigensolver import GridSpec, RadialProblem, _check_origin
+from .problem import GridSpec, RadialProblem, _check_origin
 from .presets import get_preset
 from .units import ATOMIC, UnitSystem
 

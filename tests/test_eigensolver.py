@@ -1,4 +1,6 @@
 import functools
+import importlib.machinery
+import importlib.util
 import math
 
 import numpy as np
@@ -345,6 +347,37 @@ def test_loaded_dtbtrs_matches_scipy():
     x_ref, info_ref = dtbtrs(ab, b, uplo="L")
     assert info == info_ref == 0
     assert np.array_equal(x, x_ref)
+
+
+@pytest.fixture
+def fresh_lapack():
+    """``_lapack`` with an empty cache, emptied again afterwards."""
+    _lapack.cache_clear()
+    yield _lapack
+    _lapack.cache_clear()
+
+
+def test_lapack_without_scipy_raises_import_error(fresh_lapack, monkeypatch):
+    monkeypatch.setattr(importlib.util, "find_spec", lambda name: None)
+    with pytest.raises(ImportError, match="scipy is not installed"):
+        fresh_lapack()
+
+
+def test_lapack_names_every_path_it_tried(fresh_lapack, monkeypatch, tmp_path):
+    (tmp_path / "linalg").mkdir()
+    spec = importlib.machinery.ModuleSpec("scipy", None, is_package=True)
+    spec.submodule_search_locations = [str(tmp_path)]
+    monkeypatch.setattr(importlib.util, "find_spec", lambda name: spec)
+    with pytest.raises(ImportError, match="scipy.linalg._flapack") as excinfo:
+        fresh_lapack()
+    for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+        assert str(tmp_path / "linalg" / ("_flapack" + suffix)) in str(excinfo.value)
+
+
+def test_lapack_tries_each_extension_suffix(fresh_lapack, monkeypatch):
+    suffixes = [".missing.so", *importlib.machinery.EXTENSION_SUFFIXES]
+    monkeypatch.setattr(importlib.machinery, "EXTENSION_SUFFIXES", suffixes)
+    assert fresh_lapack().__file__.endswith("_flapack" + suffixes[1])
 
 
 @pytest.mark.parametrize("where", ["diagonal", "off_diagonal"])

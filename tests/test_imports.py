@@ -1,10 +1,13 @@
-"""The import graph: no command imports the scipy package.
+"""The import graph and the lazily bound solver names.
 
-The analytic commands load nothing of scipy; the solvers load only its
-compiled LAPACK extension, ``scipy.linalg._flapack``, from its file.
+The analytic commands load neither numpy nor scipy: ``rsse.eigensolver`` is
+the only module that imports numpy at module level, and ``rsse`` and
+``rsse.cli`` import it on the first read of a solver name or the first
+solve.  The solvers then load only scipy's compiled LAPACK extension,
+``scipy.linalg._flapack``, from its file, never the scipy package.
 
-Each case starts a fresh interpreter, so modules imported by other tests
-do not leak into ``sys.modules``.
+Each import-graph case starts a fresh interpreter, so modules imported by
+other tests do not leak into ``sys.modules``.
 """
 
 import json
@@ -14,6 +17,9 @@ import sys
 from pathlib import Path
 
 import pytest
+
+import rsse
+import rsse.eigensolver
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -25,22 +31,28 @@ with contextlib.redirect_stdout(io.StringIO()):
     code = rsse.cli.main({argv!r})
 assert code == 0, code
 """
-# prints the loaded scipy modules as JSON on stderr
+# prints the loaded numpy and scipy modules as JSON on stderr
 REPORT = """
 import json, sys
-print(json.dumps(sorted(m for m in sys.modules if m.startswith("scipy"))), file=sys.stderr)
+loaded = (m for m in sys.modules if m.split(".")[0] == "numpy" or m.startswith("scipy"))
+print(json.dumps(sorted(loaded)), file=sys.stderr)
 """
 
 
-def scipy_modules_after(code):
+def run_fresh(code):
+    """Run ``code`` in a fresh interpreter; returns its stderr."""
     result = subprocess.run(
-        [sys.executable, "-c", code + REPORT],
+        [sys.executable, "-c", code],
         env={**os.environ, "PYTHONPATH": str(SRC)},
         capture_output=True,
         text=True,
     )
     assert result.returncode == 0, result.stderr
-    return json.loads(result.stderr.splitlines()[-1])
+    return result.stderr
+
+
+def array_modules_after(code):
+    return json.loads(run_fresh(code + REPORT).splitlines()[-1])
 
 
 @pytest.mark.parametrize(
@@ -55,7 +67,8 @@ def scipy_modules_after(code):
     ids=["import-rsse", "import-rsse.cli", "kinematics", "invert-demo", "compare"],
 )
 def test_analytic_paths_load_no_scipy(code):
-    assert scipy_modules_after(code) == []
+    # and no numpy either
+    assert array_modules_after(code) == []
 
 
 @pytest.mark.parametrize(
@@ -68,5 +81,102 @@ def test_analytic_paths_load_no_scipy(code):
     ids=["solve-fd", "solve-numerov", "convergence-fd"],
 )
 def test_solvers_load_only_the_lapack_extension(argv):
+    loaded = array_modules_after(RUN_MAIN.format(argv=argv))
+    assert "numpy" in loaded
     # neither scipy nor scipy.linalg; the extension itself may be registered
-    assert set(scipy_modules_after(RUN_MAIN.format(argv=argv))) <= {"scipy.linalg._flapack"}
+    assert {m for m in loaded if m.startswith("scipy")} <= {"scipy.linalg._flapack"}
+
+
+# ---------------------------------------------------------------------------
+# the rsse namespace
+# ---------------------------------------------------------------------------
+
+EIGENSOLVER_NAMES = [
+    "EigenResult",
+    "TridiagonalOperator",
+    "assemble_tridiagonal",
+    "convergence_order",
+    "numerov_solve",
+    "rayleigh_quotient",
+    "solve_lowest_k",
+    "solve_numerov_lowest_k",
+]
+
+
+def test_every_public_name_resolves():
+    for name in rsse.__all__:
+        assert getattr(rsse, name) is not None, name
+    namespace = {}
+    exec("from rsse import *", namespace)
+    assert set(rsse.__all__) <= set(namespace)
+
+
+@pytest.mark.parametrize(
+    "name", [*EIGENSOLVER_NAMES, "GridSpec", "RadialProblem", "ConvergenceError"]
+)
+def test_solver_names_are_the_eigensolver_objects(name):
+    assert name in rsse.__all__
+    assert getattr(rsse, name) is getattr(rsse.eigensolver, name)
+
+
+def test_dir_lists_all_public_names():
+    # fresh, so that no earlier read has bound the eigensolver names
+    run_fresh(
+        "import sys\n"
+        "import rsse\n"
+        "assert set(rsse.__all__) <= set(dir(rsse))\n"
+        "assert 'numpy' not in sys.modules\n"
+    )
+
+
+def test_unknown_attribute_raises_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        rsse.no_such_name  # noqa: B018
+    assert not hasattr(rsse, "no_such_name")
+
+
+def test_first_read_of_a_solver_name_loads_the_eigensolver():
+    run_fresh(
+        "import sys\n"
+        "import rsse\n"
+        "assert 'rsse.eigensolver' not in sys.modules\n"
+        "solve = rsse.solve_lowest_k\n"
+        "assert solve is sys.modules['rsse.eigensolver'].solve_lowest_k\n"
+    )
+
+
+# ---------------------------------------------------------------------------
+# rsse.cli keeps wrappers set before the first solve
+# ---------------------------------------------------------------------------
+
+WRAP_BEFORE_FIRST_SOLVE = """
+import collections, contextlib, io, sys
+import rsse.cli
+assert "rsse.eigensolver" not in sys.modules
+calls = collections.Counter()
+
+def counting(name, fn):
+    def wrapper(*args, **kwargs):
+        calls[name] += 1
+        return fn(*args, **kwargs)
+    return wrapper
+
+# as a benchmark tracer does: read the name from rsse.cli, set a wrapper
+for name in ("solve_lowest_k", "solve_numerov_lowest_k", "convergence_order"):
+    setattr(rsse.cli, name, counting(name, getattr(rsse.cli, name)))
+with contextlib.redirect_stdout(io.StringIO()):
+    for argv in (
+        ["solve", "--n-max", "1"],
+        ["solve", "--n-max", "1", "--method", "numerov"],
+        ["convergence"],
+    ):
+        assert rsse.cli.main(argv) == 0, argv
+print(dict(calls), file=sys.stderr)
+"""
+
+
+def test_cli_keeps_wrappers_set_before_the_first_solve():
+    calls = run_fresh(WRAP_BEFORE_FIRST_SOLVE).splitlines()[-1]
+    assert calls == str(
+        {"solve_lowest_k": 1, "solve_numerov_lowest_k": 1, "convergence_order": 1}
+    )
