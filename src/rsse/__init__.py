@@ -134,17 +134,8 @@ __all__ = [
     "wave_from_particle",
 ]
 
-# names of ``__all__`` bound from ``rsse.eigensolver`` when first read
-_EIGENSOLVER_NAMES = frozenset({
-    "EigenResult",
-    "TridiagonalOperator",
-    "assemble_tridiagonal",
-    "convergence_order",
-    "numerov_solve",
-    "rayleigh_quotient",
-    "solve_lowest_k",
-    "solve_numerov_lowest_k",
-})
+# the names of ``__all__`` not bound above come from ``rsse.eigensolver`` when first read
+_EIGENSOLVER_NAMES = frozenset(__all__).difference(globals())
 
 
 def __getattr__(name):

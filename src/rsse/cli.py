@@ -10,8 +10,7 @@ deterministic for a fixed configuration and package version.
 
 Exit codes: 0 on success, 2 on usage or domain errors (a Numerov grid too
 coarse for its stencil among them), 3 on numerical failure
-(non-convergence, a bracket that collapses without the energy correction
-falling, or a state with the wrong node count).
+(non-convergence or a state with the wrong node count).
 """
 
 from __future__ import annotations
@@ -179,18 +178,10 @@ def _dump_wavefunctions(config: dict[str, Any], result) -> None:
 
 def _cmd_compare(config: dict[str, Any]) -> int:
     report = compare_report(config["preset"], config["n_max"])
-    rows = []
-    for row in report.rows:
-        cells: dict[str, Any] = {
-            "state": row.state,
-            "epsilon": row.epsilon,
-            "B_nonrel": row.B_nonrel,
-            "B_rel": row.B_rel,
-        }
-        if report.has_dirac:
-            cells["B_dirac"] = row.B_dirac
-            cells["delta_rel_vs_dirac"] = row.delta_rel_vs_dirac
-        rows.append(cells)
+    columns = ["state", "epsilon", "B_nonrel", "B_rel"]
+    if report.has_dirac:
+        columns += ["B_dirac", "delta_rel_vs_dirac"]
+    rows = [{column: getattr(row, column) for column in columns} for row in report.rows]
     extra = {"mu": report.mu, "M": report.M}
     _write_report(config, rows, extra)
     return 0

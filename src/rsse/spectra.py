@@ -241,45 +241,36 @@ def compare_report(system: str, n_max: int, units: UnitSystem = ATOMIC) -> Bindi
     potential, mu = problem.potential, problem.mu
     has_dirac = potential.kind == "coulomb"
     rows: list[BindingRow] = []
+
+    def add_row(state: str, n: int, l: Optional[int], j: Optional[float], eps: float) -> None:
+        b_rel = binding_relativistic(eps, problem.M, units)
+        b_dirac = None
+        if has_dirac:
+            # unit-mass Dirac benchmark, scaled to the reduced mass
+            b_dirac = mu * dirac_coulomb_level(potential.Z, n, j, units)[1]
+        rows.append(
+            BindingRow(
+                state=state,
+                n=n,
+                l=l,
+                j=j,
+                epsilon=eps,
+                B_nonrel=binding_nonrel(eps),
+                B_rel=b_rel,
+                B_dirac=b_dirac,
+                delta_rel_vs_dirac=None if b_dirac is None else b_rel - b_dirac,
+            )
+        )
+
     if has_dirac:
         for n in range(1, n_max + 1):
             for l in range(n):
                 eps = analytic_level(replace(problem, l=l), n - l - 1, grid)
-                b_rel = binding_relativistic(eps, problem.M, units)
-                j_values = [l - 0.5, l + 0.5] if l > 0 else [0.5]
-                for j in j_values:
-                    # unit-mass Dirac benchmark, scaled to the reduced mass
-                    _, b_unit = dirac_coulomb_level(potential.Z, n, j, units)
-                    b_dirac = mu * b_unit
-                    rows.append(
-                        BindingRow(
-                            state=state_label(n, l, j),
-                            n=n,
-                            l=l,
-                            j=j,
-                            epsilon=eps,
-                            B_nonrel=binding_nonrel(eps),
-                            B_rel=b_rel,
-                            B_dirac=b_dirac,
-                            delta_rel_vs_dirac=b_rel - b_dirac,
-                        )
-                    )
+                for j in [l - 0.5, l + 0.5] if l > 0 else [0.5]:
+                    add_row(state_label(n, l, j), n, l, j, eps)
     else:
         for idx in range(n_max):
-            eps = analytic_level(problem, idx, grid)
-            rows.append(
-                BindingRow(
-                    state=f"n{idx}",
-                    n=idx,
-                    l=None,
-                    j=None,
-                    epsilon=eps,
-                    B_nonrel=binding_nonrel(eps),
-                    B_rel=binding_relativistic(eps, problem.M, units),
-                    B_dirac=None,
-                    delta_rel_vs_dirac=None,
-                )
-            )
+            add_row(f"n{idx}", idx, None, None, analytic_level(problem, idx, grid))
     return BindingReport(
         system=system,
         n_max=n_max,

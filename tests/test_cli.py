@@ -640,6 +640,24 @@ def test_unknown_config_key_rejected(tmp_path, capsys):
     assert "mystery" in capsys.readouterr().err
 
 
+def test_config_file_skips_comments_and_blank_lines(tmp_path):
+    cfg = tmp_path / "run.conf"
+    cfg.write_text("# positronium\n\npreset = positronium\n   \n  # two shells\nn_max = 2\n")
+    code, text = run_csv(tmp_path, ["compare", "--config", str(cfg)])
+    assert code == 0
+    header = csv_header(text)
+    assert header["preset"] == "positronium" and header["n_max"] == "2"
+
+
+def test_config_line_without_equals_exits_2_naming_the_file(tmp_path, capsys):
+    cfg = tmp_path / "run.conf"
+    cfg.write_text("preset = hydrogen\nn_max 2\n")
+    code = main(["compare", "--config", str(cfg), "--output", str(tmp_path / "x.csv")])
+    assert code == 2
+    assert f"{cfg}: expected 'key = value', got 'n_max 2'" in capsys.readouterr().err
+    assert not (tmp_path / "x.csv").exists()
+
+
 # a value for every option key, none of them the default
 OPTION_VALUES = {
     "preset": "positronium",
@@ -815,6 +833,16 @@ def test_unparsable_preset_value_names_file_and_key(tmp_path, monkeypatch, capsy
     assert code == 2
     err = capsys.readouterr().err
     assert f"{conf}: preset key 'fd_n': invalid int value: '2e3'" in err
+
+
+def test_preset_with_an_unsupported_potential_exits_2(tmp_path, monkeypatch, capsys):
+    conf = tmp_path / "screened.conf"
+    conf.write_text("potential = yukawa\nfd_r_min = 0.001\nfd_r_max = 30\nfd_n = 2000\n")
+    monkeypatch.setenv("RSSE_PRESET_DIR", str(tmp_path))
+    code = main(["solve", "--preset", "screened", "--output", str(tmp_path / "x.csv")])
+    assert code == 2
+    assert f"{conf}: unsupported potential 'yukawa'" in capsys.readouterr().err
+    assert not (tmp_path / "x.csv").exists()
 
 
 def test_bad_preset_file_breaks_only_its_own_preset(tmp_path, monkeypatch, capsys):

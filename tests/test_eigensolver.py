@@ -30,6 +30,7 @@ from rsse.eigensolver import (
     reduce_two_body,
     solve_lowest_k,
     solve_numerov_lowest_k,
+    solve_state,
 )
 from rsse.presets import builtin_presets
 from rsse.spectra import bohr_level, oscillator_level
@@ -71,6 +72,8 @@ def test_potential_factories_validate():
         PotentialSpec.infinite_well(0.0)
     with pytest.raises(ValueError, match="increasing"):
         PotentialSpec.tabulated([0.0, 1.0, 1.0], [0.0, 1.0, 2.0])
+    with pytest.raises(ValueError, match="matching r and V samples"):
+        PotentialSpec.tabulated([0.0, 1.0, 2.0], [0.0, -1.0])
     with pytest.raises(ValueError, match="kind"):
         PotentialSpec(kind="yukawa")
 
@@ -108,6 +111,12 @@ def test_potential_values():
     assert np.all(PotentialSpec.infinite_well(3.0).evaluate(r) == 0.0)
     tab = PotentialSpec.tabulated([0.0, 1.0, 2.0], [0.0, -1.0, 0.0])
     assert np.allclose(tab.evaluate(r), [-0.5, -1.0, 0.0])
+
+
+def test_asymptote_of_confining_and_tabulated_potentials():
+    assert PotentialSpec.harmonic(1.0).asymptote() == math.inf
+    assert PotentialSpec.infinite_well(2.0).asymptote() == math.inf
+    assert PotentialSpec.tabulated([0.0, 1.0, 2.0], [-3.0, -1.0, 0.25]).asymptote() == 0.25
 
 
 def test_grid_spec():
@@ -436,6 +445,11 @@ def test_numerov_invalid_bracket():
         numerov_solve(OSCILLATOR, OSC_NUMEROV_GRID, 0, (0.7, 0.3))
 
 
+def test_numerov_solve_rejects_a_negative_state_index():
+    with pytest.raises(ValueError, match="n_index must be nonnegative, got -1"):
+        numerov_solve(OSCILLATOR, OSC_NUMEROV_GRID, -1, (0.3, 0.7))
+
+
 def test_error_taxonomy():
     # domain/usage errors are ValueErrors (CLI exit 2); non-convergence is a
     # RuntimeError (CLI exit 3); bracket and wrong-state failures stay
@@ -636,6 +650,25 @@ def test_default_brackets_isolate_states():
         assert lo < oscillator_level(1.0, n) < hi
 
 
+def test_solve_numerov_lowest_k_on_explicit_brackets():
+    # off-centre brackets, so the default FD seed cannot stand in for them
+    brackets = [(0.3, 0.9), (1.1, 2.3)]
+    result = solve_numerov_lowest_k(OSCILLATOR, OSC_NUMEROV_GRID, 2, brackets=brackets)
+    expected = [
+        numerov_solve(OSCILLATOR, OSC_NUMEROV_GRID, n, bracket).epsilon
+        for n, bracket in enumerate(brackets)
+    ]
+    assert list(result.epsilons) == expected
+    assert np.array_equal(result.nodes, [0, 1])
+    with pytest.raises(ValueError, match="need 2 brackets, got 1"):
+        solve_numerov_lowest_k(OSCILLATOR, OSC_NUMEROV_GRID, 2, brackets=brackets[:1])
+
+
+def test_solve_numerov_lowest_k_needs_a_state():
+    with pytest.raises(ValueError, match="k must be at least 1, got 0"):
+        solve_numerov_lowest_k(OSCILLATOR, OSC_NUMEROV_GRID, 0)
+
+
 def test_default_brackets_need_one_fd_level_above_the_top_state():
     grid = GridSpec(-6.0, 6.0, 16)  # 14 interior nodes, so 14 FD levels
     assert len(default_brackets(OSCILLATOR, grid, 13)) == 13
@@ -719,6 +752,58 @@ def test_numerov_solve_from_off_centre_brackets_reaches_the_default_level(
     assert count_sign_changes(u[1:-1]) == n
 
 
+# a finite well on a fine grid, where round-off makes Cooley's correction a
+# staircase in eps whose steps (about 1e-10 relative) stand far above the
+# 1e-12 stop rule
+WELL = RadialProblem(PotentialSpec.finite_well(1.0, 2.0))
+WELL_GRID = GridSpec(0.0, 25.0, 32000)
+
+
+def test_numerov_solve_stops_when_the_bracket_closes_on_the_root():
+    # the node counts at the bracket ends hold the root, so a bracket that
+    # closes to 1e-12 relative has converged even though the correction has not
+    level = -0.3770716618712477
+    eps, u = numerov_solve(WELL, WELL_GRID, 0, (-0.3770716622, -0.3770716615))
+    assert abs(eps - level) <= 2e-12 * abs(level)
+    assert count_sign_changes(u[1:-1]) == 0
+
+
+# problem, grid and number of states of the narrow-bracket sweep below
+_NARROW_CASES = {
+    "well": (WELL, WELL_GRID, 2),
+    "oscillator": (OSCILLATOR, OSC_NUMEROV_GRID, 3),
+    "hydrogen": (HYDROGEN, HYDROGEN_NUMEROV_GRID, 3),
+}
+
+
+@functools.cache
+def _narrow_case_levels(case):
+    problem, grid, k = _NARROW_CASES[case]
+    return solve_numerov_lowest_k(problem, grid, k).epsilons
+
+
+@pytest.mark.parametrize(
+    "case, state", [(case, n) for case, (_, _, k) in _NARROW_CASES.items() for n in range(k)]
+)
+def test_numerov_solve_on_narrow_brackets_about_the_default_level(case, state):
+    problem, grid, _ = _NARROW_CASES[case]
+    level = _narrow_case_levels(case)[state]
+    solved = 0
+    for relative_half_width in (3e-13, 1e-12, 1e-11, 1e-9):
+        half = relative_half_width * abs(level)
+        for offset in np.linspace(-0.9, 0.9, 10):
+            centre = level + offset * half
+            try:
+                eps, _ = numerov_solve(problem, grid, state, (centre - half, centre + half))
+            except WrongStateError:
+                # the node counts come from the same rounded sweeps, so on a
+                # bracket this narrow they may place the level outside it
+                continue
+            solved += 1
+            assert abs(eps - level) <= 2e-12 * abs(level)
+    assert solved > 0
+
+
 def test_fd_and_numerov_agree_within_fd_truncation():
     # the coarser route's truncation error (from the analytic oracle)
     # bounds the cross-method disagreement
@@ -775,6 +860,16 @@ def test_rayleigh_quotient_rejects_zero():
     grid = GridSpec(-12.0, 12.0, 3000)
     with pytest.raises(ValueError):
         rayleigh_quotient(np.zeros(grid.n), OSCILLATOR, grid)
+
+
+def test_rayleigh_quotient_rejects_samples_off_the_grid():
+    with pytest.raises(ValueError, match="expected 1000 samples, got 999"):
+        rayleigh_quotient(np.ones(999), OSCILLATOR, GridSpec(-12.0, 12.0, 1000))
+
+
+def test_solve_state_rejects_an_unknown_method():
+    with pytest.raises(ValueError, match="unknown method 'spectral'"):
+        solve_state(OSCILLATOR, OSC_FD_GRID, 0, "spectral")
 
 
 def test_convergence_order_fd():
