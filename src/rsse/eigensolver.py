@@ -31,10 +31,10 @@ Their ~0.3 s import is mostly a copy of numpy's namespace that loads
 extension alone loads in ~10 ms.
 
 This is the only rsse module that imports numpy at module level.  The problem
-description (:class:`GridSpec`, :class:`RadialProblem`, ...) lives in
-:mod:`rsse.problem` and is re-exported here, so the analytic commands
-(``kinematics``, ``invert-demo``, ``compare``) load neither numpy nor scipy,
-and ``solve`` and ``convergence`` import this module on their first solve.
+description and the solver errors live in the numpy-free :mod:`rsse.problem`,
+so the analytic commands (``kinematics``, ``invert-demo``, ``compare``) load
+neither numpy nor scipy, and ``solve`` and ``convergence`` import this module
+on their first solve.
 """
 
 from __future__ import annotations
@@ -49,18 +49,13 @@ from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-# the problem types and errors live in the numpy-free ``problem`` module and
-# keep their ``rsse.eigensolver`` paths
-from .problem import (  # noqa: F401
-    BracketError,
+from .problem import (
     ConvergenceError,
     GridSpec,
-    PotentialSpec,
     RadialProblem,
     WrongStateError,
     _check_origin,
     effective_potential,
-    reduce_two_body,
 )
 
 
@@ -486,9 +481,9 @@ def numerov_solve(
     n_lo = shooter.count_states_below(lo)
     n_hi = shooter.count_states_below(hi)
     if n_lo > n_index or n_hi <= n_index:
+        held = f"states {n_lo}..{n_hi - 1}" if n_hi > n_lo else "no state"
         raise WrongStateError(
-            f"bracket ({lo}, {hi}) holds states {n_lo}..{n_hi - 1}; "
-            f"target state {n_index} is outside it"
+            f"bracket ({lo}, {hi}) holds {held}; target state {n_index} is outside it"
         )
 
     # narrow until exactly the target eigenvalue lies inside

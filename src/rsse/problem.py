@@ -32,11 +32,18 @@ class WrongStateError(ValueError):
     """Node counting shows the bracket or the converged state is not the target."""
 
 
-_POTENTIAL_KINDS = ("harmonic", "coulomb", "finite_well", "infinite_well", "tabulated")
+# the parameters each kind needs, with the labels their errors name them by
+_PARAMETERS = {
+    "harmonic": (("omega", "harmonic frequency"),),
+    "coulomb": (("Z", "coulomb charge"),),
+    "finite_well": (("V0", "finite well depth V0"), ("a", "finite well half-width a")),
+    "infinite_well": (("a", "well width"),),
+    "tabulated": (),
+}
 
 
-def _check_positive(what: str, value: float) -> None:
-    if not 0.0 < value < math.inf:
+def _check_positive(what: str, value: Optional[float]) -> None:
+    if value is None or not 0.0 < value < math.inf:
         raise ValueError(f"{what} must be positive and finite, got {value}")
 
 
@@ -44,8 +51,8 @@ def _check_positive(what: str, value: float) -> None:
 class PotentialSpec:
     """One of the supported interaction potentials.
 
-    Use the factory methods rather than the raw constructor; they validate
-    the parameters that each kind actually needs.
+    The constructor checks the parameters that each kind needs; the factory
+    methods are shorthands for it.
     """
 
     kind: str
@@ -57,28 +64,34 @@ class PotentialSpec:
     V_samples: Optional[tuple] = None
 
     def __post_init__(self) -> None:
-        if self.kind not in _POTENTIAL_KINDS:
+        if self.kind not in _PARAMETERS:
             raise ValueError(
-                f"unknown potential kind {self.kind!r}; expected one of {_POTENTIAL_KINDS}"
+                f"unknown potential kind {self.kind!r}; expected one of {tuple(_PARAMETERS)}"
             )
+        for name, label in _PARAMETERS[self.kind]:
+            _check_positive(label, getattr(self, name))
         for name in ("r_samples", "V_samples"):  # tuples keep every spec hashable
             if getattr(self, name) is not None:
                 object.__setattr__(self, name, tuple(map(float, getattr(self, name))))
+        if self.kind == "tabulated":
+            r, v = self.r_samples, self.V_samples
+            if r is None or v is None or len(r) != len(v) or len(r) < 2:
+                raise ValueError("tabulated potential needs matching r and V samples (>= 2)")
+            if not all(map(math.isfinite, r + v)):
+                raise ValueError("tabulated samples must be finite")
+            if any(b <= a for a, b in zip(r, r[1:])):
+                raise ValueError("tabulated r samples must be strictly increasing")
 
     @staticmethod
     def harmonic(omega: float) -> "PotentialSpec":
-        _check_positive("harmonic frequency", omega)
         return PotentialSpec(kind="harmonic", omega=omega)
 
     @staticmethod
     def coulomb(Z: float) -> "PotentialSpec":
-        _check_positive("coulomb charge", Z)
         return PotentialSpec(kind="coulomb", Z=Z)
 
     @staticmethod
     def finite_well(V0: float, a: float) -> "PotentialSpec":
-        _check_positive("finite well depth V0", V0)
-        _check_positive("finite well half-width a", a)
         return PotentialSpec(kind="finite_well", V0=V0, a=a)
 
     @staticmethod
@@ -88,20 +101,11 @@ class PotentialSpec:
         ``a`` is validated and stored but places no wall: the Dirichlet
         boundary at ``r_min`` and ``r_max`` of the solving grid does.
         """
-        _check_positive("well width", a)
         return PotentialSpec(kind="infinite_well", a=a)
 
     @staticmethod
     def tabulated(r_samples: Sequence[float], V_samples: Sequence[float]) -> "PotentialSpec":
-        r = tuple(float(x) for x in r_samples)
-        v = tuple(float(x) for x in V_samples)
-        if len(r) != len(v) or len(r) < 2:
-            raise ValueError("tabulated potential needs matching r and V samples (>= 2)")
-        if not all(map(math.isfinite, r + v)):
-            raise ValueError("tabulated samples must be finite")
-        if any(b <= a for a, b in zip(r, r[1:])):
-            raise ValueError("tabulated r samples must be strictly increasing")
-        return PotentialSpec(kind="tabulated", r_samples=r, V_samples=v)
+        return PotentialSpec(kind="tabulated", r_samples=r_samples, V_samples=V_samples)
 
     @property
     def singular_at_origin(self) -> bool:

@@ -16,15 +16,7 @@ import numpy as np
 import pytest
 
 from rsse.cli import main
-from rsse.eigensolver import (
-    GridSpec,
-    PotentialSpec,
-    RadialProblem,
-    assemble_tridiagonal,
-    convergence_order,
-    numerov_solve,
-    solve_lowest_k,
-)
+from rsse.eigensolver import assemble_tridiagonal, convergence_order, numerov_solve, solve_lowest_k
 from rsse.inversion import (
     dirac_theta_chi,
     effective_mass,
@@ -34,6 +26,7 @@ from rsse.inversion import (
     time_reversal_check,
 )
 from rsse.kinematics import check_phase_harmony, derive_de_broglie, momentum
+from rsse.problem import GridSpec, PotentialSpec, RadialProblem
 from rsse.spectra import binding_nonrel, binding_relativistic, dirac_coulomb_level
 from rsse.units import ATOMIC, FINE_STRUCTURE, convert_energy
 

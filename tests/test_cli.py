@@ -10,18 +10,16 @@ import rsse.cli
 import rsse.eigensolver
 import rsse.presets
 from rsse.cli import COMMANDS, build_parser, main
-from rsse.eigensolver import (
+from rsse.eigensolver import assemble_tridiagonal, solve_lowest_k, solve_numerov_lowest_k
+from rsse.presets import SolverPreset, builtin_presets, load_presets
+from rsse.problem import (
     BracketError,
     ConvergenceError,
     GridSpec,
     PotentialSpec,
     RadialProblem,
     WrongStateError,
-    assemble_tridiagonal,
-    solve_lowest_k,
-    solve_numerov_lowest_k,
 )
-from rsse.presets import SolverPreset, builtin_presets, load_presets
 
 
 def run_csv(tmp_path, argv, name="out.csv"):
@@ -599,6 +597,13 @@ def test_lapack_failure_exits_3(tmp_path, monkeypatch, capsys, routine):
     code = main(["solve", "--preset", "hydrogen", "--output", str(tmp_path / "x.csv")])
     assert code == 3
     assert f"convergence failure: LAPACK {routine} failed (info = 1)" in capsys.readouterr().err
+
+
+def test_numerov_bracket_without_a_state_exits_3(tmp_path, capsys):
+    argv = ["solve", "--preset", "oscillator", "--method", "numerov", "--r-min", "-4"]
+    argv += ["--r-max", "4", "--grid-n", "16", "--n-max", "8"]
+    assert main(argv + ["--output", str(tmp_path / "x.csv")]) == 3
+    assert "holds no state; target state 5 is outside it" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("error", [BracketError, WrongStateError])

@@ -9,11 +9,6 @@ from hypothesis import given, settings, strategies as st
 from scipy.integrate import trapezoid
 
 from rsse.eigensolver import (
-    BracketError,
-    GridSpec,
-    PotentialSpec,
-    RadialProblem,
-    WrongStateError,
     _numerov_sweep,
     _Shooter,
     _lapack,
@@ -24,15 +19,22 @@ from rsse.eigensolver import (
     convergence_order,
     count_sign_changes,
     default_brackets,
-    effective_potential,
     numerov_solve,
     rayleigh_quotient,
-    reduce_two_body,
     solve_lowest_k,
     solve_numerov_lowest_k,
     solve_state,
 )
 from rsse.presets import builtin_presets
+from rsse.problem import (
+    BracketError,
+    GridSpec,
+    PotentialSpec,
+    RadialProblem,
+    WrongStateError,
+    effective_potential,
+    reduce_two_body,
+)
 from rsse.spectra import bohr_level, oscillator_level
 from rsse.units import PROTON_ELECTRON_MASS_RATIO
 
@@ -76,6 +78,22 @@ def test_potential_factories_validate():
         PotentialSpec.tabulated([0.0, 1.0, 2.0], [0.0, -1.0])
     with pytest.raises(ValueError, match="kind"):
         PotentialSpec(kind="yukawa")
+
+
+def test_raw_potential_constructor_validates_like_the_factories():
+    with pytest.raises(ValueError, match="strictly increasing"):
+        PotentialSpec(kind="tabulated", r_samples=[8.0, 0.0, -8.0], V_samples=[32.0, 0.0, 32.0])
+    with pytest.raises(ValueError, match="coulomb charge must be positive and finite, got -1.0"):
+        PotentialSpec(kind="coulomb", Z=-1.0)
+    with pytest.raises(ValueError, match="half-width a must be positive and finite, got None"):
+        PotentialSpec(kind="finite_well", V0=1.0)
+    with pytest.raises(ValueError, match="harmonic frequency must be positive"):
+        PotentialSpec(kind="harmonic")
+    with pytest.raises(ValueError, match="matching r and V samples"):
+        PotentialSpec(kind="tabulated", r_samples=np.linspace(0.0, 1.0, 5))
+    # ndarray samples are checked by value, not by truthiness
+    r = np.linspace(0.0, 1.0, 5)
+    assert PotentialSpec(kind="tabulated", r_samples=r, V_samples=r) == PotentialSpec.tabulated(r, r)
 
 
 @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
@@ -440,6 +458,14 @@ def test_numerov_bracket_missing_state():
         numerov_solve(OSCILLATOR, OSC_NUMEROV_GRID, 1, (1.8, 2.2))
 
 
+def test_full_grid_seed_that_misses_a_state_raises_wrong_state_error():
+    # 16 nodes seed on the full grid already, so no re-seed is left to try;
+    # the bracket of state 5 lies between two levels of the Numerov spectrum
+    grid = GridSpec(-4.0, 4.0, 16)
+    with pytest.raises(WrongStateError, match="holds no state; target state 5 is outside it"):
+        solve_numerov_lowest_k(OSCILLATOR, grid, 8)
+
+
 def test_numerov_invalid_bracket():
     with pytest.raises(ValueError):
         numerov_solve(OSCILLATOR, OSC_NUMEROV_GRID, 0, (0.7, 0.3))
@@ -454,7 +480,7 @@ def test_error_taxonomy():
     # domain/usage errors are ValueErrors (CLI exit 2); non-convergence is a
     # RuntimeError (CLI exit 3); bracket and wrong-state failures stay
     # catchable as ValueError, although the CLI maps them to exit 3 too
-    from rsse.eigensolver import ConvergenceError
+    from rsse.problem import ConvergenceError
 
     assert issubclass(BracketError, ValueError)
     assert issubclass(WrongStateError, ValueError)
@@ -464,7 +490,7 @@ def test_error_taxonomy():
 
 def test_numerov_step_cap_raises_convergence_error(monkeypatch):
     import rsse.eigensolver
-    from rsse.eigensolver import ConvergenceError
+    from rsse.problem import ConvergenceError
 
     # one Cooley step from the midpoint 0.55 cannot reach 1e-12 relative
     monkeypatch.setattr(rsse.eigensolver, "_COOLEY_MAX_STEPS", 1)
@@ -556,7 +582,7 @@ def test_numerov_sweep_halves_overflowing_chunks():
 
 
 def test_numerov_sweep_failures_raise_convergence_error():
-    from rsse.eigensolver import ConvergenceError
+    from rsse.problem import ConvergenceError
 
     f = np.zeros(100)
     f[50] = 12.0  # 1 - h**2 f / 12 = 0: a zero diagonal of the banded system

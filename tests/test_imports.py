@@ -1,19 +1,24 @@
-"""The import graph and the lazily bound solver names.
+"""The import graph and the lazily bound public names.
 
-The analytic commands load neither numpy nor scipy: ``rsse.eigensolver`` is
-the only module that imports numpy at module level, and ``rsse`` and
-``rsse.cli`` import it on the first read of a solver name or the first
-solve.  The solvers then load only scipy's compiled LAPACK extension,
-``scipy.linalg._flapack``, from its file, never the scipy package.
+``import rsse`` loads no submodule: each public name loads the submodule
+that defines it when first read.  The analytic commands load neither numpy
+nor scipy: ``rsse.eigensolver`` is the only module that imports numpy at
+module level, and ``rsse`` and ``rsse.cli`` import it on the first read of a
+solver name or the first solve.  The solvers then load only scipy's compiled
+LAPACK extension, ``scipy.linalg._flapack``, from its file, never the scipy
+package.
 
 Each import-graph case starts a fresh interpreter, so modules imported by
 other tests do not leak into ``sys.modules``.
 """
 
+import inspect
 import json
 import os
+import re
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import pytest
@@ -87,9 +92,48 @@ def test_solvers_load_only_the_lapack_extension(argv):
     assert {m for m in loaded if m.startswith("scipy")} <= {"scipy.linalg._flapack"}
 
 
+# prints the loaded rsse modules as JSON on stderr
+RSSE_REPORT = """
+import json, sys
+print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "rsse")), file=sys.stderr)
+"""
+
+
+def rsse_modules_after(code):
+    return json.loads(run_fresh(code + RSSE_REPORT).splitlines()[-1])
+
+
+def test_import_rsse_loads_no_submodule():
+    assert rsse_modules_after("import rsse") == ["rsse"]
+
+
+def test_kinematics_loads_only_the_numpy_free_modules_it_needs():
+    assert rsse_modules_after(RUN_MAIN.format(argv=["kinematics"])) == [
+        "rsse",
+        "rsse.cli",
+        "rsse.inversion",
+        "rsse.kinematics",
+        "rsse.presets",
+        "rsse.problem",
+        "rsse.spectra",
+        "rsse.units",
+    ]
+
+
 # ---------------------------------------------------------------------------
 # the rsse namespace
 # ---------------------------------------------------------------------------
+
+
+def defining_module(name, obj):
+    """The rsse submodule whose source defines ``name`` at top level."""
+    if isinstance(obj, (type, types.FunctionType)):
+        return obj.__module__
+    assigned = re.compile(rf"^{name}\s*[:=]", re.M)
+    loaded = [m for m in sys.modules if m.startswith("rsse.")]
+    (module,) = [m for m in loaded if assigned.search(inspect.getsource(sys.modules[m]))]
+    return module
+
 
 EIGENSOLVER_NAMES = [
     "EigenResult",
@@ -117,6 +161,14 @@ def test_every_public_name_resolves():
 def test_solver_names_are_the_eigensolver_objects(name):
     assert name in rsse.__all__
     assert getattr(rsse, name) is getattr(rsse.eigensolver, name)
+
+
+@pytest.mark.parametrize("name", rsse.__all__)
+def test_public_names_are_the_objects_of_their_defining_modules(name):
+    obj = getattr(rsse, name)
+    home = defining_module(name, obj)
+    assert obj is getattr(sys.modules[home], name)
+    assert f"rsse.{rsse._MODULE_OF[name]}" == home  # the module its first read loads
 
 
 def test_dir_lists_all_public_names():

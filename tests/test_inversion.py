@@ -1,13 +1,7 @@
 import numpy as np
 import pytest
 
-from rsse.eigensolver import (
-    GridSpec,
-    PotentialSpec,
-    RadialProblem,
-    assemble_tridiagonal,
-    solve_lowest_k,
-)
+from rsse.eigensolver import assemble_tridiagonal, solve_lowest_k
 from rsse.inversion import (
     ANTIMATTER,
     MATTER,
@@ -21,6 +15,7 @@ from rsse.inversion import (
     spacetime_invert,
     time_reversal_check,
 )
+from rsse.problem import GridSpec, PotentialSpec, RadialProblem
 from rsse.units import ATOMIC
 
 C = ATOMIC.c

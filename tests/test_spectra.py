@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from rsse.eigensolver import GridSpec, PotentialSpec, RadialProblem
 from rsse.presets import builtin_presets
+from rsse.problem import GridSpec, PotentialSpec, RadialProblem
 from rsse.spectra import (
     analytic_level,
     binding_nonrel,
