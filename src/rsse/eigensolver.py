@@ -13,12 +13,16 @@ with V_eff = V + hbar**2 l(l+1) / (2 mu r**2):
   counting and matching on the Numerov recurrence residual at the outer
   classical turning point, accurate to fourth order.  The eigenvalue is
   found by Cooley's energy correction from a coarse FD seed, safeguarded
-  by a node-count bracket.  ``_Shooter.stencil`` forms the recurrence
+  by its bracket.  Node counts at the bracket ends are taken only at the
+  first anomaly (a merged solution with the wrong node count, a step that
+  would leave the bracket, a bracket that closes first) and isolate the
+  state before Cooley's iteration restarts; a seeded bracket rarely needs
+  them.  ``_Shooter.stencil`` forms, once per energy, the recurrence
   coefficients w = 1 - t and c = 2 + 10 t (t = h**2 f / 12) that every
-  sweep, the stencil check and both recurrence defects read.  Each sweep
-  solves the three-term recurrence as a lower-banded triangular system with
-  LAPACK (``dtbtrs``), in chunks between which the samples are rescaled by
-  a power of two so that they neither overflow nor lose their signs.
+  sweep and both recurrence defects read.  Each sweep solves the three-term
+  recurrence as a lower-banded triangular system with LAPACK (``dtbtrs``),
+  in chunks between which the samples are rescaled by a power of two so
+  that they neither overflow nor lose their signs.
 
 Grids are uniform.  Coulomb-type problems use the reduced radial function
 u(r) = r R(r) and require r_min > 0.
@@ -45,7 +49,7 @@ import importlib.util
 import math
 import os
 from dataclasses import dataclass
-from typing import NamedTuple, Optional, Sequence
+from typing import Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -365,6 +369,9 @@ class _Shooter:
         self.pref = 2.0 * problem.mu / (hbar * hbar)
         self.veff = effective_potential(problem, self.r)
         self.f_base = self.pref * self.veff
+        # the largest f the sweeps divide by (index 2 on) gives the smallest w
+        self.f_max = float(np.max(self.f_base[2:]))
+        self._stencil = (math.nan, None)  # the last (epsilon, (w, c)) built
         # power-law start for problems that exclude the origin, plain
         # Dirichlet start otherwise
         if grid.r_min > 0.0 and (problem.potential.singular_at_origin or problem.l > 0):
@@ -375,17 +382,32 @@ class _Shooter:
         self.start_in = (0.0, 1.0)
 
     def stencil(self, epsilon: float) -> tuple[np.ndarray, np.ndarray]:
-        """Recurrence coefficients w = 1 - t and c = 2 + 10 t (t = h**2 f / 12) at ``epsilon``."""
+        """Recurrence coefficients w = 1 - t and c = 2 + 10 t (t = h**2 f / 12) at ``epsilon``.
+
+        The arrays of the last energy are kept and returned again, read-only,
+        so a Cooley step and the recurrence defect of its state share them.
+        """
+        last, coefficients = self._stencil
+        if epsilon == last:
+            return coefficients
         t = (self.h * self.h / 12.0) * (self.f_base - self.pref * epsilon)
-        return 1.0 - t, 2.0 + 10.0 * t
+        w, c = 1.0 - t, 2.0 + 10.0 * t
+        w.flags.writeable = c.flags.writeable = False
+        self._stencil = (epsilon, (w, c))
+        return w, c
 
     def check_stencil(self, epsilon: float) -> None:
         """Reject a grid on which 1 - h**2 f / 12 is not positive at ``epsilon``.
 
         f falls as epsilon rises, so the low end of a bracket is the worst
         case.  Only the samples the sweeps divide by are checked (index 2
-        on); the start values may sit where f is huge.
+        on); the start values may sit where f is huge.  Each rounded step of
+        w = 1 - (h**2 / 12) (f - pref epsilon) is monotone in f, so w at
+        ``f_max`` decides; the full stencil is built only to name the first
+        bad sample.
         """
+        if 1.0 - (self.h * self.h / 12.0) * (self.f_max - self.pref * epsilon) > 0.0:
+            return
         diagonal = self.stencil(epsilon)[0][2:]
         bad = np.nonzero(diagonal <= 0.0)[0]
         if bad.size:
@@ -438,8 +460,10 @@ class _Shooter:
 # every state of a solve and its recurrence defects share one shooter
 _shooter = functools.lru_cache(maxsize=1)(_Shooter)
 
-# Cooley steps allowed per state: quadratic convergence needs a handful, and
-# bisection from any bracket reaches 1e-12 relative width in about 45
+# Cooley steps allowed per pass over a bracket: quadratic convergence needs a
+# handful, and bisection from any bracket reaches 1e-12 relative width in
+# about 45.  A pass that meets an anomaly stops at once; the pass after the
+# bracket check gets a fresh allowance.
 _COOLEY_MAX_STEPS = 100
 _COOLEY_RTOL = 1e-12
 
@@ -449,15 +473,21 @@ def numerov_solve(
 ) -> NumerovResult:
     """Locate the eigenvalue with ``n_index`` interior nodes inside ``bracket``.
 
-    The bracket is first narrowed by bisection on outward node counts until
-    it isolates the target state.  Cooley's energy correction
-    (:meth:`_Shooter.cooley_step`) then iterates from the bracket midpoint,
-    safeguarded by the bracket: each step moves one end, chosen by the sign
-    of the correction while the merged solution has ``n_index`` nodes and by
-    a node count otherwise, and a step that would leave the bracket is a
-    bisection instead.  The search stops when the correction or the bracket
-    falls to 1e-12 relative.  The returned wavefunction has exactly
-    ``n_index`` interior nodes and unit trapezoid norm.
+    Cooley's energy correction (:meth:`_Shooter.cooley_step`) iterates from
+    the bracket midpoint, safeguarded by the bracket: each step moves one end,
+    chosen by the sign of the correction.  No level is counted until the
+    iteration meets its first anomaly: a merged solution without ``n_index``
+    nodes, a step that would leave the bracket, or a bracket that closes to
+    1e-12 relative before the correction does.  Only then do outward node
+    counts check the bracket: they reject a bracket that does not hold the
+    target state and narrow it by bisection until it isolates the state.  The
+    iteration then restarts from the narrowed midpoint, choosing the end by a
+    node count where the merged solution has the wrong number of nodes and
+    bisecting where a step would leave the bracket.  The search stops when the
+    correction or the bracket falls to 1e-12 relative.  The returned
+    wavefunction has exactly ``n_index`` interior nodes and unit trapezoid
+    norm, and its energy is certified by a correction below 1e-12 relative or
+    by a node-count checked bracket.
 
     Raises
     ------
@@ -478,6 +508,27 @@ def numerov_solve(
 
     shooter = _shooter(problem, grid)
     shooter.check_stencil(lo)
+    found = _cooley(shooter, n_index, lo, hi, checked=False)
+    if found is None:
+        found = _cooley(shooter, n_index, *_isolate(shooter, n_index, lo, hi), checked=True)
+    epsilon, u, nodes = found
+    if nodes != n_index:
+        raise WrongStateError(
+            f"converged state at eps = {epsilon} has {nodes} interior nodes, "
+            f"expected {n_index}"
+        )
+    u = _normalize(_fix_sign(u), grid)
+    return NumerovResult(epsilon=epsilon, wavefunction=u)
+
+
+def _isolate(shooter: _Shooter, n_index: int, lo: float, hi: float) -> tuple[float, float]:
+    """(lo, hi) narrowed by bisection on node counts until it holds only state ``n_index``.
+
+    Raises
+    ------
+    WrongStateError
+        If the node counts at lo and hi show the target is not inside.
+    """
     n_lo = shooter.count_states_below(lo)
     n_hi = shooter.count_states_below(hi)
     if n_lo > n_index or n_hi <= n_index:
@@ -485,8 +536,6 @@ def numerov_solve(
         raise WrongStateError(
             f"bracket ({lo}, {hi}) holds {held}; target state {n_index} is outside it"
         )
-
-    # narrow until exactly the target eigenvalue lies inside
     while n_lo < n_index or n_hi > n_index + 1:
         mid = 0.5 * (lo + hi)
         if mid == lo or mid == hi:  # pragma: no cover - fp exhaustion
@@ -496,7 +545,19 @@ def numerov_solve(
             lo, n_lo = mid, n_mid
         else:
             hi, n_hi = mid, n_mid
+    return lo, hi
 
+
+def _cooley(
+    shooter: _Shooter, n_index: int, lo: float, hi: float, *, checked: bool
+) -> Optional[tuple[float, np.ndarray, int]]:
+    """One pass of Cooley's iteration from the midpoint of (lo, hi).
+
+    Returns the last energy, its merged solution and that solution's
+    interior node count.  On a bracket that node counts have not ``checked``
+    the pass returns None at the first anomaly instead of counting levels or
+    bisecting.
+    """
     epsilon = 0.5 * (lo + hi)
     for _ in range(_COOLEY_MAX_STEPS):
         u, delta = shooter.cooley_step(epsilon)
@@ -505,32 +566,29 @@ def numerov_solve(
         # otherwise epsilon is past a pole of the mismatch, so count levels
         if nodes == n_index:
             below = delta > 0.0
-        else:
+        elif checked:
             below = shooter.count_states_below(epsilon) <= n_index
+        else:
+            return None
         if below:
             lo = epsilon
         else:
             hi = epsilon
         tol = _COOLEY_RTOL * abs(epsilon)
-        # node counts hold the root in the bracket; round-off can keep delta above tol
-        if abs(delta) <= tol or hi - lo <= tol:
-            break
+        if abs(delta) <= tol:
+            return epsilon, u, nodes
+        # node counts hold the root in a checked bracket; round-off can keep delta above tol
+        if hi - lo <= tol:
+            return (epsilon, u, nodes) if checked else None
         epsilon += delta
         if not lo < epsilon < hi:
+            if not checked:
+                return None
             epsilon = 0.5 * (lo + hi)
-    else:
-        raise ConvergenceError(
-            f"eigenvalue iteration stalled near {epsilon} on ({lo}, {hi}) "
-            f"after {_COOLEY_MAX_STEPS} Cooley steps"
-        )
-
-    if nodes != n_index:
-        raise WrongStateError(
-            f"converged state at eps = {epsilon} has {nodes} interior nodes, "
-            f"expected {n_index}"
-        )
-    u = _normalize(_fix_sign(u), grid)
-    return NumerovResult(epsilon=epsilon, wavefunction=u)
+    raise ConvergenceError(
+        f"eigenvalue iteration stalled near {epsilon} on ({lo}, {hi}) "
+        f"after {_COOLEY_MAX_STEPS} Cooley steps"
+    )
 
 
 def default_brackets(problem: RadialProblem, grid: GridSpec, k: int) -> list[tuple[float, float]]:
@@ -569,10 +627,11 @@ def _fd_brackets(problem: RadialProblem, grid: GridSpec, k: int) -> list[tuple[f
 
 def _seeded_numerov(
     problem: RadialProblem, grid: GridSpec, k: int, states: Sequence[int]
-) -> list[NumerovResult]:
+) -> Iterator[NumerovResult]:
     """:func:`numerov_solve` of ``states`` (each below k) on :func:`default_brackets`.
 
-    A coarse seed can miss a state whose level the coarse grid resolves
+    The states are yielded one at a time, each as soon as it is solved.  A
+    coarse seed can miss a state whose level the coarse grid resolves
     badly, such as a narrow well: the node counts at its bracket ends then
     do not isolate the state.  When a coarse bracket fails with
     :class:`WrongStateError`, every bracket is re-seeded from the full grid,
@@ -580,16 +639,15 @@ def _seeded_numerov(
     """
     brackets = default_brackets(problem, grid, k)
     reseeded = _seed_grid(grid, k) == grid
-    results = []
     for i in states:
         try:
-            results.append(numerov_solve(problem, grid, i, brackets[i]))
+            result = numerov_solve(problem, grid, i, brackets[i])
         except WrongStateError:
             if reseeded:
                 raise
             brackets, reseeded = _fd_brackets(problem, grid, k), True
-            results.append(numerov_solve(problem, grid, i, brackets[i]))
-    return results
+            result = numerov_solve(problem, grid, i, brackets[i])
+        yield result
 
 
 def numerov_recurrence_defect(
@@ -617,10 +675,10 @@ def solve_numerov_lowest_k(
     elif len(brackets) != k:
         raise ValueError(f"need {k} brackets, got {len(brackets)}")
     else:
-        results = [numerov_solve(problem, grid, i, brackets[i]) for i in range(k)]
-    epsilons = np.array([epsilon for epsilon, _ in results])
-    wavefunctions = np.array([u for _, u in results])
-    residuals = np.array([numerov_recurrence_defect(u, problem, grid, e) for e, u in results])
+        results = (numerov_solve(problem, grid, i, brackets[i]) for i in range(k))
+    # each defect follows its own solve, which leaves that energy's stencil in the shooter
+    solved = [(e, u, numerov_recurrence_defect(u, problem, grid, e)) for e, u in results]
+    epsilons, wavefunctions, residuals = (np.array(column) for column in zip(*solved))
     return _eigen_result(epsilons, wavefunctions, residuals, "numerov", grid)
 
 
@@ -659,7 +717,7 @@ def solve_state(
         )
         return float(epsilons[n_index])
     if method == "numerov":
-        return _seeded_numerov(problem, grid, n_index + 1, [n_index])[0].epsilon
+        return next(_seeded_numerov(problem, grid, n_index + 1, [n_index])).epsilon
     raise ValueError(f"unknown method {method!r}; expected 'fd' or 'numerov'")
 
 

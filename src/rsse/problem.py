@@ -11,7 +11,8 @@ they import it when called, so the analytic commands (``kinematics``,
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import operator
+from dataclasses import dataclass, fields
 from typing import TYPE_CHECKING, Optional, Sequence
 
 from .units import ATOMIC, UnitSystem
@@ -32,7 +33,8 @@ class WrongStateError(ValueError):
     """Node counting shows the bracket or the converged state is not the target."""
 
 
-# the parameters each kind needs, with the labels their errors name them by
+# the parameters each kind needs, with the labels their errors name them by;
+# a kind takes no other field, and only ``tabulated`` takes the samples
 _PARAMETERS = {
     "harmonic": (("omega", "harmonic frequency"),),
     "coulomb": (("Z", "coulomb charge"),),
@@ -51,7 +53,8 @@ def _check_positive(what: str, value: Optional[float]) -> None:
 class PotentialSpec:
     """One of the supported interaction potentials.
 
-    The constructor checks the parameters that each kind needs; the factory
+    The constructor checks the parameters that each kind needs and rejects
+    the ones it does not use, so one potential has one spec; the factory
     methods are shorthands for it.
     """
 
@@ -70,10 +73,17 @@ class PotentialSpec:
             )
         for name, label in _PARAMETERS[self.kind]:
             _check_positive(label, getattr(self, name))
-        for name in ("r_samples", "V_samples"):  # tuples keep every spec hashable
-            if getattr(self, name) is not None:
-                object.__setattr__(self, name, tuple(map(float, getattr(self, name))))
+        used = {"kind"} | {name for name, _ in _PARAMETERS[self.kind]}
         if self.kind == "tabulated":
+            used |= {"r_samples", "V_samples"}
+        for field in fields(self):
+            value = getattr(self, field.name)
+            if field.name not in used and value is not None:
+                raise ValueError(f"{self.kind} potential takes no {field.name}, got {value!r}")
+        if self.kind == "tabulated":
+            for name in ("r_samples", "V_samples"):  # tuples keep every spec hashable
+                if getattr(self, name) is not None:
+                    object.__setattr__(self, name, tuple(map(float, getattr(self, name))))
             r, v = self.r_samples, self.V_samples
             if r is None or v is None or len(r) != len(v) or len(r) < 2:
                 raise ValueError("tabulated potential needs matching r and V samples (>= 2)")
@@ -178,6 +188,10 @@ class RadialProblem:
     def __post_init__(self) -> None:
         _check_positive("reduced mass", self.mu)
         _check_positive("total rest mass", self.M)
+        try:
+            operator.index(self.l)
+        except TypeError:
+            raise ValueError(f"angular momentum l must be an integer, got {self.l!r}") from None
         if self.l < 0:
             raise ValueError(f"angular momentum must be nonnegative, got {self.l}")
         if self.mu != self.M and self.mu > 0.5 * self.M * (1.0 + 1e-12):

@@ -2,6 +2,7 @@ import functools
 import importlib.machinery
 import importlib.util
 import math
+import re
 
 import numpy as np
 import pytest
@@ -146,6 +147,27 @@ def test_grid_spec():
         GridSpec(1.0, 0.0, 100)
     with pytest.raises(ValueError):
         GridSpec(0.0, 1.0, 15)
+
+
+def test_raw_potential_constructor_rejects_fields_the_kind_does_not_use():
+    # one potential has one spec, so caches keyed on the problem see it once
+    with pytest.raises(ValueError, match="harmonic potential takes no Z, got 5.0"):
+        PotentialSpec(kind="harmonic", omega=1.0, Z=5.0)
+    with pytest.raises(ValueError, match="coulomb potential takes no r_samples"):
+        PotentialSpec(kind="coulomb", Z=1.0, r_samples=[0.0, 1.0])
+    with pytest.raises(ValueError, match="infinite_well potential takes no V0"):
+        PotentialSpec(kind="infinite_well", a=1.0, V0=2.0)
+    with pytest.raises(ValueError, match="tabulated potential takes no omega"):
+        PotentialSpec(kind="tabulated", omega=1.0, r_samples=[0.0, 1.0], V_samples=[0.0, 1.0])
+    assert PotentialSpec(kind="finite_well", V0=1.0, a=2.0) == PotentialSpec.finite_well(1.0, 2.0)
+
+
+def test_radial_problem_rejects_a_non_integer_l():
+    # l = 0.5 would give the Bohr level of n = 1.5, which does not exist
+    for l in (0.5, 1.0, "1"):
+        with pytest.raises(ValueError, match=f"angular momentum l must be an integer, got {l!r}"):
+            RadialProblem(PotentialSpec.coulomb(1.0), l=l)
+    assert RadialProblem(PotentialSpec.coulomb(1.0), l=np.int64(2)).l == 2
 
 
 def test_radial_problem_validation():
@@ -828,6 +850,77 @@ def test_numerov_solve_on_narrow_brackets_about_the_default_level(case, state):
             solved += 1
             assert abs(eps - level) <= 2e-12 * abs(level)
     assert solved > 0
+
+
+def _count_calls(monkeypatch, *names):
+    """Counts of the calls to the named ``_Shooter`` methods, patched in place."""
+    calls = dict.fromkeys(names, 0)
+
+    def counting(name, original):
+        def spy(self, epsilon):
+            calls[name] += 1
+            return original(self, epsilon)
+        return spy
+
+    for name in names:
+        monkeypatch.setattr(_Shooter, name, counting(name, getattr(_Shooter, name)))
+    return calls
+
+
+def test_seeded_numerov_counts_no_nodes_and_builds_one_stencil_per_cooley_step(monkeypatch):
+    # the FD seed isolates every hydrogen level, so no node count is needed,
+    # and each state's recurrence defect reuses the stencil of its last step
+    calls = _count_calls(monkeypatch, "count_states_below", "cooley_step")
+    stencils = []  # held, so that every built array keeps its own id
+    original = _Shooter.stencil
+
+    def spy(self, epsilon):
+        w, c = original(self, epsilon)
+        stencils.append(w)
+        return w, c
+
+    monkeypatch.setattr(_Shooter, "stencil", spy)
+    _shooter.cache_clear()
+    result = solve_numerov_lowest_k(HYDROGEN, HYDROGEN_NUMEROV_GRID, 3)
+    assert np.array_equal(result.nodes, [0, 1, 2])
+    assert calls["count_states_below"] == 0
+    assert calls["cooley_step"] >= 3
+    assert len({id(w) for w in stencils}) == calls["cooley_step"]
+    assert len(stencils) == calls["cooley_step"] + 3
+    assert not any(w.flags.writeable for w in stencils)
+
+
+@pytest.mark.parametrize("state", range(3))
+def test_numerov_solve_on_a_bracket_holding_three_hydrogen_levels(state):
+    # Cooley's iteration starts at the midpoint of a bracket that node counts
+    # have not narrowed, and still lands on the default level
+    level = _narrow_case_levels("hydrogen")[state]
+    eps, u = numerov_solve(HYDROGEN, HYDROGEN_NUMEROV_GRID, state, (-0.6, -0.05))
+    assert abs(eps - level) <= 2e-12 * abs(level)
+    assert count_sign_changes(u[1:-1]) == state
+
+
+@pytest.mark.parametrize(
+    "state, bracket, held",
+    [
+        (0, (-0.2, -0.1), "states 1..1"),
+        (2, (-0.6, -0.4), "states 0..0"),
+        (0, (-0.9, -0.6), "no state"),
+        (1, (-0.45, -0.2), "no state"),
+    ],
+    ids=["above", "below", "below-every-level", "between-levels"],
+)
+def test_numerov_solve_rejects_a_bracket_without_its_state_at_the_first_anomaly(
+    monkeypatch, state, bracket, held
+):
+    # the first Cooley step meets the anomaly, and the two counts at the
+    # caller's bracket ends reject it; no bisection closes the bracket first
+    calls = _count_calls(monkeypatch, "count_states_below", "cooley_step")
+    message = f"bracket {bracket} holds {held}; target state {state} is outside it"
+    with pytest.raises(WrongStateError, match=re.escape(message)):
+        numerov_solve(HYDROGEN, HYDROGEN_NUMEROV_GRID, state, bracket)
+    assert calls["cooley_step"] <= 1
+    assert calls["count_states_below"] == 2
 
 
 def test_fd_and_numerov_agree_within_fd_truncation():

@@ -3,7 +3,9 @@
 Every command is pinned in csv and json, with FD and Numerov ``solve``
 (hydrogen k = 3 on the 20000-node Numerov grid, positronium on 32000 nodes),
 Numerov ``convergence``, a usage error, and one wavefunction dump whose files
-are hashed with the report.  A refactor of the solvers must leave every byte
+are hashed with the report.  Three more pins are argvs of the benchmark's
+``numerov_solve`` pool, so the byte identity of a Numerov speedup covers the
+ops it is measured on.  A refactor of the solvers must leave every byte
 in place; a change that moves digits on purpose updates these pins and says
 why.
 
@@ -93,6 +95,20 @@ GOLDEN = {
     "convergence-numerov-csv": (
         ["convergence", "--method", "numerov"],
         "a5f28cd2de54d6fe9391aace1212cb0210db21a9f0a4bca5a396dccfc0823588",
+    ),
+    "solve-numerov-hydrogen-grid-n-20000": (
+        ["solve", "--preset", "hydrogen", "--method", "numerov", "--n-max", "3",
+         "--grid-n", "20000"],
+        "81be2d14cd6b5c68f4f5d35e61c47e3de55ae70708ef6b6297093c42b0395326",
+    ),
+    "solve-numerov-positronium-grid-n-6000": (
+        ["solve", "--preset", "positronium", "--method", "numerov", "--n-max", "2",
+         "--grid-n", "6000"],
+        "2db38362e9da22b60ecc0f9f7127468c301944e9ce21b19828905bd8233f997f",
+    ),
+    "convergence-numerov-hydrogen": (
+        ["convergence", "--preset", "hydrogen", "--method", "numerov"],
+        "f4fea93572b2008c4321470ea5d5d8efc34d1748039a5b7458a0ffae13399bc3",
     ),
     "convergence-numerov-json": (
         ["convergence", "--preset", "positronium", "--method", "numerov", "--format", "json"],
