@@ -12,11 +12,11 @@ with V_eff = V + hbar**2 l(l+1) / (2 mu r**2):
 * a Numerov shooting method with outward/inward integration, node
   counting and matching on the Numerov recurrence residual at the outer
   classical turning point, accurate to fourth order.  The eigenvalue is
-  found by Cooley's energy correction from a coarse FD seed, safeguarded
-  by its bracket.  Node counts at the bracket ends are taken only at the
-  first anomaly (a merged solution with the wrong node count, a step that
-  would leave the bracket, a bracket that closes first) and isolate the
-  state before Cooley's iteration restarts; a seeded bracket rarely needs
+  found by one loop of Cooley's energy correction from a coarse FD seed,
+  safeguarded by its bracket.  Node counts check the caller's bracket once,
+  at the first anomaly (a merged solution with the wrong node count, a step
+  that would leave the bracket, a bracket that closes first), and then pick
+  the end that a bisection step moves; a seeded bracket rarely needs
   them.  ``_Shooter.stencil`` forms, once per energy, the recurrence
   coefficients w = 1 - t and c = 2 + 10 t (t = h**2 f / 12) that every
   sweep and both recurrence defects read.  Each sweep solves the three-term
@@ -268,6 +268,12 @@ def solve_lowest_k(operator: TridiagonalOperator, k: int) -> EigenResult:
     return _eigen_result(epsilons, wavefunctions, residuals, "fd", grid)
 
 
+def _fd_levels(problem: RadialProblem, grid: GridSpec, count: int) -> np.ndarray:
+    """The lowest ``count`` FD eigenvalues of ``problem`` on ``grid``, ascending."""
+    operator = assemble_tridiagonal(problem, grid)
+    return _tridiagonal_lowest(operator.diagonal, operator.off_diagonal, count, vectors=False)[0]
+
+
 # ---------------------------------------------------------------------------
 # Numerov route
 # ---------------------------------------------------------------------------
@@ -460,10 +466,10 @@ class _Shooter:
 # every state of a solve and its recurrence defects share one shooter
 _shooter = functools.lru_cache(maxsize=1)(_Shooter)
 
-# Cooley steps allowed per pass over a bracket: quadratic convergence needs a
-# handful, and bisection from any bracket reaches 1e-12 relative width in
-# about 45.  A pass that meets an anomaly stops at once; the pass after the
-# bracket check gets a fresh allowance.
+# Cooley steps allowed per solve: quadratic convergence needs a handful, and
+# bisection from any bracket reaches 1e-12 relative width in about 45; 600
+# brackets on hydrogen s and p, the oscillator and two finite wells, up to
+# three level gaps wide, took at most 41
 _COOLEY_MAX_STEPS = 100
 _COOLEY_RTOL = 1e-12
 
@@ -474,20 +480,17 @@ def numerov_solve(
     """Locate the eigenvalue with ``n_index`` interior nodes inside ``bracket``.
 
     Cooley's energy correction (:meth:`_Shooter.cooley_step`) iterates from
-    the bracket midpoint, safeguarded by the bracket: each step moves one end,
-    chosen by the sign of the correction.  No level is counted until the
-    iteration meets its first anomaly: a merged solution without ``n_index``
-    nodes, a step that would leave the bracket, or a bracket that closes to
-    1e-12 relative before the correction does.  Only then do outward node
-    counts check the bracket: they reject a bracket that does not hold the
-    target state and narrow it by bisection until it isolates the state.  The
-    iteration then restarts from the narrowed midpoint, choosing the end by a
-    node count where the merged solution has the wrong number of nodes and
-    bisecting where a step would leave the bracket.  The search stops when the
-    correction or the bracket falls to 1e-12 relative.  The returned
-    wavefunction has exactly ``n_index`` interior nodes and unit trapezoid
-    norm, and its energy is certified by a correction below 1e-12 relative or
-    by a node-count checked bracket.
+    the bracket midpoint, safeguarded by the bracket: each step moves one end.
+    Where the merged solution has ``n_index`` nodes the sign of the correction
+    picks the end and the next energy is the corrected one; elsewhere an
+    outward node count picks the end and the next energy is the midpoint, as
+    it is for a step that would leave the bracket.  The caller's bracket is
+    checked once, by node counts at its ends, at the first anomaly: a merged
+    solution without ``n_index`` nodes, a step that would leave the bracket,
+    or a bracket that closes to 1e-12 relative before the correction does.
+    The search stops when the correction of a solution with ``n_index`` nodes
+    or the bracket falls to 1e-12 relative.  The returned wavefunction has
+    exactly ``n_index`` interior nodes and unit trapezoid norm.
 
     Raises
     ------
@@ -508,10 +511,39 @@ def numerov_solve(
 
     shooter = _shooter(problem, grid)
     shooter.check_stencil(lo)
-    found = _cooley(shooter, n_index, lo, hi, checked=False)
-    if found is None:
-        found = _cooley(shooter, n_index, *_isolate(shooter, n_index, lo, hi), checked=True)
-    epsilon, u, nodes = found
+    epsilon, checked = 0.5 * (lo + hi), False
+    for _ in range(_COOLEY_MAX_STEPS):
+        u, delta = shooter.cooley_step(epsilon)
+        nodes = count_sign_changes(u[1:-1])
+        tol = _COOLEY_RTOL * abs(epsilon)
+        # with the target's node count the correction points at the root;
+        # otherwise epsilon is past a pole of the mismatch, where it can point
+        # at a neighbouring level, so count levels and bisect
+        if nodes == n_index:
+            if abs(delta) <= tol:
+                break
+            below, step = delta > 0.0, epsilon + delta
+        else:
+            checked = checked or _check_bracket(shooter, n_index, bracket)
+            # a NaN step fails the bracket test below, so the loop bisects
+            below, step = shooter.count_states_below(epsilon) <= n_index, math.nan
+        if below:
+            lo = epsilon
+        else:
+            hi = epsilon
+        # node counts hold the root in a checked bracket; round-off can keep delta above tol
+        closed = hi - lo <= tol
+        if closed or not lo < step < hi:
+            checked = checked or _check_bracket(shooter, n_index, bracket)
+            if closed:
+                break
+            step = 0.5 * (lo + hi)
+        epsilon = step
+    else:
+        raise ConvergenceError(
+            f"eigenvalue iteration stalled near {epsilon} on ({lo}, {hi}) "
+            f"after {_COOLEY_MAX_STEPS} Cooley steps"
+        )
     if nodes != n_index:
         raise WrongStateError(
             f"converged state at eps = {epsilon} has {nodes} interior nodes, "
@@ -521,14 +553,17 @@ def numerov_solve(
     return NumerovResult(epsilon=epsilon, wavefunction=u)
 
 
-def _isolate(shooter: _Shooter, n_index: int, lo: float, hi: float) -> tuple[float, float]:
-    """(lo, hi) narrowed by bisection on node counts until it holds only state ``n_index``.
+def _check_bracket(shooter: _Shooter, n_index: int, bracket: tuple[float, float]) -> bool:
+    """Check that outward node counts at the ends of ``bracket`` hold state ``n_index``.
+
+    Returns True, which :func:`numerov_solve` keeps as its checked flag.
 
     Raises
     ------
     WrongStateError
-        If the node counts at lo and hi show the target is not inside.
+        If they do not.
     """
+    lo, hi = bracket
     n_lo = shooter.count_states_below(lo)
     n_hi = shooter.count_states_below(hi)
     if n_lo > n_index or n_hi <= n_index:
@@ -536,59 +571,7 @@ def _isolate(shooter: _Shooter, n_index: int, lo: float, hi: float) -> tuple[flo
         raise WrongStateError(
             f"bracket ({lo}, {hi}) holds {held}; target state {n_index} is outside it"
         )
-    while n_lo < n_index or n_hi > n_index + 1:
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:  # pragma: no cover - fp exhaustion
-            break
-        n_mid = shooter.count_states_below(mid)
-        if n_mid <= n_index:
-            lo, n_lo = mid, n_mid
-        else:
-            hi, n_hi = mid, n_mid
-    return lo, hi
-
-
-def _cooley(
-    shooter: _Shooter, n_index: int, lo: float, hi: float, *, checked: bool
-) -> Optional[tuple[float, np.ndarray, int]]:
-    """One pass of Cooley's iteration from the midpoint of (lo, hi).
-
-    Returns the last energy, its merged solution and that solution's
-    interior node count.  On a bracket that node counts have not ``checked``
-    the pass returns None at the first anomaly instead of counting levels or
-    bisecting.
-    """
-    epsilon = 0.5 * (lo + hi)
-    for _ in range(_COOLEY_MAX_STEPS):
-        u, delta = shooter.cooley_step(epsilon)
-        nodes = count_sign_changes(u[1:-1])
-        # with the target's node count the correction points at the root;
-        # otherwise epsilon is past a pole of the mismatch, so count levels
-        if nodes == n_index:
-            below = delta > 0.0
-        elif checked:
-            below = shooter.count_states_below(epsilon) <= n_index
-        else:
-            return None
-        if below:
-            lo = epsilon
-        else:
-            hi = epsilon
-        tol = _COOLEY_RTOL * abs(epsilon)
-        if abs(delta) <= tol:
-            return epsilon, u, nodes
-        # node counts hold the root in a checked bracket; round-off can keep delta above tol
-        if hi - lo <= tol:
-            return (epsilon, u, nodes) if checked else None
-        epsilon += delta
-        if not lo < epsilon < hi:
-            if not checked:
-                return None
-            epsilon = 0.5 * (lo + hi)
-    raise ConvergenceError(
-        f"eigenvalue iteration stalled near {epsilon} on ({lo}, {hi}) "
-        f"after {_COOLEY_MAX_STEPS} Cooley steps"
-    )
+    return True
 
 
 def default_brackets(problem: RadialProblem, grid: GridSpec, k: int) -> list[tuple[float, float]]:
@@ -618,8 +601,7 @@ def _seed_grid(grid: GridSpec, k: int) -> GridSpec:
 
 def _fd_brackets(problem: RadialProblem, grid: GridSpec, k: int) -> list[tuple[float, float]]:
     """The brackets of :func:`default_brackets`, seeded on ``grid`` itself."""
-    operator = assemble_tridiagonal(problem, grid)
-    seed, _ = _tridiagonal_lowest(operator.diagonal, operator.off_diagonal, k + 1, vectors=False)
+    seed = _fd_levels(problem, grid, k + 1)
     gaps = np.diff(seed)
     half = 0.5 * np.minimum(np.concatenate([gaps[:1], gaps[:-1]]), gaps)
     return [(float(seed[i] - half[i]), float(seed[i] + half[i])) for i in range(k)]
@@ -711,11 +693,7 @@ def solve_state(
 ) -> float:
     """Eigenvalue of the single state ``n_index`` on one grid by either route."""
     if method == "fd":
-        operator = assemble_tridiagonal(problem, grid)
-        epsilons, _ = _tridiagonal_lowest(
-            operator.diagonal, operator.off_diagonal, n_index + 1, vectors=False
-        )
-        return float(epsilons[n_index])
+        return float(_fd_levels(problem, grid, n_index + 1)[n_index])
     if method == "numerov":
         return next(_seeded_numerov(problem, grid, n_index + 1, [n_index])).epsilon
     raise ValueError(f"unknown method {method!r}; expected 'fd' or 'numerov'")

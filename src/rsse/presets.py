@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
 
-from .problem import GridSpec, PotentialSpec, RadialProblem, reduce_two_body
+from .problem import _PARAMETERS, GridSpec, PotentialSpec, RadialProblem, reduce_two_body
 from .units import PROTON_ELECTRON_MASS_RATIO
 
 PRESET_DIR_ENV = "RSSE_PRESET_DIR"
@@ -87,9 +87,12 @@ def parse_kv_file(path: Path | str) -> dict[str, str]:
     return pairs
 
 
+# the parameters of every potential kind, from the table that checks them
+_POTENTIAL_KEYS = tuple(dict.fromkeys(name for kind in _PARAMETERS.values() for name, _ in kind))
+
 # every key a preset .conf file may set
 _PRESET_KEYS = (
-    "potential", "Z", "omega", "l", "mu", "M", "fd_r_min", "fd_r_max", "fd_n",
+    "potential", *_POTENTIAL_KEYS, "l", "mu", "M", "fd_r_min", "fd_r_max", "fd_n",
     "numerov_r_min", "numerov_r_max", "numerov_n", "description",
 )
 
@@ -116,14 +119,17 @@ def _preset_from_file(path: Path) -> SolverPreset:
             if key not in pairs:
                 raise ValueError(f"missing preset key {key!r}")
         kind = pairs.get("potential", "coulomb")
-        if kind == "coulomb":
-            potential = PotentialSpec.coulomb(value(float, "Z", "1"))
-        elif kind == "harmonic":
-            potential = PotentialSpec.harmonic(value(float, "omega", "1"))
-        else:
+        # a flat file has no format for tabulated samples
+        if kind not in _PARAMETERS or kind == "tabulated":
             raise ValueError(f"unsupported potential {kind!r}")
+        # the kind's own parameters default to 1; any other one given is
+        # passed on, so that PotentialSpec rejects it by name
+        own = {name for name, _ in _PARAMETERS[kind]}
+        parameters = {
+            name: value(float, name, "1") for name in _POTENTIAL_KEYS if name in own or name in pairs
+        }
         problem = RadialProblem(
-            potential=potential,
+            potential=PotentialSpec(kind=kind, **parameters),
             l=value(int, "l", "0"),
             mu=value(float, "mu", "1"),
             M=value(float, "M", pairs.get("mu", "1")),

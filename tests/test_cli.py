@@ -850,6 +850,40 @@ def test_preset_with_an_unsupported_potential_exits_2(tmp_path, monkeypatch, cap
     assert not (tmp_path / "x.csv").exists()
 
 
+def test_preset_rejects_a_parameter_of_another_potential(tmp_path, monkeypatch, capsys):
+    conf = tmp_path / "mixed.conf"
+    conf.write_text("potential = coulomb\nomega = 3\nfd_r_min = 0.001\nfd_r_max = 30\nfd_n = 2000\n")
+    monkeypatch.setenv("RSSE_PRESET_DIR", str(tmp_path))
+    code = main(["solve", "--preset", "mixed", "--output", str(tmp_path / "x.csv")])
+    assert code == 2
+    assert f"{conf}: coulomb potential takes no omega, got 3.0" in capsys.readouterr().err
+    assert not (tmp_path / "x.csv").exists()
+
+
+def test_preset_with_tabulated_potential_exits_2(tmp_path, monkeypatch, capsys):
+    # a flat key = value file has no format for the samples
+    conf = tmp_path / "table.conf"
+    conf.write_text("potential = tabulated\nfd_r_min = 0\nfd_r_max = 1\nfd_n = 500\n")
+    monkeypatch.setenv("RSSE_PRESET_DIR", str(tmp_path))
+    assert main(["solve", "--preset", "table", "--output", str(tmp_path / "x.csv")]) == 2
+    assert f"{conf}: unsupported potential 'tabulated'" in capsys.readouterr().err
+
+
+def test_finite_well_preset_solves_and_has_no_analytic_levels(tmp_path, monkeypatch, capsys):
+    (tmp_path / "well.conf").write_text(
+        "potential = finite_well\nV0 = 1\na = 2\nfd_r_min = -10\nfd_r_max = 10\nfd_n = 2000\n"
+    )
+    monkeypatch.setenv("RSSE_PRESET_DIR", str(tmp_path))
+    code, text = run_csv(tmp_path, ["solve", "--preset", "well", "--n-max", "2"])
+    assert code == 0
+    problem = RadialProblem(PotentialSpec.finite_well(1.0, 2.0))
+    expected = solve_lowest_k(assemble_tridiagonal(problem, GridSpec(-10.0, 10.0, 2000)), 2)
+    assert [float(row["epsilon_hartree"]) for row in csv_rows(text)] == expected.epsilons.tolist()
+    code = main(["compare", "--preset", "well", "--output", str(tmp_path / "c.csv")])
+    assert code == 2
+    assert "no analytic levels" in capsys.readouterr().err
+
+
 def test_bad_preset_file_breaks_only_its_own_preset(tmp_path, monkeypatch, capsys):
     bad = tmp_path / "a.conf"
     bad.write_text("potential = coulomb\nfd_r_min = 0.001\nfd_r_max = inf\nfd_n = 2000\n")

@@ -777,15 +777,15 @@ def _default_levels(case):
 @given(
     case=st.sampled_from(sorted(_PROPERTY_CASES)),
     state=st.integers(0, 3),
-    near=st.floats(0.02, 0.3),
-    far=st.floats(0.6, 0.98),
+    near=st.floats(0.02, 2.0),
+    far=st.floats(0.6, 3.0),
     far_above=st.booleans(),
 )
 def test_numerov_solve_from_off_centre_brackets_reaches_the_default_level(
     case, state, near, far, far_above
 ):
-    # brackets that node counts isolate but whose midpoints sit far from the
-    # root, where the Cooley safeguard has to work
+    # brackets whose midpoints sit far from the root, and which may reach
+    # past the neighbouring levels, where the Cooley safeguard has to work
     problem, grid, k = _PROPERTY_CASES[case]
     levels = _default_levels(case)
     n = state % k
@@ -898,6 +898,43 @@ def test_numerov_solve_on_a_bracket_holding_three_hydrogen_levels(state):
     eps, u = numerov_solve(HYDROGEN, HYDROGEN_NUMEROV_GRID, state, (-0.6, -0.05))
     assert abs(eps - level) <= 2e-12 * abs(level)
     assert count_sign_changes(u[1:-1]) == state
+
+
+@pytest.mark.parametrize(
+    "problem, grid, bracket",
+    [
+        (OSCILLATOR, OSC_NUMEROV_GRID, (0.4767710263698471, 4.809597275409975)),
+        (
+            RadialProblem(PotentialSpec.finite_well(500.0, 0.05)),
+            GridSpec(-3.0, 3.0, 6000),
+            (0.001455089847881629, 374.9694413580063),
+        ),
+    ],
+    ids=["oscillator", "narrow-well"],
+)
+def test_numerov_solve_bisects_where_the_merged_solution_has_the_wrong_node_count(
+    problem, grid, bracket
+):
+    # there the correction can point at a neighbouring level: following it
+    # from the narrow well's bracket runs out of steps
+    level = solve_numerov_lowest_k(problem, grid, 3).epsilons[1]
+    eps, u = numerov_solve(problem, grid, 1, bracket)
+    assert abs(eps - level) <= 2e-12 * abs(level)
+    assert count_sign_changes(u[1:-1]) == 1
+
+
+def test_numerov_solve_counts_each_end_of_the_callers_bracket_once(monkeypatch):
+    seen = []
+    original = _Shooter.count_states_below
+
+    def spy(self, epsilon):
+        seen.append(epsilon)
+        return original(self, epsilon)
+
+    monkeypatch.setattr(_Shooter, "count_states_below", spy)
+    numerov_solve(HYDROGEN, HYDROGEN_NUMEROV_GRID, 0, (-0.6, -0.05))
+    assert seen.count(-0.6) == 1
+    assert seen.count(-0.05) == 1
 
 
 @pytest.mark.parametrize(
