@@ -11,7 +11,10 @@ with V_eff = V + hbar**2 l(l+1) / (2 mu r**2):
   iteration (LAPACK ``dstebz`` and ``dstein``), and
 * a Numerov shooting method with outward/inward integration, node
   counting and matching on the Numerov recurrence residual at the outer
-  classical turning point, accurate to fourth order.  The eigenvalue is
+  classical turning point.  It is fourth order for smooth potentials; on a
+  uniform grid the 1/r singularity of the Coulomb problems lowers the
+  measured order to about 2 (2.33 for hydrogen, 2.12 for positronium on
+  the ``convergence`` ladder).  The eigenvalue is
   found by one loop of Cooley's energy correction from a coarse FD seed,
   safeguarded by its bracket.  Node counts check the caller's bracket once,
   at the first anomaly (a merged solution with the wrong node count, a step
@@ -23,6 +26,9 @@ with V_eff = V + hbar**2 l(l+1) / (2 mu r**2):
   recurrence as a lower-banded triangular system with LAPACK (``dtbtrs``),
   in chunks between which the samples are rescaled by a power of two so
   that they neither overflow nor lose their signs.
+
+Both routes read the problem from one radial form, :class:`_RadialForm`:
+the nodes, V_eff on them, the hbar**2 / mu prefactors and the outward start.
 
 Grids are uniform.  Coulomb-type problems use the reduced radial function
 u(r) = r R(r) and require r_min > 0.
@@ -61,6 +67,39 @@ from .problem import (
     _check_origin,
     effective_potential,
 )
+
+
+# ---------------------------------------------------------------------------
+# the radial form both routes read
+# ---------------------------------------------------------------------------
+
+
+class _RadialForm:
+    """The problem on the nodes of one grid, as both solvers read it.
+
+    This is the one place that checks the origin, builds the nodes ``r``
+    and the spacing ``h``, evaluates V_eff on every node, and forms the
+    prefactors: ``pref`` = 2 mu / hbar**2 of u'' = pref (V_eff - eps) u for
+    Numerov, and ``kinetic`` = hbar**2 / (mu h**2) of the FD diagonal.
+    ``start_out`` is the first two samples of an outward solution: the
+    power law r**(l+1) where the problem excludes the origin, else the
+    Dirichlet start (0, 1).
+    """
+
+    def __init__(self, problem: RadialProblem, grid: GridSpec):
+        _check_origin(problem, grid)
+        self.grid = grid
+        self.h = grid.h
+        self.r = grid.nodes()
+        self.veff = effective_potential(problem, self.r)
+        hbar = problem.units.hbar
+        self.pref = 2.0 * problem.mu / (hbar * hbar)
+        self.kinetic = hbar * hbar / (problem.mu * self.h * self.h)
+        if grid.r_min > 0.0 and (problem.potential.singular_at_origin or problem.l > 0):
+            lp1 = problem.l + 1
+            self.start_out = (self.r[0] ** lp1, self.r[1] ** lp1)
+        else:
+            self.start_out = (0.0, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -145,13 +184,9 @@ def assemble_tridiagonal(problem: RadialProblem, grid: GridSpec) -> TridiagonalO
     Diagonal entries are hbar**2/(mu h**2) + V_eff(r_i) on the interior
     nodes; off-diagonal entries are -hbar**2/(2 mu h**2).
     """
-    _check_origin(problem, grid)
-    r = grid.nodes()
-    h = grid.h
-    hbar = problem.units.hbar
-    kinetic = hbar * hbar / (problem.mu * h * h)
-    diagonal = kinetic + effective_potential(problem, r[1:-1])
-    off = np.full(grid.n - 3, -0.5 * kinetic)
+    form = _RadialForm(problem, grid)
+    diagonal = form.kinetic + form.veff[1:-1]
+    off = np.full(grid.n - 3, -0.5 * form.kinetic)
     return TridiagonalOperator(diagonal=diagonal, off_diagonal=off, grid=grid, problem=problem)
 
 
@@ -363,29 +398,15 @@ class NumerovResult(NamedTuple):
     wavefunction: np.ndarray
 
 
-class _Shooter:
-    """Numerov machinery for one problem and grid; :func:`_shooter` keeps the last one."""
+class _Shooter(_RadialForm):
+    """Numerov machinery on a :class:`_RadialForm`; :func:`_shooter` keeps the last one."""
 
     def __init__(self, problem: RadialProblem, grid: GridSpec):
-        _check_origin(problem, grid)
-        self.grid = grid
-        self.h = grid.h
-        self.r = grid.nodes()
-        hbar = problem.units.hbar
-        self.pref = 2.0 * problem.mu / (hbar * hbar)
-        self.veff = effective_potential(problem, self.r)
+        super().__init__(problem, grid)
         self.f_base = self.pref * self.veff
         # the largest f the sweeps divide by (index 2 on) gives the smallest w
         self.f_max = float(np.max(self.f_base[2:]))
         self._stencil = (math.nan, None)  # the last (epsilon, (w, c)) built
-        # power-law start for problems that exclude the origin, plain
-        # Dirichlet start otherwise
-        if grid.r_min > 0.0 and (problem.potential.singular_at_origin or problem.l > 0):
-            lp1 = problem.l + 1
-            self.start_out = (self.r[0] ** lp1, self.r[1] ** lp1)
-        else:
-            self.start_out = (0.0, 1.0)
-        self.start_in = (0.0, 1.0)
 
     def stencil(self, epsilon: float) -> tuple[np.ndarray, np.ndarray]:
         """Recurrence coefficients w = 1 - t and c = 2 + 10 t (t = h**2 f / 12) at ``epsilon``.
@@ -449,7 +470,8 @@ class _Shooter:
         # a node can sit exactly on the match point; nudge inward if so
         for _ in range(3):
             u_out = _numerov_sweep(w[: m + 2], c[: m + 2], *self.start_out)
-            u_in = _numerov_sweep(w[m - 1 :][::-1], c[m - 1 :][::-1], *self.start_in)[::-1]
+            # the inward sweep starts at the far wall
+            u_in = _numerov_sweep(w[m - 1 :][::-1], c[m - 1 :][::-1], 0.0, 1.0)[::-1]
             if u_out[m] != 0.0 and u_in[1] != 0.0:
                 break
             m -= 1
@@ -710,10 +732,12 @@ def convergence_order(
 ) -> float:
     """Least-squares slope of log|eps_h - eps_exact| against log h.
 
-    Expect about 2 for the finite-difference route and about 4 for the
-    Numerov route.  Requires at least three distinct grids.  ``table``
-    takes the ``(h, eps_h)`` pairs of ``grids``, in order, when the caller
-    has already solved them; otherwise each grid is solved here.
+    Expect about 2 for the finite-difference route.  The Numerov route
+    gives about 4 for smooth potentials; on a uniform grid the 1/r
+    singularity of a Coulomb problem lowers it to about 2.  Requires at
+    least three distinct grids.  ``table`` takes the ``(h, eps_h)`` pairs
+    of ``grids``, in order, when the caller has already solved them;
+    otherwise each grid is solved here.
     """
     if len(grids) < 3:
         raise ValueError(f"need at least 3 grids for a slope estimate, got {len(grids)}")

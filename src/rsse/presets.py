@@ -122,6 +122,11 @@ def _preset_from_file(path: Path) -> SolverPreset:
         # a flat file has no format for tabulated samples
         if kind not in _PARAMETERS or kind == "tabulated":
             raise ValueError(f"unsupported potential {kind!r}")
+        # PotentialSpec.infinite_well(a) places no wall, so a width would be ignored
+        if kind == "infinite_well" and "a" in pairs:
+            raise ValueError(
+                "infinite_well takes no 'a' in a preset file: the grid ends are the walls"
+            )
         # the kind's own parameters default to 1; any other one given is
         # passed on, so that PotentialSpec rejects it by name
         own = {name for name, _ in _PARAMETERS[kind]}

@@ -26,7 +26,13 @@ class ConvergenceError(RuntimeError):
 
 
 class BracketError(ValueError):
-    """The matching function has no sign change over the supplied bracket."""
+    """The matching function has no sign change over the supplied bracket.
+
+    rsse no longer raises it: the Numerov search stops when its correction
+    or its bracket falls to 1e-12 relative, and node counts report a bracket
+    without the target state as :class:`WrongStateError`.  It stays in the
+    public API so that code catching it keeps working.
+    """
 
 
 class WrongStateError(ValueError):

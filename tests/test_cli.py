@@ -884,6 +884,22 @@ def test_finite_well_preset_solves_and_has_no_analytic_levels(tmp_path, monkeypa
     assert "no analytic levels" in capsys.readouterr().err
 
 
+def test_infinite_well_preset_rejects_a_width(tmp_path, monkeypatch, capsys):
+    # the walls are the grid ends; a width would solve the grid's box and be ignored
+    body = "potential = infinite_well\nfd_r_min = 0\nfd_r_max = 1\nfd_n = 500\n"
+    conf = tmp_path / "box.conf"
+    conf.write_text(body + "a = 5\n")
+    monkeypatch.setenv("RSSE_PRESET_DIR", str(tmp_path))
+    assert main(["solve", "--preset", "box", "--output", str(tmp_path / "x.csv")]) == 2
+    err = capsys.readouterr().err
+    assert f"{conf}: infinite_well takes no 'a'" in err and "the grid ends are the walls" in err
+    assert not (tmp_path / "x.csv").exists()
+    conf.write_text(body)
+    code, text = run_csv(tmp_path, ["solve", "--preset", "box"])
+    assert code == 0
+    assert float(csv_rows(text)[0]["epsilon_hartree"]) == pytest.approx(math.pi**2 / 2, rel=1e-5)
+
+
 def test_bad_preset_file_breaks_only_its_own_preset(tmp_path, monkeypatch, capsys):
     bad = tmp_path / "a.conf"
     bad.write_text("potential = coulomb\nfd_r_min = 0.001\nfd_r_max = inf\nfd_n = 2000\n")

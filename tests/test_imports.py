@@ -12,6 +12,7 @@ Each import-graph case starts a fresh interpreter, so modules imported by
 other tests do not leak into ``sys.modules``.
 """
 
+import ast
 import inspect
 import json
 import os
@@ -232,3 +233,29 @@ def test_cli_keeps_wrappers_set_before_the_first_solve():
     assert calls == str(
         {"solve_lowest_k": 1, "solve_numerov_lowest_k": 1, "convergence_order": 1}
     )
+
+
+# ---------------------------------------------------------------------------
+# the solvers read the problem in one place
+# ---------------------------------------------------------------------------
+
+
+def reads(tree, what):
+    """The calls of ``what`` in ``tree``; a leading dot names a method or attribute."""
+    if what.startswith("."):
+        nodes = [node for node in ast.walk(tree) if isinstance(node, ast.Attribute)]
+        return [node for node in nodes if node.attr == what[1:]]
+    calls = [node.func for node in ast.walk(tree) if isinstance(node, ast.Call)]
+    return [func for func in calls if isinstance(func, ast.Name) and func.id == what]
+
+
+@pytest.mark.parametrize("what", ["effective_potential", "_check_origin", ".nodes", ".hbar"])
+def test_eigensolver_reads_the_problem_only_in_its_radial_form(what):
+    # one radial form checks the origin, builds the nodes, evaluates V_eff and
+    # forms the hbar**2 / mu prefactors; both solvers read it
+    tree = ast.parse(Path(rsse.eigensolver.__file__).read_text())
+    (form,) = [
+        node for node in tree.body if isinstance(node, ast.ClassDef) and node.name == "_RadialForm"
+    ]
+    assert len(reads(tree, what)) == 1
+    assert len(reads(form, what)) == 1
