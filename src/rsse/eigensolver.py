@@ -714,6 +714,8 @@ def solve_state(
     problem: RadialProblem, grid: GridSpec, n_index: int, method: str = "fd"
 ) -> float:
     """Eigenvalue of the single state ``n_index`` on one grid by either route."""
+    if n_index < 0:
+        raise ValueError(f"n_index must be nonnegative, got {n_index}")
     if method == "fd":
         return float(_fd_levels(problem, grid, n_index + 1)[n_index])
     if method == "numerov":

@@ -19,9 +19,9 @@ import math
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING
 
-from .kinematics import _check_rest_mass, gamma_factor, momentum, total_energy
+from .kinematics import gamma_factor, momentum, total_energy
 from .problem import GridSpec
-from .units import ATOMIC, UnitSystem
+from .units import ATOMIC, UnitSystem, _check_positive
 
 if TYPE_CHECKING:
     import numpy as np
@@ -58,9 +58,8 @@ class PlaneWaveState:
 
     def __post_init__(self) -> None:
         _check_branch(self.branch)
-        if not self.E > 0.0:
-            raise ValueError(f"plane-wave energy must be positive, got {self.E}")
-        _check_rest_mass(self.m0)
+        _check_positive("plane-wave energy", self.E)
+        _check_positive("rest mass", self.m0)
 
 
 def electron_plane_wave(
@@ -112,7 +111,7 @@ def spacetime_invert(state: PlaneWaveState) -> PlaneWaveState:
 
 def effective_mass(m0: float, v: float, units: UnitSystem = ATOMIC) -> float:
     """Inertial mass gamma * m0; strictly increasing in |v|, divergent at c."""
-    _check_rest_mass(m0)
+    _check_positive("rest mass", m0)
     return gamma_factor(v, units) * m0
 
 
@@ -144,7 +143,7 @@ def dirac_theta_chi(
     The minority/majority weight ratio is p*c/(E + m0*c**2) = gamma*beta/(gamma+1):
     zero at rest, strictly increasing with |v|, approaching 1 as |v| -> c.
     """
-    _check_rest_mass(m0)
+    _check_positive("rest mass", m0)
     _check_branch(branch)
     beta = abs(v) / units.c
     g = gamma_factor(v, units)
@@ -187,6 +186,7 @@ def time_reversal_check(
     evaluated with the second-difference H on the interior nodes.  For a
     real eigenfunction this equals the residual of psi itself.
     """
+    _check_positive("reduced mass", mu)
     import numpy as np
 
     psi = np.asarray(psi_spatial, dtype=complex)

@@ -14,17 +14,12 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
-from .units import ATOMIC, UnitSystem
+from .units import ATOMIC, UnitSystem, _check_positive
 
 
 def _check_speed(v: float, c: float) -> None:
     if not abs(v) < c:
         raise ValueError(f"speed must satisfy |v| < c = {c}, got v = {v}")
-
-
-def _check_rest_mass(m0: float) -> None:
-    if not m0 > 0.0:
-        raise ValueError(f"rest mass must be strictly positive, got {m0}")
 
 
 def gamma_factor(v: float, units: UnitSystem = ATOMIC) -> float:
@@ -37,7 +32,7 @@ def gamma_factor(v: float, units: UnitSystem = ATOMIC) -> float:
 
 def momentum(m0: float, v: float, units: UnitSystem = ATOMIC) -> float:
     """Relativistic momentum gamma * m0 * v."""
-    _check_rest_mass(m0)
+    _check_positive("rest mass", m0)
     return gamma_factor(v, units) * m0 * v
 
 
@@ -46,9 +41,9 @@ def total_energy(m0: float, p: float, units: UnitSystem = ATOMIC) -> float:
 
     Admits the massless case m0 = 0 provided p != 0.
     """
-    if m0 < 0.0:
-        raise ValueError(f"rest mass must be nonnegative, got {m0}")
-    if m0 == 0.0 and p == 0.0:
+    if m0 != 0.0:
+        _check_positive("rest mass", m0)
+    elif p == 0.0:
         raise ValueError("a massless particle needs nonzero momentum")
     return math.hypot(m0 * units.c * units.c, p * units.c)
 
@@ -68,7 +63,7 @@ class MassiveParticle:
 
     @classmethod
     def from_momentum(cls, m0: float, p: float, units: UnitSystem = ATOMIC) -> "MassiveParticle":
-        _check_rest_mass(m0)
+        _check_positive("rest mass", m0)
         # invert p = gamma m0 v:  v = p c / sqrt((m0 c)^2 + p^2)
         v = p * units.c / math.hypot(m0 * units.c, p)
         return cls(m0=m0, v=v, p=p, units=units)
@@ -95,9 +90,7 @@ class WaveParameters(NamedTuple):
 
 def wave_from_particle(m0: float, v: float, units: UnitSystem = ATOMIC) -> WaveParameters:
     """Wave parameters omega = E/hbar, k = p/hbar, wavelength = 2*pi*hbar/|p|."""
-    _check_rest_mass(m0)
-    _check_speed(v, units.c)
-    p = momentum(m0, v, units)
+    p = momentum(m0, v, units)  # checks m0, then v
     energy = total_energy(m0, p, units)
     k = p / units.hbar
     wavelength = None if p == 0.0 else 2.0 * math.pi * units.hbar / abs(p)
@@ -126,7 +119,7 @@ def clock_and_wave_frequencies(
     (time dilation) while the wave measured at a fixed point oscillates at
     omega0/sqrt(1-beta**2) = E/hbar.  Their product is omega0**2.
     """
-    _check_rest_mass(m0)
+    _check_positive("rest mass", m0)
     _check_speed(v, units.c)
     omega0 = m0 * units.c * units.c / units.hbar
     beta = v / units.c
@@ -187,7 +180,7 @@ def derive_de_broglie(m0: float, v: float, units: UnitSystem = ATOMIC) -> DeBrog
     Only the positive-frequency branch is searched; side conditions for
     other branches are not defined here.
     """
-    _check_rest_mass(m0)
+    _check_positive("rest mass", m0)
     _check_speed(v, units.c)
     if v == 0.0:
         raise ValueError("the group-velocity condition needs a moving particle (v != 0)")

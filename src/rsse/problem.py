@@ -15,7 +15,7 @@ import operator
 from dataclasses import dataclass, fields
 from typing import TYPE_CHECKING, Optional, Sequence
 
-from .units import ATOMIC, UnitSystem
+from .units import ATOMIC, UnitSystem, _check_positive
 
 if TYPE_CHECKING:
     import numpy as np
@@ -48,11 +48,6 @@ _PARAMETERS = {
     "infinite_well": (("a", "well width"),),
     "tabulated": (),
 }
-
-
-def _check_positive(what: str, value: Optional[float]) -> None:
-    if value is None or not 0.0 < value < math.inf:
-        raise ValueError(f"{what} must be positive and finite, got {value}")
 
 
 @dataclass(frozen=True)
@@ -163,6 +158,10 @@ class GridSpec:
     def __post_init__(self) -> None:
         if not -math.inf < self.r_min < self.r_max < math.inf:
             raise ValueError(f"need finite r_min < r_max, got [{self.r_min}, {self.r_max}]")
+        try:
+            operator.index(self.n)
+        except TypeError:
+            raise ValueError(f"grid node count n must be an integer, got {self.n!r}") from None
         if self.n < 16:
             raise ValueError(f"grid needs at least 16 nodes, got {self.n}")
 
@@ -215,8 +214,8 @@ def reduce_two_body(
     units: UnitSystem = ATOMIC,
 ) -> RadialProblem:
     """Reduce two interacting masses to an effective one-body radial problem."""
-    if not (m1 > 0.0 and m2 > 0.0):
-        raise ValueError(f"masses must be positive, got {m1}, {m2}")
+    _check_positive("mass m1", m1)
+    _check_positive("mass m2", m2)
     return RadialProblem(potential, l=l, mu=m1 * m2 / (m1 + m2), M=m1 + m2, units=units)
 
 

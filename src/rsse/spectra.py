@@ -23,7 +23,7 @@ from typing import Optional
 
 from .problem import GridSpec, RadialProblem, _check_origin
 from .presets import get_preset
-from .units import ATOMIC, UnitSystem
+from .units import ATOMIC, UnitSystem, _check_positive
 
 
 # ---------------------------------------------------------------------------
@@ -35,15 +35,14 @@ def bohr_level(Z: float, mu: float, n: int) -> float:
     """Coulomb eigenvalue -mu Z**2 / (2 n**2) in hartree (atomic units)."""
     if n < 1:
         raise ValueError(f"principal quantum number must be >= 1, got {n}")
-    if not (Z > 0.0 and mu > 0.0):
-        raise ValueError(f"need Z > 0 and mu > 0, got Z={Z}, mu={mu}")
+    _check_positive("coulomb charge", Z)
+    _check_positive("reduced mass", mu)
     return -mu * Z * Z / (2.0 * n * n)
 
 
 def oscillator_level(omega: float, n: int) -> float:
     """Harmonic eigenvalue hbar*omega*(n + 1/2) in hartree (atomic units)."""
-    if not omega > 0.0:
-        raise ValueError(f"frequency must be positive, got {omega}")
+    _check_positive("harmonic frequency", omega)
     if n < 0:
         raise ValueError(f"oscillator index must be nonnegative, got {n}")
     return omega * (n + 0.5)
@@ -101,6 +100,7 @@ def dirac_coulomb_level(
     if n < 1:
         raise ValueError(f"principal quantum number must be >= 1, got {n}")
     _check_half_integer_j(j, n)
+    _check_positive("coulomb charge", Z)
     za = Z * units.alpha
     kappa = j + 0.5
     if za >= kappa:
@@ -130,13 +130,14 @@ def binding_nonrel(epsilon: float) -> float:
 
 
 def _rest_energy(M: float, units: UnitSystem) -> float:
-    """M c**2 of a strictly positive total rest mass M."""
-    if not M > 0.0:
-        raise ValueError(f"total rest mass must be positive, got {M}")
+    """M c**2 of a total rest mass M."""
+    _check_positive("total rest mass", M)
     return M * units.c * units.c
 
 
 def _check_domain(epsilon: float, mc2: float) -> float:
+    if not math.isfinite(epsilon):
+        raise ValueError(f"epsilon must be finite, got {epsilon}")
     y = 2.0 * epsilon / mc2
     if y < -1.0:
         raise ValueError(
@@ -147,8 +148,7 @@ def _check_domain(epsilon: float, mc2: float) -> float:
 
 def epsilon_from_total_energy(energy: float, M: float, units: UnitSystem = ATOMIC) -> float:
     """eps = (E**2 - (M c**2)**2) / (2 M c**2) on the E > 0 branch."""
-    if not energy > 0.0:
-        raise ValueError(f"total energy must be positive, got {energy}")
+    _check_positive("total energy", energy)
     mc2 = _rest_energy(M, units)
     # factored form keeps accuracy for E close to M c**2
     return (energy - mc2) * (energy + mc2) / (2.0 * mc2)

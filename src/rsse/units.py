@@ -3,11 +3,17 @@
 Everything numerical in this package runs in Hartree atomic units
 (hbar = m_e = e = 1, c = 1/alpha); other energy units appear only at
 I/O boundaries through :func:`convert_energy`.
+
+The module also holds ``_check_positive``, the one rule by which every
+module rejects a mass, charge, frequency, energy or unit scale that is not
+positive and finite.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from typing import Optional
 
 # CODATA 2018 values.
 FINE_STRUCTURE = 0.0072973525693
@@ -20,6 +26,11 @@ _EV_PER_UNIT = {
     "eV": 1.0,
     "MeV": 1.0e6,
 }
+
+
+def _check_positive(what: str, value: Optional[float]) -> None:
+    if value is None or not 0.0 < value < math.inf:
+        raise ValueError(f"{what} must be positive and finite, got {value}")
 
 
 @dataclass(frozen=True)
@@ -45,9 +56,7 @@ class UnitSystem:
 
     def __post_init__(self) -> None:
         for name in ("hbar", "c", "mass_unit"):
-            value = getattr(self, name)
-            if not value > 0.0:
-                raise ValueError(f"{name} must be strictly positive, got {value}")
+            _check_positive(name, getattr(self, name))
 
     @property
     def alpha(self) -> float:

@@ -470,6 +470,15 @@ def test_non_finite_options_exit_2(tmp_path, capsys, argv, key):
     assert not (tmp_path / "x.csv").exists()
 
 
+def test_negative_exponent_form_value_reaches_the_header_when_joined_with_equals(tmp_path):
+    # argparse reads a separate "-1e1" as an option; joined with "=" it is the value
+    code, text = run_csv(
+        tmp_path, ["solve", "--preset", "oscillator", "--n-max", "1", "--r-min=-1e1"]
+    )
+    assert code == 0
+    assert csv_header(text)["r_min"] == "-10"
+
+
 def test_non_finite_config_value_exits_2(tmp_path, capsys):
     cfg = tmp_path / "run.conf"
     cfg.write_text("m0 = nan\n")

@@ -149,6 +149,18 @@ def test_grid_spec():
         GridSpec(0.0, 1.0, 15)
 
 
+@pytest.mark.parametrize("n", [20.5, 100.0, "100", None])
+def test_grid_spec_rejects_a_node_count_that_is_not_an_integer(n):
+    # 20.5 nodes would give h = 1/19.5 and a TypeError from nodes()
+    message = f"grid node count n must be an integer, got {n!r}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        GridSpec(0.0, 1.0, n)
+
+
+def test_grid_spec_takes_a_numpy_integer_node_count():
+    assert GridSpec(0.0, 1.0, np.int64(101)).h == pytest.approx(0.01)
+
+
 def test_raw_potential_constructor_rejects_fields_the_kind_does_not_use():
     # one potential has one spec, so caches keyed on the problem see it once
     with pytest.raises(ValueError, match="harmonic potential takes no Z, got 5.0"):
@@ -553,6 +565,23 @@ def test_numerov_invalid_bracket():
 def test_numerov_solve_rejects_a_negative_state_index():
     with pytest.raises(ValueError, match="n_index must be nonnegative, got -1"):
         numerov_solve(OSCILLATOR, OSC_NUMEROV_GRID, -1, (0.3, 0.7))
+
+
+@pytest.mark.parametrize(
+    "solve",
+    [
+        lambda: solve_state(OSCILLATOR, OSC_FD_GRID, -1),
+        lambda: solve_state(OSCILLATOR, OSC_FD_GRID, -1, method="numerov"),
+        lambda: convergence_order(
+            OSCILLATOR, [GridSpec(-8.0, 8.0, n) for n in (100, 200, 400)], 0.5, n_index=-1
+        ),
+    ],
+    ids=["fd", "numerov", "convergence_order"],
+)
+def test_solve_state_names_a_negative_state_index(solve):
+    # not as "k must be in [1, ...], got 0" from the level count n_index + 1
+    with pytest.raises(ValueError, match="n_index must be nonnegative, got -1"):
+        solve()
 
 
 def test_error_taxonomy():

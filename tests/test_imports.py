@@ -259,3 +259,29 @@ def test_eigensolver_reads_the_problem_only_in_its_radial_form(what):
     ]
     assert len(reads(tree, what)) == 1
     assert len(reads(form, what)) == 1
+
+
+# ---------------------------------------------------------------------------
+# one positivity rule
+# ---------------------------------------------------------------------------
+
+
+def test_only_units_check_positive_says_a_parameter_must_be_positive():
+    # every mass, charge, frequency, energy and unit scale goes through it
+    package = SRC / "rsse"
+    units = ast.parse((package / "units.py").read_text())
+    (check,) = [
+        node
+        for node in units.body
+        if isinstance(node, ast.FunctionDef) and node.name == "_check_positive"
+    ]
+    inside = range(check.lineno, check.end_lineno + 1)
+    found = []
+    for path in sorted(package.glob("*.py")):
+        text = path.read_text()
+        assert "_check_rest_mass" not in text, path.name
+        for number, line in enumerate(text.splitlines(), start=1):
+            for phrase in ("strictly positive", "must be positive"):
+                if phrase in line:
+                    found.append((path.name, number in inside, phrase))
+    assert found == [("units.py", True, "must be positive")]

@@ -51,6 +51,13 @@ def test_massless_at_rest_rejected():
         total_energy(0.0, 0.0)
 
 
+@pytest.mark.parametrize("p", [2.0, -2.0, 1e-300])
+def test_massless_particle_with_momentum_has_energy_pc(p):
+    # m0 = 0 is the one rest mass the positivity rule lets through
+    assert total_energy(0.0, p) == abs(p) * C
+    assert total_energy(-0.0, p) == abs(p) * C
+
+
 @pytest.mark.parametrize("m0", [0.5, 1.0, 1836.15267343])
 @pytest.mark.parametrize("beta", [0.0, 0.1, 0.6, 0.9, 0.99])
 def test_right_triangle_identity(m0, beta):

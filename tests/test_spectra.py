@@ -165,6 +165,13 @@ def test_domain_error_reports_bound():
         binding_relativistic(-1.01 * MC2 / 2.0, 1.0)
 
 
+@pytest.mark.parametrize("eps", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("energy_map", [total_energy_from_epsilon, binding_relativistic])
+def test_energy_maps_reject_a_non_finite_epsilon(energy_map, eps):
+    with pytest.raises(ValueError, match=f"epsilon must be finite, got {eps}"):
+        energy_map(eps, 1.0)
+
+
 def test_nonpositive_inputs_rejected():
     with pytest.raises(ValueError):
         epsilon_from_total_energy(-1.0, 1.0)

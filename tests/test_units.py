@@ -3,6 +3,31 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
+from rsse.inversion import (
+    MATTER,
+    PlaneWaveState,
+    dirac_theta_chi,
+    effective_mass,
+    electron_plane_wave,
+    time_reversal_check,
+)
+from rsse.kinematics import (
+    MassiveParticle,
+    clock_and_wave_frequencies,
+    derive_de_broglie,
+    momentum,
+    total_energy,
+    wave_from_particle,
+)
+from rsse.problem import GridSpec, PotentialSpec, RadialProblem, reduce_two_body
+from rsse.spectra import (
+    binding_relativistic,
+    bohr_level,
+    dirac_coulomb_level,
+    epsilon_from_total_energy,
+    oscillator_level,
+    total_energy_from_epsilon,
+)
 from rsse.units import (
     FINE_STRUCTURE,
     HARTREE_EV,
@@ -44,6 +69,102 @@ def test_positive_scale_factors_enforced():
         UnitSystem(c=-1.0)
     with pytest.raises(ValueError, match="mass_unit"):
         UnitSystem(mass_unit=0.0)
+
+
+COULOMB = PotentialSpec.coulomb(1.0)
+GRID = GridSpec(0.0, 1.0, 16)
+
+# (what the error names, the entry point given the bad value)
+POSITIVE_PARAMETERS = [
+    pytest.param("hbar", lambda x: UnitSystem(hbar=x), id="UnitSystem.hbar"),
+    pytest.param("c", lambda x: UnitSystem(c=x), id="UnitSystem.c"),
+    pytest.param("mass_unit", lambda x: UnitSystem(mass_unit=x), id="UnitSystem.mass_unit"),
+    pytest.param("mass m1", lambda x: reduce_two_body(x, 1.0, COULOMB), id="reduce_two_body.m1"),
+    pytest.param("mass m2", lambda x: reduce_two_body(1.0, x, COULOMB), id="reduce_two_body.m2"),
+    pytest.param(
+        "reduced mass",
+        lambda x: RadialProblem(COULOMB, mu=x, M=2.0),
+        id="RadialProblem.mu",
+    ),
+    pytest.param(
+        "total rest mass",
+        lambda x: RadialProblem(COULOMB, mu=0.5, M=x),
+        id="RadialProblem.M",
+    ),
+    pytest.param("rest mass", lambda x: momentum(x, 0.1), id="momentum"),
+    pytest.param(
+        "rest mass",
+        lambda x: MassiveParticle.from_momentum(x, 1.0),
+        id="MassiveParticle.from_momentum",
+    ),
+    pytest.param("rest mass", lambda x: wave_from_particle(x, 0.1), id="wave_from_particle"),
+    pytest.param(
+        "rest mass",
+        lambda x: clock_and_wave_frequencies(x, 0.1),
+        id="clock_and_wave_frequencies",
+    ),
+    pytest.param("rest mass", lambda x: derive_de_broglie(x, 0.1), id="derive_de_broglie"),
+    pytest.param("rest mass", lambda x: effective_mass(x, 0.1), id="effective_mass"),
+    pytest.param("rest mass", lambda x: dirac_theta_chi(x, 0.1), id="dirac_theta_chi"),
+    pytest.param("rest mass", lambda x: electron_plane_wave(0.1, m0=x), id="electron_plane_wave"),
+    pytest.param(
+        "rest mass",
+        lambda x: PlaneWaveState(p=1.0, E=2.0, branch=MATTER, Q=-1, L=1, m0=x),
+        id="PlaneWaveState.m0",
+    ),
+    pytest.param(
+        "plane-wave energy",
+        lambda x: PlaneWaveState(p=1.0, E=x, branch=MATTER, Q=-1, L=1),
+        id="PlaneWaveState.E",
+    ),
+    pytest.param(
+        "reduced mass",
+        lambda x: time_reversal_check([0.0, 1.0] * 8, 1.0, [0.0] * 16, GRID, mu=x),
+        id="time_reversal_check",
+    ),
+    pytest.param("coulomb charge", lambda x: bohr_level(x, 1.0, 1), id="bohr_level.Z"),
+    pytest.param("reduced mass", lambda x: bohr_level(1.0, x, 1), id="bohr_level.mu"),
+    pytest.param("harmonic frequency", lambda x: oscillator_level(x, 0), id="oscillator_level"),
+    pytest.param(
+        "coulomb charge",
+        lambda x: dirac_coulomb_level(x, 1, 0.5),
+        id="dirac_coulomb_level",
+    ),
+    pytest.param(
+        "total rest mass",
+        lambda x: binding_relativistic(-0.1, x),
+        id="binding_relativistic",
+    ),
+    pytest.param(
+        "total rest mass",
+        lambda x: total_energy_from_epsilon(-0.1, x),
+        id="total_energy_from_epsilon",
+    ),
+    pytest.param(
+        "total rest mass",
+        lambda x: epsilon_from_total_energy(1.0, x),
+        id="epsilon_from_total_energy.M",
+    ),
+    pytest.param(
+        "total energy",
+        lambda x: epsilon_from_total_energy(x, 1.0),
+        id="epsilon_from_total_energy.E",
+    ),
+]
+
+
+@pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf])
+@pytest.mark.parametrize("what, call", POSITIVE_PARAMETERS)
+def test_every_physical_parameter_must_be_positive_and_finite(what, call, bad):
+    with pytest.raises(ValueError, match=f"^{what} must be positive and finite, got {bad}$"):
+        call(bad)
+
+
+@pytest.mark.parametrize("bad", [-1.0, math.nan, math.inf])
+def test_total_energy_checks_every_rest_mass_but_zero(bad):
+    # m0 = 0 is the massless case, which needs p != 0 instead
+    with pytest.raises(ValueError, match=f"^rest mass must be positive and finite, got {bad}$"):
+        total_energy(bad, 1.0)
 
 
 def test_hartree_to_ev():
