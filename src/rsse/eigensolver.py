@@ -67,6 +67,7 @@ from .problem import (
     _check_origin,
     effective_potential,
 )
+from .units import _check_index
 
 
 # ---------------------------------------------------------------------------
@@ -260,8 +261,7 @@ def _tridiagonal_lowest(
     ConvergenceError
         If LAPACK reports a nonzero ``info``.
     """
-    if not 1 <= k <= d.shape[0]:
-        raise ValueError(f"k must be in [1, {d.shape[0]}], got {k}")
+    _check_index("k", k, 1, d.shape[0])
     if not (np.isfinite(d).all() and np.isfinite(e).all()):
         raise ValueError("tridiagonal matrix entries must be finite")
     lapack = _lapack()
@@ -525,8 +525,7 @@ def numerov_solve(
     ConvergenceError
         If the iteration has not converged after a fixed number of steps.
     """
-    if n_index < 0:
-        raise ValueError(f"n_index must be nonnegative, got {n_index}")
+    _check_index("n_index", n_index, 0)
     lo, hi = bracket
     if not lo < hi:
         raise ValueError(f"bracket must satisfy lo < hi, got ({lo}, {hi})")
@@ -608,8 +607,7 @@ def default_brackets(problem: RadialProblem, grid: GridSpec, k: int) -> list[tup
     starts.  The top bracket needs the FD level above it, so k + 1 levels
     must fit on the grid's grid.n - 2 interior nodes: 1 <= k <= grid.n - 3.
     """
-    if not 1 <= k <= grid.n - 3:
-        raise ValueError(f"k must be in [1, {grid.n - 3}] to seed Numerov brackets, got {k}")
+    _check_index("k", k, 1, grid.n - 3)
     return _fd_brackets(problem, _seed_grid(grid, k), k)
 
 
@@ -672,8 +670,7 @@ def solve_numerov_lowest_k(
     brackets: Sequence[tuple[float, float]] | None = None,
 ) -> EigenResult:
     """Numerov counterpart of :func:`solve_lowest_k` for the lowest k states."""
-    if k < 1:
-        raise ValueError(f"k must be at least 1, got {k}")
+    _check_index("k", k, 1)
     if brackets is None:
         results = _seeded_numerov(problem, grid, k, range(k))
     elif len(brackets) != k:
@@ -714,8 +711,7 @@ def solve_state(
     problem: RadialProblem, grid: GridSpec, n_index: int, method: str = "fd"
 ) -> float:
     """Eigenvalue of the single state ``n_index`` on one grid by either route."""
-    if n_index < 0:
-        raise ValueError(f"n_index must be nonnegative, got {n_index}")
+    _check_index("n_index", n_index, 0)
     if method == "fd":
         return float(_fd_levels(problem, grid, n_index + 1)[n_index])
     if method == "numerov":

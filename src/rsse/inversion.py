@@ -132,6 +132,7 @@ class ThetaChi:
     branch: str
 
     def __post_init__(self) -> None:
+        _check_positive("rest mass", self.m0)
         _check_branch(self.branch)
 
 
@@ -143,8 +144,7 @@ def dirac_theta_chi(
     The minority/majority weight ratio is p*c/(E + m0*c**2) = gamma*beta/(gamma+1):
     zero at rest, strictly increasing with |v|, approaching 1 as |v| -> c.
     """
-    _check_positive("rest mass", m0)
-    _check_branch(branch)
+    _check_branch(branch)  # ThetaChi checks m0
     beta = abs(v) / units.c
     g = gamma_factor(v, units)
     ratio = g * beta / (g + 1.0)

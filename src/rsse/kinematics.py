@@ -57,6 +57,9 @@ class MassiveParticle:
     p: float
     units: UnitSystem
 
+    def __post_init__(self) -> None:
+        _check_positive("rest mass", self.m0)
+
     @classmethod
     def from_velocity(cls, m0: float, v: float, units: UnitSystem = ATOMIC) -> "MassiveParticle":
         return cls(m0=m0, v=v, p=momentum(m0, v, units), units=units)

@@ -11,11 +11,10 @@ they import it when called, so the analytic commands (``kinematics``,
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass, fields
 from typing import TYPE_CHECKING, Optional, Sequence
 
-from .units import ATOMIC, UnitSystem, _check_positive
+from .units import ATOMIC, UnitSystem, _check_index, _check_positive
 
 if TYPE_CHECKING:
     import numpy as np
@@ -158,12 +157,7 @@ class GridSpec:
     def __post_init__(self) -> None:
         if not -math.inf < self.r_min < self.r_max < math.inf:
             raise ValueError(f"need finite r_min < r_max, got [{self.r_min}, {self.r_max}]")
-        try:
-            operator.index(self.n)
-        except TypeError:
-            raise ValueError(f"grid node count n must be an integer, got {self.n!r}") from None
-        if self.n < 16:
-            raise ValueError(f"grid needs at least 16 nodes, got {self.n}")
+        _check_index("grid node count n", self.n, 16)
 
     @property
     def h(self) -> float:
@@ -193,12 +187,7 @@ class RadialProblem:
     def __post_init__(self) -> None:
         _check_positive("reduced mass", self.mu)
         _check_positive("total rest mass", self.M)
-        try:
-            operator.index(self.l)
-        except TypeError:
-            raise ValueError(f"angular momentum l must be an integer, got {self.l!r}") from None
-        if self.l < 0:
-            raise ValueError(f"angular momentum must be nonnegative, got {self.l}")
+        _check_index("angular momentum l", self.l, 0)
         if self.mu != self.M and self.mu > 0.5 * self.M * (1.0 + 1e-12):
             raise ValueError(
                 f"mu = {self.mu} is inconsistent: a two-body reduced mass is at most "

@@ -23,7 +23,7 @@ from typing import Optional
 
 from .problem import GridSpec, RadialProblem, _check_origin
 from .presets import get_preset
-from .units import ATOMIC, UnitSystem, _check_positive
+from .units import ATOMIC, UnitSystem, _check_index, _check_positive
 
 
 # ---------------------------------------------------------------------------
@@ -33,8 +33,7 @@ from .units import ATOMIC, UnitSystem, _check_positive
 
 def bohr_level(Z: float, mu: float, n: int) -> float:
     """Coulomb eigenvalue -mu Z**2 / (2 n**2) in hartree (atomic units)."""
-    if n < 1:
-        raise ValueError(f"principal quantum number must be >= 1, got {n}")
+    _check_index("principal quantum number n", n, 1)
     _check_positive("coulomb charge", Z)
     _check_positive("reduced mass", mu)
     return -mu * Z * Z / (2.0 * n * n)
@@ -43,8 +42,7 @@ def bohr_level(Z: float, mu: float, n: int) -> float:
 def oscillator_level(omega: float, n: int) -> float:
     """Harmonic eigenvalue hbar*omega*(n + 1/2) in hartree (atomic units)."""
     _check_positive("harmonic frequency", omega)
-    if n < 0:
-        raise ValueError(f"oscillator index must be nonnegative, got {n}")
+    _check_index("oscillator index n", n, 0)
     return omega * (n + 0.5)
 
 
@@ -61,6 +59,7 @@ def analytic_level(problem: RadialProblem, n_index: int, grid: GridSpec) -> floa
     stencil's own error.  Walls further out, grids the solvers reject as
     singular at r = 0 and other potential kinds raise ValueError.
     """
+    _check_index("n_index", n_index, 0)
     _check_origin(problem, grid)
     potential = problem.potential
     if grid.r_min ** (2 * problem.l + 1) > grid.h**2:
@@ -80,7 +79,7 @@ def analytic_level(problem: RadialProblem, n_index: int, grid: GridSpec) -> floa
 
 def _check_half_integer_j(j: float, n: int) -> None:
     twice = 2.0 * j
-    if abs(twice - round(twice)) > 1e-9 or round(twice) % 2 == 0 or j <= 0.0:
+    if not 0.0 < j < math.inf or abs(twice - round(twice)) > 1e-9 or round(twice) % 2 == 0:
         raise ValueError(f"j must be a positive half-integer (1/2, 3/2, ...), got {j}")
     if j + 0.5 > n:
         raise ValueError(f"need j + 1/2 <= n, got j={j}, n={n}")
@@ -97,8 +96,7 @@ def dirac_coulomb_level(
     other operations in this module.  Raises for the supercritical regime
     Z alpha >= j + 1/2.
     """
-    if n < 1:
-        raise ValueError(f"principal quantum number must be >= 1, got {n}")
+    _check_index("principal quantum number n", n, 1)
     _check_half_integer_j(j, n)
     _check_positive("coulomb charge", Z)
     za = Z * units.alpha
@@ -236,8 +234,7 @@ def compare_report(system: str, n_max: int, units: UnitSystem = ATOMIC) -> Bindi
     """
     preset = get_preset(system)
     problem, grid = preset.problem, preset.fd_grid
-    if n_max < 1:
-        raise ValueError(f"n_max must be at least 1, got {n_max}")
+    _check_index("n_max", n_max, 1)
     potential, mu = problem.potential, problem.mu
     has_dirac = potential.kind == "coulomb"
     rows: list[BindingRow] = []

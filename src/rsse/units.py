@@ -4,14 +4,16 @@ Everything numerical in this package runs in Hartree atomic units
 (hbar = m_e = e = 1, c = 1/alpha); other energy units appear only at
 I/O boundaries through :func:`convert_energy`.
 
-The module also holds ``_check_positive``, the one rule by which every
-module rejects a mass, charge, frequency, energy or unit scale that is not
-positive and finite.
+The module also holds the two rules by which every module checks a scalar:
+``_check_positive`` rejects a mass, charge, frequency, energy or unit scale
+that is not positive and finite, and ``_check_index`` a count or state
+index (n, l, k, n_index, a node count) that is not an integer in its range.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Optional
 
@@ -31,6 +33,18 @@ _EV_PER_UNIT = {
 def _check_positive(what: str, value: Optional[float]) -> None:
     if value is None or not 0.0 < value < math.inf:
         raise ValueError(f"{what} must be positive and finite, got {value}")
+
+
+def _check_index(what: str, value: int, low: int, high: Optional[int] = None) -> None:
+    try:
+        operator.index(value)  # numpy integers pass, floats and strings do not
+    except TypeError:
+        raise ValueError(f"{what} must be an integer, got {value!r}") from None
+    if high is not None and not low <= value <= high:
+        raise ValueError(f"{what} must be in [{low}, {high}], got {value}")
+    if value < low:
+        bound = "nonnegative" if low == 0 else f"at least {low}"
+        raise ValueError(f"{what} must be {bound}, got {value}")
 
 
 @dataclass(frozen=True)

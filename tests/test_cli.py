@@ -371,6 +371,14 @@ def test_numerov_solve_beyond_the_fd_seed_exits_2(tmp_path, capsys):
     assert "k must be in [1, 13]" in capsys.readouterr().err
 
 
+def test_convergence_with_a_negative_state_index_exits_2_naming_it(tmp_path, capsys):
+    # the analytic level rejects n_index itself, not the principal number 0 it implies
+    code = main(["convergence", "--preset", "hydrogen", "--n-index", "-1",
+                 "--output", str(tmp_path / "x.csv")])
+    assert code == 2
+    assert "n_index must be nonnegative, got -1" in capsys.readouterr().err
+
+
 def test_numerov_on_a_grid_too_coarse_for_the_stencil_exits_2(tmp_path, capsys):
     # h = 1.6 on the oscillator box: 1 - h**2 f / 12 turns negative
     argv = ["solve", "--preset", "oscillator", "--method", "numerov", "--grid-n", "16"]

@@ -285,3 +285,35 @@ def test_only_units_check_positive_says_a_parameter_must_be_positive():
                 if phrase in line:
                     found.append((path.name, number in inside, phrase))
     assert found == [("units.py", True, "must be positive")]
+
+
+def test_only_units_check_index_decides_a_count_or_index_is_valid():
+    # every n, l, k, n_index and node count goes through it
+    package = SRC / "rsse"
+    units = ast.parse((package / "units.py").read_text())
+    (check,) = [
+        node
+        for node in units.body
+        if isinstance(node, ast.FunctionDef) and node.name == "_check_index"
+    ]
+    inside = range(check.lineno, check.end_lineno + 1)
+    phrases = (
+        "operator.index",
+        "must be an integer",
+        "must be in [",
+        "must be nonnegative",
+        "must be at least",
+        "must be >=",
+        "needs at least",
+    )
+    found = []
+    for path in sorted(package.glob("*.py")):
+        for number, line in enumerate(path.read_text().splitlines(), start=1):
+            for phrase in phrases:
+                if phrase in line:
+                    found.append((path.name, number in inside, phrase))
+    assert found == [
+        ("units.py", True, "operator.index"),
+        ("units.py", True, "must be an integer"),
+        ("units.py", True, "must be in ["),
+    ]

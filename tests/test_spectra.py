@@ -129,6 +129,13 @@ def test_dirac_coulomb_guards():
         dirac_coulomb_level(1.0, 0, 0.5)
 
 
+@pytest.mark.parametrize("j", [math.inf, -math.inf, math.nan])
+def test_dirac_coulomb_rejects_a_non_finite_j(j):
+    # inf used to raise OverflowError and nan "cannot convert float NaN to integer"
+    with pytest.raises(ValueError, match="j must be a positive half-integer"):
+        dirac_coulomb_level(1.0, 2, j)
+
+
 # ---------------------------------------------------------------------------
 # eigenvalue <-> energy maps
 # ---------------------------------------------------------------------------

@@ -1,11 +1,22 @@
 import math
+import re
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from rsse.eigensolver import (
+    assemble_tridiagonal,
+    default_brackets,
+    numerov_solve,
+    solve_lowest_k,
+    solve_numerov_lowest_k,
+    solve_state,
+)
 from rsse.inversion import (
     MATTER,
     PlaneWaveState,
+    ThetaChi,
     dirac_theta_chi,
     effective_mass,
     electron_plane_wave,
@@ -21,14 +32,17 @@ from rsse.kinematics import (
 )
 from rsse.problem import GridSpec, PotentialSpec, RadialProblem, reduce_two_body
 from rsse.spectra import (
+    analytic_level,
     binding_relativistic,
     bohr_level,
+    compare_report,
     dirac_coulomb_level,
     epsilon_from_total_energy,
     oscillator_level,
     total_energy_from_epsilon,
 )
 from rsse.units import (
+    ATOMIC,
     FINE_STRUCTURE,
     HARTREE_EV,
     UnitSystem,
@@ -165,6 +179,77 @@ def test_total_energy_checks_every_rest_mass_but_zero(bad):
     # m0 = 0 is the massless case, which needs p != 0 instead
     with pytest.raises(ValueError, match=f"^rest mass must be positive and finite, got {bad}$"):
         total_energy(bad, 1.0)
+
+
+@pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf])
+@pytest.mark.parametrize(
+    "construct",
+    [
+        pytest.param(
+            lambda m0: MassiveParticle(m0=m0, v=0.5, p=3.0, units=ATOMIC), id="MassiveParticle"
+        ),
+        pytest.param(lambda m0: ThetaChi(1, 0, m0=m0, v=0.1, branch=MATTER), id="ThetaChi"),
+    ],
+)
+def test_raw_constructors_check_the_rest_mass(construct, bad):
+    # only the factories used to check m0
+    with pytest.raises(ValueError, match=f"^rest mass must be positive and finite, got {bad}$"):
+        construct(bad)
+
+
+OSCILLATOR = RadialProblem(PotentialSpec.harmonic(1.0))
+OSCILLATOR_GRID = GridSpec(-8.0, 8.0, 201)
+
+# (what, lowest valid value, call, non-integers) for every count or state index
+INDEX_PARAMETERS = [
+    ("GridSpec.n", "grid node count n", 16, lambda n: GridSpec(0.0, 1.0, n), [20.5]),
+    ("RadialProblem.l", "angular momentum l", 0,
+     lambda l: RadialProblem(PotentialSpec.coulomb(1.0), l=l), [0.5]),
+    ("solve_lowest_k", "k", 1,
+     lambda k: solve_lowest_k(assemble_tridiagonal(OSCILLATOR, OSCILLATOR_GRID), k), [1.5]),
+    ("numerov_solve", "n_index", 0,
+     lambda i: numerov_solve(OSCILLATOR, OSCILLATOR_GRID, i, (0.0, 1.0)), [0.5]),
+    ("default_brackets", "k", 1, lambda k: default_brackets(OSCILLATOR, OSCILLATOR_GRID, k), [1.5]),
+    ("solve_numerov_lowest_k", "k", 1,
+     lambda k: solve_numerov_lowest_k(OSCILLATOR, OSCILLATOR_GRID, k), [1.5]),
+    ("solve_state.fd", "n_index", 0, lambda i: solve_state(OSCILLATOR, OSCILLATOR_GRID, i), [1.5]),
+    ("solve_state.numerov", "n_index", 0,
+     lambda i: solve_state(OSCILLATOR, OSCILLATOR_GRID, i, "numerov"), [1.5]),
+    ("bohr_level", "principal quantum number n", 1, lambda n: bohr_level(1.0, 1.0, n),
+     [1.5, math.inf]),
+    ("oscillator_level", "oscillator index n", 0, lambda n: oscillator_level(1.0, n), [0.5]),
+    ("dirac_coulomb_level", "principal quantum number n", 1,
+     lambda n: dirac_coulomb_level(1.0, n, 0.5), [1.5]),
+    ("compare_report", "n_max", 1, lambda n: compare_report("hydrogen", n), [1.5]),
+    ("analytic_level", "n_index", 0,
+     lambda i: analytic_level(OSCILLATOR, i, OSCILLATOR_GRID), [0.5]),
+]
+
+
+@pytest.mark.parametrize(
+    "what, call, bad",
+    [
+        pytest.param(what, call, bad, id=f"{name}-{bad}")
+        for name, what, low, call, non_integers in INDEX_PARAMETERS
+        for bad in [*non_integers, low - 1]
+    ],
+)
+def test_every_count_and_state_index_must_be_an_integer_in_range(what, call, bad):
+    pattern = f"^{re.escape(what)} must be .+, got {re.escape(repr(bad))}$"
+    with pytest.raises(ValueError, match=pattern):
+        call(bad)
+
+
+def test_an_index_check_names_the_rule_it_applies():
+    with pytest.raises(ValueError, match=r"^k must be in \[1, 199\], got 200$"):
+        solve_lowest_k(assemble_tridiagonal(OSCILLATOR, OSCILLATOR_GRID), 200)
+    with pytest.raises(ValueError, match="^oscillator index n must be an integer, got 0.5$"):
+        oscillator_level(1.0, 0.5)
+    with pytest.raises(ValueError, match="^oscillator index n must be nonnegative, got -1$"):
+        oscillator_level(1.0, -1)
+    with pytest.raises(ValueError, match="^grid node count n must be at least 16, got 15$"):
+        GridSpec(0.0, 1.0, 15)
+    assert bohr_level(1.0, 1.0, np.int64(2)) == -0.125
 
 
 def test_hartree_to_ev():
