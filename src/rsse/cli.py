@@ -44,7 +44,7 @@ from .kinematics import (
 from .presets import get_preset, load_presets, parse_kv_file  # noqa: F401
 from .problem import BracketError, ConvergenceError, GridSpec, WrongStateError
 from .spectra import analytic_level, bohr_level, compare_report, oscillator_level  # noqa: F401
-from .units import ATOMIC
+from .units import ATOMIC, _check_index
 
 # the solver functions load with ``rsse.eigensolver`` (and numpy) on the first
 # solve, so the analytic commands never import it.  They are still attributes
@@ -136,6 +136,8 @@ def _cmd_solve(config: dict[str, Any]) -> int:
         if config[key] is None:
             config[key] = value
     grid = GridSpec(config["r_min"], config["r_max"], config["grid_n"])
+    # FD has one level per interior node; Numerov also needs the FD level above its top state
+    _check_index("n_max", config["n_max"], 1, grid.n - (2 if config["method"] == "fd" else 3))
     if config["method"] == "fd":
         result = solve_lowest_k(assemble_tridiagonal(preset.problem, grid), config["n_max"])
     else:

@@ -16,7 +16,8 @@ with V_eff = V + hbar**2 l(l+1) / (2 mu r**2):
   measured order to about 2 (2.33 for hydrogen, 2.12 for positronium on
   the ``convergence`` ladder).  The eigenvalue is
   found by one loop of Cooley's energy correction from a coarse FD seed,
-  safeguarded by its bracket.  Node counts check the caller's bracket once,
+  whose levels are bisected only until they are isolated, safeguarded by
+  its bracket.  Node counts check the caller's bracket once,
   at the first anomaly (a merged solution with the wrong node count, a step
   that would leave the bracket, a bracket that closes first), and then pick
   the end that a bisection step moves; a seeded bracket rarely needs
@@ -244,7 +245,7 @@ def _lapack():
 
 
 def _tridiagonal_lowest(
-    d: np.ndarray, e: np.ndarray, k: int, *, vectors: bool
+    d: np.ndarray, e: np.ndarray, k: int, *, vectors: bool, abstol: float = 0.0
 ) -> tuple[np.ndarray, Optional[np.ndarray]]:
     """Lowest k eigenvalues of the symmetric tridiagonal matrix (d, e), ascending.
 
@@ -252,7 +253,11 @@ def _tridiagonal_lowest(
     LAPACK calls are those of ``scipy.linalg.eigh_tridiagonal(d, e,
     select="i", select_range=(0, k - 1))``: ``dstebz`` by index, then
     ``dstein`` on the block-ordered values, reordered by ``argsort``, so the
-    results are scipy's bit for bit.
+    results are scipy's bit for bit.  ``dstebz`` bisects each value until
+    its interval is narrower than ``abstol``; the default 0 stands for
+    LAPACK's own ulp * ||T||, which is 2e-12 hartree on the hydrogen preset
+    FD grid and 3e-10 on 20000 oscillator nodes.  Only the Numerov seed
+    (:func:`_fd_brackets`) passes a looser one.
 
     Raises
     ------
@@ -267,7 +272,7 @@ def _tridiagonal_lowest(
     lapack = _lapack()
     # range 2: indices 1..k; dstein needs the values in block order ("B")
     m, w, iblock, isplit, info = lapack.dstebz(
-        d, e, 2, 0.0, 1.0, 1, k, 0.0, "B" if vectors else "E"
+        d, e, 2, 0.0, 1.0, 1, k, abstol, "B" if vectors else "E"
     )
     if info != 0:
         raise ConvergenceError(f"LAPACK dstebz failed (info = {info})")
@@ -604,8 +609,13 @@ def default_brackets(problem: RadialProblem, grid: GridSpec, k: int) -> list[tup
     is symmetric about its seed level, ``seed +- min(gap_below, gap_above) / 2``,
     which comfortably covers the FD truncation error on any usable grid and
     puts the seed at the bracket midpoint, where :func:`numerov_solve`
-    starts.  The top bracket needs the FD level above it, so k + 1 levels
-    must fit on the grid's grid.n - 2 interior nodes: 1 <= k <= grid.n - 3.
+    starts.  The seed levels are bisected only until they are isolated, to
+    an absolute tolerance of 1e-10 ||T||inf (``max|d| + 2 max|e|`` of the
+    seed matrix), far below the seed's own error against the Numerov level;
+    where two of them lie closer than 1e3 times that, the seed is bisected
+    again to LAPACK's own ulp * ||T|| (see :func:`_fd_brackets`).  The top
+    bracket needs the FD level above it, so k + 1 levels must fit on the
+    grid's grid.n - 2 interior nodes: 1 <= k <= grid.n - 3.
     """
     _check_index("k", k, 1, grid.n - 3)
     return _fd_brackets(problem, _seed_grid(grid, k), k)
@@ -619,9 +629,27 @@ def _seed_grid(grid: GridSpec, k: int) -> GridSpec:
     return GridSpec(grid.r_min, grid.r_max, n)
 
 
+# fraction of ||T||inf = max|d| + 2 max|e| (the norm LAPACK's own tolerance
+# ulp * ||T|| scales with) that the seed is bisected to
+_SEED_RTOL = 1e-10
+_SEED_GUARD = 1e3
+
+
 def _fd_brackets(problem: RadialProblem, grid: GridSpec, k: int) -> list[tuple[float, float]]:
-    """The brackets of :func:`default_brackets`, seeded on ``grid`` itself."""
-    seed = _fd_levels(problem, grid, k + 1)
+    """The brackets of :func:`default_brackets`, seeded on ``grid`` itself.
+
+    The seed levels only need to be isolated, not converged: ``dstebz``
+    bisects them to tau = 1e-10 ||T||inf, so each lies within tau / 2 of
+    the level it stands for.  Where two of them lie closer than 1e3 tau,
+    the spectrum is seeded again with LAPACK's own tolerance, so no
+    bracket is narrowed (or closed) by the looser one.
+    """
+    operator = assemble_tridiagonal(problem, grid)
+    d, e = operator.diagonal, operator.off_diagonal
+    tau = _SEED_RTOL * (float(np.max(np.abs(d))) + 2.0 * float(np.max(np.abs(e))))
+    seed = _tridiagonal_lowest(d, e, k + 1, vectors=False, abstol=tau)[0]
+    if np.diff(seed).min() < _SEED_GUARD * tau:
+        seed = _tridiagonal_lowest(d, e, k + 1, vectors=False)[0]
     gaps = np.diff(seed)
     half = 0.5 * np.minimum(np.concatenate([gaps[:1], gaps[:-1]]), gaps)
     return [(float(seed[i] - half[i]), float(seed[i] + half[i])) for i in range(k)]

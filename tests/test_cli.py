@@ -368,7 +368,18 @@ def test_numerov_solve_beyond_the_fd_seed_exits_2(tmp_path, capsys):
     argv = ["solve", "--preset", "oscillator", "--method", "numerov", "--grid-n", "16"]
     code = main(argv + ["--n-max", "15", "--output", str(tmp_path / "x.csv")])
     assert code == 2
-    assert "k must be in [1, 13]" in capsys.readouterr().err
+    assert "n_max must be in [1, 13], got 15" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("method, high", [("fd", 14), ("numerov", 13)])
+@pytest.mark.parametrize("n_max", [0, 15])
+def test_solve_names_n_max_when_it_does_not_fit_the_grid(tmp_path, capsys, method, high, n_max):
+    # 14 interior nodes hold 14 FD levels; Numerov also needs the level above its top state
+    argv = ["solve", "--preset", "oscillator", "--method", method, "--grid-n", "16"]
+    code = main(argv + ["--n-max", str(n_max), "--output", str(tmp_path / "x.csv")])
+    assert code == 2
+    assert capsys.readouterr().err == f"rsse: error: n_max must be in [1, {high}], got {n_max}\n"
+    assert not (tmp_path / "x.csv").exists()
 
 
 def test_convergence_with_a_negative_state_index_exits_2_naming_it(tmp_path, capsys):

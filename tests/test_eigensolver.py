@@ -9,8 +9,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import trapezoid
 
+from rsse.cli import main
 from rsse.eigensolver import (
+    _SEED_RTOL,
     _numerov_sweep,
+    _seed_grid,
     _Shooter,
     _lapack,
     _shooter,
@@ -442,6 +445,18 @@ def test_tridiagonal_lowest_matches_scipy_bit_for_bit(name, k):
     values, none = _tridiagonal_lowest(d, e, k, vectors=False)
     ref = eigh_tridiagonal(d, e, select="i", select_range=(0, k - 1), eigvals_only=True)
     assert none is None and np.array_equal(values, ref)
+
+
+@pytest.mark.parametrize("name", sorted(builtin_presets()))
+@pytest.mark.parametrize("n_index", [0, 2, 6])
+def test_fd_solve_state_matches_scipy_bit_for_bit(name, n_index):
+    # the Numerov seed's looser bisection stays out of the FD route
+    from scipy.linalg import eigh_tridiagonal
+
+    preset = builtin_presets()[name]
+    d, e = _preset_operator(name)
+    ref = eigh_tridiagonal(d, e, select="i", select_range=(0, n_index), eigvals_only=True)
+    assert solve_state(preset.problem, preset.fd_grid, n_index, "fd") == ref[n_index]
 
 
 def test_split_operator_needs_the_reorder():
@@ -1044,6 +1059,110 @@ def test_numerov_solve_rejects_a_bracket_without_its_state_at_the_first_anomaly(
         numerov_solve(HYDROGEN, HYDROGEN_NUMEROV_GRID, state, bracket)
     assert calls["cooley_step"] <= 1
     assert calls["count_states_below"] == 2
+
+
+# one op per slot of the benchmark's numerov_solve pool (perfbench/workloads.py),
+# whose other alternatives differ only in report format or preset alias
+_NUMEROV_POOL_ROUND = [
+    *(
+        ["solve", "--preset", preset, "--method", "numerov", "--n-max", k, "--grid-n", grid_n]
+        for preset, k, grid_n in [
+            ("hydrogen", "3", "20000"),
+            ("positronium", "2", "6000"),
+            ("oscillator", "3", "3000"),
+            ("hydrogen_finite_mass", "1", "2000"),
+            ("oscillator", "2", "4000"),
+            ("positronium", "1", "8000"),
+            ("hydrogen_finite_mass", "2", "10000"),
+            ("oscillator", "1", "14000"),
+        ]
+    ),
+    *(
+        ["convergence", "--preset", preset, "--method", "numerov"]
+        for preset in ("hydrogen", "positronium", "oscillator")
+    ),
+]
+
+
+def _run_numerov_pool_round(tmp_path):
+    for argv in _NUMEROV_POOL_ROUND:
+        assert main(argv + ["--output", str(tmp_path / "report.csv")]) == 0
+
+
+def _seed_operator(problem, grid, k):
+    operator = assemble_tridiagonal(problem, _seed_grid(grid, k))
+    return operator.diagonal, operator.off_diagonal
+
+
+def _record_seed_tolerances(monkeypatch):
+    """The ``abstol`` of every later ``_tridiagonal_lowest`` call, in order."""
+    import rsse.eigensolver
+
+    tolerances = []
+
+    def spy(d, e, k, *, vectors, abstol=0.0):
+        tolerances.append(abstol)
+        return _tridiagonal_lowest(d, e, k, vectors=vectors, abstol=abstol)
+
+    monkeypatch.setattr(rsse.eigensolver, "_tridiagonal_lowest", spy)
+    return tolerances
+
+
+def test_isolated_seeds_bracket_every_state_of_the_numerov_pool(monkeypatch, tmp_path):
+    import rsse.eigensolver
+
+    seeded = []
+
+    def spy(problem, grid, k):
+        brackets = default_brackets(problem, grid, k)
+        seeded.append((problem, grid, brackets))
+        return brackets
+
+    monkeypatch.setattr(rsse.eigensolver, "default_brackets", spy)
+    tolerances = _record_seed_tolerances(monkeypatch)
+    _run_numerov_pool_round(tmp_path)
+    # 8 solves and 3 convergence ladders of 4 grids; none takes the guard
+    assert len(seeded) == 20
+    assert len(tolerances) == 20 and min(tolerances) > 0.0
+    for problem, grid, brackets in seeded:
+        k = len(brackets)
+        d, e = _seed_operator(problem, grid, k)
+        tau = _SEED_RTOL * (np.max(np.abs(d)) + 2.0 * np.max(np.abs(e)))
+        converged = _tridiagonal_lowest(d, e, k + 1, vectors=False)[0]
+        shooter = _shooter(problem, grid)
+        for i, (lo, hi) in enumerate(brackets):
+            assert shooter.count_states_below(lo) == i
+            assert shooter.count_states_below(hi) == i + 1
+            # each bracket is symmetric about its isolated seed level
+            assert abs(0.5 * (lo + hi) - converged[i]) <= 0.5 * tau
+
+
+def test_seed_levels_closer_than_the_guard_are_bisected_to_lapacks_tolerance(monkeypatch):
+    # two wells split by a barrier: their lowest pair of FD levels on the
+    # 501-node seed grid lies 1.5e-8 apart, below the seed tolerance of
+    # 3.5e-7, so the isolating bisection returns the pair as one value
+    well = RadialProblem(
+        PotentialSpec.tabulated((-6.0, -1.0, -0.9, 0.9, 1.0, 6.0), (0.0, 0.0, 30.0, 30.0, 0.0, 0.0))
+    )
+    grid = GridSpec(-6.0, 6.0, 4001)
+    tolerances = _record_seed_tolerances(monkeypatch)
+    brackets = default_brackets(well, grid, 2)
+    assert len(tolerances) == 2 and tolerances[0] > 0.0 and tolerances[1] == 0.0
+    d, e = _seed_operator(well, grid, 2)
+    isolated = _tridiagonal_lowest(d, e, 3, vectors=False, abstol=tolerances[0])[0]
+    assert isolated[0] == isolated[1]
+    (lo0, hi0), (lo1, hi1) = brackets
+    assert lo0 < hi0 == lo1 < hi1
+    assert 1e-8 < hi0 - lo0 < 1e-7
+
+
+def test_a_numerov_pool_round_takes_at_most_110_cooley_steps(monkeypatch, tmp_path):
+    calls = _count_calls(monkeypatch, "cooley_step")
+    _run_numerov_pool_round(tmp_path)
+    assert calls["cooley_step"] <= 110
+    calls["cooley_step"] = 0
+    solve_numerov_lowest_k(HYDROGEN, HYDROGEN_NUMEROV_GRID, 3)
+    assert calls["cooley_step"] <= 13
 
 
 def test_fd_and_numerov_agree_within_fd_truncation():

@@ -36,25 +36,25 @@ GOLDEN = {
     ),
     "solve-numerov-hydrogen-k3": (
         ["solve", "--preset", "hydrogen", "--n-max", "3", "--method", "numerov"],
-        "81be2d14cd6b5c68f4f5d35e61c47e3de55ae70708ef6b6297093c42b0395326",
+        "d6dade0ad774e1e5dbd3dceff867ffd1e970a4083296770bbd125efb5962d637",
     ),
     "solve-numerov-json": (
         ["solve", "--preset", "oscillator", "--n-max", "4", "--method", "numerov", "--format", "json"],
-        "e44b4d3645dcda6b9c52cb1ca786a6c00c0e4771b235fe3cbd27219a6cf602f5",
+        "234c3cacd78a9b52cbddb4aeb1a311df29e364ec1004f43a5d97783c90d00422",
     ),
     "solve-numerov-positronium": (
         ["solve", "--preset", "positronium", "--n-max", "2", "--method", "numerov"],
-        "5551daed28717dc94e38be1ca5e623626bb93e2468bbb5e160e29f853a6affe1",
+        "a7dff3328510eb30df5c051672e195c2b6f9e461389f841e8584d6d7fb346d3a",
     ),
     "solve-numerov-finite-mass": (
         ["solve", "--preset", "hydrogen_finite_mass", "--n-max", "2", "--method", "numerov",
          "--grid-n", "10000", "--format", "json"],
-        "22fd52e0354182ab34c771939e102518d6039d8d7487343ba1f500b9caf9b4a3",
+        "8e04c888aa0f0cb46dd77c546d8cc2ccdf65551b26c07fdcf161dcb6ee79c0c7",
     ),
     "solve-numerov-own-grid": (
         ["solve", "--preset", "oscillator", "--method", "numerov", "--n-max", "6",
          "--r-min", "-10", "--r-max", "10", "--grid-n", "2001"],
-        "b0f2e2be282abccbf2cb4400874d244c258ba8a768c3e6a8f0910e61f71f801c",
+        "68710b245be4d4730d73d19fcfb23603530fe5e01359e4a560b4b4b824e84566",
     ),
     "solve-numerov-too-coarse": (
         ["solve", "--preset", "oscillator", "--method", "numerov", "--grid-n", "16", "--n-max", "13"],
@@ -94,25 +94,25 @@ GOLDEN = {
     ),
     "convergence-numerov-csv": (
         ["convergence", "--method", "numerov"],
-        "a5f28cd2de54d6fe9391aace1212cb0210db21a9f0a4bca5a396dccfc0823588",
+        "501b40b8fc2d5dd59fc670a589f95cf35674688a11b3ac5561a86b069eef4bcf",
     ),
     "solve-numerov-hydrogen-grid-n-20000": (
         ["solve", "--preset", "hydrogen", "--method", "numerov", "--n-max", "3",
          "--grid-n", "20000"],
-        "81be2d14cd6b5c68f4f5d35e61c47e3de55ae70708ef6b6297093c42b0395326",
+        "d6dade0ad774e1e5dbd3dceff867ffd1e970a4083296770bbd125efb5962d637",
     ),
     "solve-numerov-positronium-grid-n-6000": (
         ["solve", "--preset", "positronium", "--method", "numerov", "--n-max", "2",
          "--grid-n", "6000"],
-        "2db38362e9da22b60ecc0f9f7127468c301944e9ce21b19828905bd8233f997f",
+        "be39cb0665a42c05fcaa577f34d793926e84b320834aff3c3e77edef300c3cc3",
     ),
     "convergence-numerov-hydrogen": (
         ["convergence", "--preset", "hydrogen", "--method", "numerov"],
-        "f4fea93572b2008c4321470ea5d5d8efc34d1748039a5b7458a0ffae13399bc3",
+        "d874b14e11ed2693bb8419046dd8f68daee2996c336b0066da155d4445061e7a",
     ),
     "convergence-numerov-json": (
         ["convergence", "--preset", "positronium", "--method", "numerov", "--format", "json"],
-        "b038a96795ff641cc99149ad60a68666784e727990ceb541eb0b0b6cb9ecf49f",
+        "ff9833b04476f2761051fb4f2cc0dab1c74b578ce163a4028b80cfe5c8d598ac",
     ),
 }
 
@@ -121,7 +121,7 @@ DUMP_ARGV = [
     "--wavefunctions-dir", "wf",
 ]
 # sha256 of the report digest followed by each dump file's name and bytes
-DUMP_DIGEST = "894a975c353940c7f6128d924e8c0b67796b43e9cca9b32acae48f9c3ca6efb0"
+DUMP_DIGEST = "5efd4f2896e29f5a65b2a71147780a7d4fa8445e1b7e3ba28b0910bcad0d4ed7"
 
 
 def run_digest(capsys, argv):

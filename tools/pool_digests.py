@@ -1,6 +1,6 @@
 """SHA-256 digests of every distinct benchmark pool op, run in process.
 
-    python3 tools/pool_digests.py SRC > digests.json
+    python3 tools/pool_digests.py [--rows] SRC > digests.json
 
 SRC is the directory that holds the ``rsse`` package of the tree under test
 (``src`` of a checkout).  The ops are the distinct argvs of the pools in
@@ -18,6 +18,19 @@ when their outputs are equal::
     python3 tools/pool_digests.py /path/to/parent/src > parent.json
     python3 tools/pool_digests.py src > change.json
     diff parent.json change.json
+
+With ``--rows`` each argv maps to ``{"digest": ..., "rows": [...]}``, where
+the rows are those of its report (stdout, or the ``report.*`` file it
+wrote), parsed from CSV or JSON, with every cell that reads as a number a
+float.  :func:`largest_relative_changes` then says how far digits moved,
+as the largest ``|new - old| / |old|`` per numeric column over every
+argv::
+
+    python3 tools/pool_digests.py --rows /path/to/parent/src > parent.json
+    python3 tools/pool_digests.py --rows src > change.json
+    PYTHONPATH=tools python3 -c 'import json, sys, pool_digests as p; \\
+        print(p.largest_relative_changes(*map(json.load, map(open, sys.argv[1:]))))' \\
+        parent.json change.json
 """
 
 from __future__ import annotations
@@ -27,6 +40,7 @@ import hashlib
 import importlib.util
 import io
 import json
+import math
 import os
 import sys
 import tempfile
@@ -57,8 +71,50 @@ def pool_argvs() -> list[list[str]]:
     return [list(argv) for argv in sorted(argvs)]
 
 
-def digest(main, template: list[str]) -> str:
-    """One digest of everything the op leaves: exit code, streams and files."""
+def report_rows(record: dict) -> list[dict]:
+    """The rows of the report in an op's record: its stdout, else its ``report.*`` file."""
+    texts = [record["stdout"]] + [
+        text for name, text in record["files"].items() if Path(name).stem == "report"
+    ]
+    text = next((text for text in texts if text), "")
+    if text.startswith("{"):
+        return json.loads(text)["rows"]
+    lines = [line for line in text.splitlines() if not line.startswith("#")]
+    if not lines:
+        return []
+    columns = lines[0].split(",")
+    return [dict(zip(columns, map(_cell, line.split(",")))) for line in lines[1:]]
+
+
+def _cell(text: str):
+    try:
+        return float(text)
+    except ValueError:
+        return text
+
+
+def largest_relative_changes(old: dict, new: dict) -> dict[str, float]:
+    """Column -> largest ``|new - old| / |old|`` over the ``--rows`` outputs of two trees.
+
+    Only numeric cells of argvs and rows present in both count; a change
+    from an exact 0 is infinite.
+    """
+    largest: dict[str, float] = {}
+    for argv in old.keys() & new.keys():
+        for row_old, row_new in zip(old[argv]["rows"], new[argv]["rows"]):
+            for column, a in row_old.items():
+                b = row_new.get(column)
+                if isinstance(a, (int, float)) and isinstance(b, (int, float)):
+                    change = 0.0 if a == b else abs(b - a) / abs(a) if a else math.inf
+                    largest[column] = max(largest.get(column, 0.0), change)
+    return dict(sorted(largest.items()))
+
+
+def digest(main, template: list[str], rows: bool = False):
+    """One digest of everything the op leaves: exit code, streams and files.
+
+    With ``rows``, ``{"digest": ..., "rows": ...}`` with the report's rows too.
+    """
     with tempfile.TemporaryDirectory() as opdir:
         argv = [arg.replace("{dir}", opdir) for arg in template]
         out, err = io.StringIO(), io.StringIO()
@@ -72,13 +128,17 @@ def digest(main, template: list[str]) -> str:
             if path.is_file():
                 record["files"][str(path.relative_to(opdir))] = path.read_text()
         text = json.dumps(record, sort_keys=True).replace(json.dumps(opdir)[1:-1], "{dir}")
-    return hashlib.sha256(text.encode()).hexdigest()
+    sha = hashlib.sha256(text.encode()).hexdigest()
+    return {"digest": sha, "rows": report_rows(record)} if rows else sha
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = sys.argv[1:] if argv is None else argv
+    args = sys.argv[1:] if argv is None else list(argv)
+    rows = "--rows" in args
+    if rows:
+        args.remove("--rows")
     if len(args) != 1:
-        print(f"usage: {Path(__file__).name} SRC", file=sys.stderr)
+        print(f"usage: {Path(__file__).name} [--rows] SRC", file=sys.stderr)
         return 2
     src = Path(args[0]).resolve()
     if os.environ.get("RSSE_PRESET_DIR"):
@@ -90,7 +150,9 @@ def main(argv: list[str] | None = None) -> int:
     if not Path(rsse.cli.__file__).resolve().is_relative_to(src):
         print(f"rsse was imported from {rsse.cli.__file__}, not from {src}", file=sys.stderr)
         return 2
-    digests = {" ".join(template): digest(rsse.cli.main, template) for template in pool_argvs()}
+    digests = {
+        " ".join(template): digest(rsse.cli.main, template, rows) for template in pool_argvs()
+    }
     json.dump(digests, sys.stdout, indent=1, sort_keys=True)
     print()
     return 0
