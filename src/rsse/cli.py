@@ -336,28 +336,13 @@ COMMANDS: dict[str, tuple[Callable[[dict[str, Any]], int], str, dict[str, tuple]
 }
 
 
-def _coerce(key: str, kind: Any, raw: str) -> Any:
-    """A config-file string, checked like the flag of the same key."""
-    if isinstance(kind, tuple):
-        if raw not in kind:
-            choices = ", ".join(map(repr, kind))
-            raise ValueError(f"config key {key!r}: invalid choice: {raw!r} (choose from {choices})")
-        return raw
-    try:
-        return kind(raw)
-    except ValueError:
-        raise ValueError(f"config key {key!r}: invalid {kind.__name__} value: {raw!r}") from None
-
-
 def _resolve_config(command: str, args: argparse.Namespace) -> dict[str, Any]:
     """defaults < config file < explicitly set flags; float values must be finite."""
     options = COMMANDS[command][2]
     config = {"command": command, **{key: default for key, (_, default, _) in options.items()}}
     if args.config:
-        for key, raw in parse_kv_file(args.config).items():
-            if key not in options:
-                raise ValueError(f"unknown config key {key!r} for this command")
-            config[key] = _coerce(key, options[key][0], raw)
+        kinds = {key: kind for key, (kind, _, _) in options.items()}
+        config.update(parse_kv_file(args.config, kinds, "config"))
     flags = vars(args)
     config.update({key: flags[key] for key in options if flags[key] is not None})
     for key, value in config.items():

@@ -308,12 +308,6 @@ def solve_lowest_k(operator: TridiagonalOperator, k: int) -> EigenResult:
     return _eigen_result(epsilons, wavefunctions, residuals, "fd", grid)
 
 
-def _fd_levels(problem: RadialProblem, grid: GridSpec, count: int) -> np.ndarray:
-    """The lowest ``count`` FD eigenvalues of ``problem`` on ``grid``, ascending."""
-    operator = assemble_tridiagonal(problem, grid)
-    return _tridiagonal_lowest(operator.diagonal, operator.off_diagonal, count, vectors=False)[0]
-
-
 # ---------------------------------------------------------------------------
 # Numerov route
 # ---------------------------------------------------------------------------
@@ -522,7 +516,8 @@ def numerov_solve(
     Raises
     ------
     ValueError
-        If 1 - h**2 f / 12 is not positive on the grid at the bracket's low
+        If the bracket ends are not finite with lo < hi, or if
+        1 - h**2 f / 12 is not positive on the grid at the bracket's low
         end, where node counts stop counting levels.
     WrongStateError
         If node counting shows the bracket does not contain the target
@@ -534,6 +529,9 @@ def numerov_solve(
     lo, hi = bracket
     if not lo < hi:
         raise ValueError(f"bracket must satisfy lo < hi, got ({lo}, {hi})")
+    # the sweep would report an infinite end as a numerical failure, not a usage error
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ValueError(f"bracket ends must be finite, got ({lo}, {hi})")
 
     shooter = _shooter(problem, grid)
     shooter.check_stencil(lo)
@@ -723,8 +721,13 @@ def rayleigh_quotient(wavefunction: np.ndarray, problem: RadialProblem, grid: Gr
     an eigenstate.
     """
     u = np.asarray(wavefunction, dtype=float)
+    # a column would pass the length check and broadcast to an n x n array
+    if u.ndim != 1:
+        raise ValueError(f"wavefunction must be 1-D, got shape {u.shape}")
     if u.shape[0] != grid.n:
         raise ValueError(f"expected {grid.n} samples, got {u.shape[0]}")
+    if not np.isfinite(u).all():
+        raise ValueError("wavefunction samples must be finite")
     norm_sq = _trapezoid(u * u, grid.h)
     if norm_sq <= 0.0:
         raise ValueError("cannot form a Rayleigh quotient from a zero wavefunction")
@@ -741,7 +744,11 @@ def solve_state(
     """Eigenvalue of the single state ``n_index`` on one grid by either route."""
     _check_index("n_index", n_index, 0)
     if method == "fd":
-        return float(_fd_levels(problem, grid, n_index + 1)[n_index])
+        operator = assemble_tridiagonal(problem, grid)
+        levels, _ = _tridiagonal_lowest(
+            operator.diagonal, operator.off_diagonal, n_index + 1, vectors=False
+        )
+        return float(levels[n_index])
     if method == "numerov":
         return next(_seeded_numerov(problem, grid, n_index + 1, [n_index])).epsilon
     raise ValueError(f"unknown method {method!r}; expected 'fd' or 'numerov'")
@@ -771,10 +778,14 @@ def convergence_order(
         raise ValueError("degenerate fit: identical grids repeated")
     if method not in ("fd", "numerov"):
         raise ValueError(f"unknown method {method!r}; expected 'fd' or 'numerov'")
+    if not math.isfinite(epsilon_exact):
+        raise ValueError(f"epsilon_exact must be finite, got {epsilon_exact}")
     if table is None:
         table = [(grid.h, solve_state(problem, grid, n_index, method)) for grid in grids]
     elif len(table) != len(grids):
         raise ValueError(f"need one (h, eps) pair per grid, got {len(table)} for {len(grids)}")
+    elif not all(math.isfinite(h) and math.isfinite(epsilon) for h, epsilon in table):
+        raise ValueError(f"every (h, eps) pair must be finite, got {list(table)}")
     hs = [h for h, _ in table]
     # floor the error at fp noise so the log never diverges
     floor = 1e-15 * max(1.0, abs(epsilon_exact))

@@ -187,15 +187,20 @@ def time_reversal_check(
     real eigenfunction this equals the residual of psi itself.
     """
     _check_positive("reduced mass", mu)
+    if not math.isfinite(epsilon):
+        raise ValueError(f"epsilon must be finite, got {epsilon}")
     import numpy as np
 
     psi = np.asarray(psi_spatial, dtype=complex)
     v = np.asarray(potential, dtype=float)
-    if psi.shape[0] != grid.n or v.shape[0] != grid.n:
-        raise ValueError(
-            f"sample length mismatch: grid has {grid.n} nodes, "
-            f"psi has {psi.shape[0]}, potential has {v.shape[0]}"
-        )
+    # a column of the right length would broadcast the residual to n x n
+    for name, samples in (("psi", psi), ("potential", v)):
+        if samples.shape != (grid.n,):
+            raise ValueError(
+                f"sample shape mismatch: grid has {grid.n} nodes, {name} has shape {samples.shape}"
+            )
+        if not np.isfinite(samples).all():
+            raise ValueError(f"{name} samples must be finite")
     peak = float(np.max(np.abs(psi)))
     if peak == 0.0:
         raise ValueError("cannot check a zero wavefunction")

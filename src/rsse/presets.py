@@ -73,57 +73,66 @@ def builtin_presets() -> dict[str, SolverPreset]:
     return presets
 
 
-def parse_kv_file(path: Path | str) -> dict[str, str]:
-    """Parse a flat ``key = value`` file; '#' starts a comment line."""
-    pairs: dict[str, str] = {}
+def parse_kv_file(path: Path | str, kinds: dict[str, Any], what: str) -> dict[str, Any]:
+    """The typed values of a flat ``key = value`` file; '#' starts a comment line.
+
+    ``kinds`` maps every key the file may set to a type, or to a tuple of the
+    values it may take; ``what`` names the kind of file in the errors, each
+    of which names the file once.
+    """
+    values: dict[str, Any] = {}
     for raw in Path(path).read_text().splitlines():
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         if "=" not in line:
             raise ValueError(f"{path}: expected 'key = value', got {raw!r}")
-        key, value = line.split("=", 1)
-        pairs[key.strip()] = value.strip()
-    return pairs
+        key, text = (part.strip() for part in line.split("=", 1))
+        if key not in kinds:
+            raise ValueError(f"{path}: unknown {what} key {key!r}")
+        kind = kinds[key]
+        if isinstance(kind, tuple):
+            if text not in kind:
+                choices = ", ".join(map(repr, kind))
+                raise ValueError(
+                    f"{path}: {what} key {key!r}: invalid choice: {text!r} (choose from {choices})"
+                )
+            values[key] = text
+            continue
+        try:
+            values[key] = kind(text)
+        except ValueError:
+            raise ValueError(
+                f"{path}: {what} key {key!r}: invalid {kind.__name__} value: {text!r}"
+            ) from None
+    return values
 
 
 # the parameters of every potential kind, from the table that checks them
 _POTENTIAL_KEYS = tuple(dict.fromkeys(name for kind in _PARAMETERS.values() for name, _ in kind))
 
-# every key a preset .conf file may set
-_PRESET_KEYS = (
-    "potential", *_POTENTIAL_KEYS, "l", "mu", "M", "fd_r_min", "fd_r_max", "fd_n",
-    "numerov_r_min", "numerov_r_max", "numerov_n", "description",
-)
+# every key a preset .conf file may set, with its type
+_PRESET_KEYS = {
+    "potential": str, **dict.fromkeys(_POTENTIAL_KEYS, float), "l": int, "mu": float, "M": float,
+    "fd_r_min": float, "fd_r_max": float, "fd_n": int,
+    "numerov_r_min": float, "numerov_r_max": float, "numerov_n": int, "description": str,
+}
 
 
 def _preset_from_file(path: Path) -> SolverPreset:
     """The preset of one .conf file; every error names the file."""
-    pairs = parse_kv_file(path)
-
-    def value(kind: type, key: str, fallback: str | None = None) -> Any:
-        raw = pairs.get(key, fallback)
-        try:
-            return kind(raw)
-        except ValueError:
-            raise ValueError(
-                f"preset key {key!r}: invalid {kind.__name__} value: {raw!r}"
-            ) from None
-
+    values = parse_kv_file(path, _PRESET_KEYS, "preset")
     try:
-        for key in pairs:
-            if key not in _PRESET_KEYS:
-                raise ValueError(f"unknown preset key {key!r}")
         # the FD grid has no default, and the Numerov grid falls back on it
         for key in ("fd_r_min", "fd_r_max", "fd_n"):
-            if key not in pairs:
+            if key not in values:
                 raise ValueError(f"missing preset key {key!r}")
-        kind = pairs.get("potential", "coulomb")
+        kind = values.get("potential", "coulomb")
         # a flat file has no format for tabulated samples
         if kind not in _PARAMETERS or kind == "tabulated":
             raise ValueError(f"unsupported potential {kind!r}")
         # PotentialSpec.infinite_well(a) places no wall, so a width would be ignored
-        if kind == "infinite_well" and "a" in pairs:
+        if kind == "infinite_well" and "a" in values:
             raise ValueError(
                 "infinite_well takes no 'a' in a preset file: the grid ends are the walls"
             )
@@ -131,19 +140,17 @@ def _preset_from_file(path: Path) -> SolverPreset:
         # passed on, so that PotentialSpec rejects it by name
         own = {name for name, _ in _PARAMETERS[kind]}
         parameters = {
-            name: value(float, name, "1") for name in _POTENTIAL_KEYS if name in own or name in pairs
+            name: values.get(name, 1.0) for name in _POTENTIAL_KEYS if name in own or name in values
         }
         problem = RadialProblem(
             potential=PotentialSpec(kind=kind, **parameters),
-            l=value(int, "l", "0"),
-            mu=value(float, "mu", "1"),
-            M=value(float, "M", pairs.get("mu", "1")),
+            l=values.get("l", 0),
+            mu=values.get("mu", 1.0),
+            M=values.get("M", values.get("mu", 1.0)),
         )
-        fd_grid = GridSpec(value(float, "fd_r_min"), value(float, "fd_r_max"), value(int, "fd_n"))
+        fd_grid = GridSpec(values["fd_r_min"], values["fd_r_max"], values["fd_n"])
         numerov_grid = GridSpec(
-            value(float, "numerov_r_min", pairs["fd_r_min"]),
-            value(float, "numerov_r_max", pairs["fd_r_max"]),
-            value(int, "numerov_n", pairs["fd_n"]),
+            *(values.get("numerov_" + key, values["fd_" + key]) for key in ("r_min", "r_max", "n"))
         )
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
@@ -152,7 +159,7 @@ def _preset_from_file(path: Path) -> SolverPreset:
         problem=problem,
         fd_grid=fd_grid,
         numerov_grid=numerov_grid,
-        description=pairs.get("description", f"loaded from {path.name}"),
+        description=values.get("description", f"loaded from {path.name}"),
     )
 
 

@@ -757,6 +757,38 @@ def test_command_is_not_a_config_key(tmp_path, capsys):
     assert "unknown config key 'command'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "what, line, words",
+    [
+        ("config", "n_max 2", "expected 'key = value', got 'n_max 2'"),
+        ("config", "mystery = 1", "unknown config key 'mystery'"),
+        ("config", "n_max = 2e3", "config key 'n_max': invalid int value: '2e3'"),
+        ("config", "format = xml", "config key 'format': invalid choice: 'xml'"),
+        ("preset", "fd_n 2", "expected 'key = value', got 'fd_n 2'"),
+        ("preset", "mystery = 1", "unknown preset key 'mystery'"),
+        ("preset", "fd_n = 2e3", "preset key 'fd_n': invalid int value: '2e3'"),
+        ("preset", "potential = yukawa", "unsupported potential 'yukawa'"),
+    ],
+)
+def test_bad_flat_file_line_exits_2_naming_the_file_once(
+    tmp_path, monkeypatch, capsys, what, line, words
+):
+    # --config files and preset files are read by one reader, with one message form
+    path = tmp_path / "bad.conf"
+    if what == "config":
+        path.write_text(f"preset = hydrogen\n{line}\n")
+        argv = ["compare", "--config", str(path)]
+    else:
+        path.write_text(f"fd_r_min = 0.001\nfd_r_max = 30\nfd_n = 2000\n{line}\n")
+        monkeypatch.setenv("RSSE_PRESET_DIR", str(tmp_path))
+        argv = ["compare", "--preset", "bad"]
+    assert main(argv + ["--output", str(tmp_path / "x.csv")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"rsse: error: {path}: {words}")
+    assert err.count(str(path)) == 1
+    assert not (tmp_path / "x.csv").exists()
+
+
 def option_argvs():
     """Every command bare, with each option alone and with every option set."""
     argvs = []

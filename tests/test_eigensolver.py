@@ -577,6 +577,15 @@ def test_numerov_invalid_bracket():
         numerov_solve(OSCILLATOR, OSC_NUMEROV_GRID, 0, (0.7, 0.3))
 
 
+@pytest.mark.parametrize("bracket", [(0.0, math.inf), (-math.inf, 1.0), (-math.inf, math.inf)])
+def test_numerov_solve_rejects_an_infinite_bracket_end(bracket):
+    # a usage error, not a sweep that overflows nor a grid too coarse at eps = -inf
+    with pytest.raises(ValueError, match="bracket ends must be finite"):
+        numerov_solve(OSCILLATOR, GridSpec(-6.0, 6.0, 300), 0, bracket)
+    with pytest.raises(ValueError, match="lo < hi"):
+        numerov_solve(OSCILLATOR, GridSpec(-6.0, 6.0, 300), 0, (math.nan, 1.0))
+
+
 def test_numerov_solve_rejects_a_negative_state_index():
     with pytest.raises(ValueError, match="n_index must be nonnegative, got -1"):
         numerov_solve(OSCILLATOR, OSC_NUMEROV_GRID, -1, (0.3, 0.7))
@@ -1228,6 +1237,18 @@ def test_rayleigh_quotient_rejects_samples_off_the_grid():
         rayleigh_quotient(np.ones(999), OSCILLATOR, GridSpec(-12.0, 12.0, 1000))
 
 
+def test_rayleigh_quotient_rejects_samples_that_are_not_a_finite_row():
+    grid = GridSpec(-6.0, 6.0, 300)
+    psi = np.exp(-0.5 * grid.nodes() ** 2)
+    # a column has the right length, and would broadcast against the operator
+    with pytest.raises(ValueError, match=r"wavefunction must be 1-D, got shape \(300, 1\)"):
+        rayleigh_quotient(psi[:, None], OSCILLATOR, grid)
+    for bad in (math.nan, math.inf):
+        psi[150] = bad
+        with pytest.raises(ValueError, match="wavefunction samples must be finite"):
+            rayleigh_quotient(psi, OSCILLATOR, grid)
+
+
 def test_solve_state_rejects_an_unknown_method():
     with pytest.raises(ValueError, match="unknown method 'spectral'"):
         solve_state(OSCILLATOR, OSC_FD_GRID, 0, "spectral")
@@ -1281,3 +1302,15 @@ def test_convergence_order_guards():
         convergence_order(
             OSCILLATOR, [GridSpec(-8.0, 8.0, n) for n in (128, 255, 509)], 0.5, table=[(0.1, 0.5)]
         )
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_convergence_order_rejects_non_finite_levels(bad):
+    # each would otherwise come back as a nan slope
+    grids = [GridSpec(-8.0, 8.0, n) for n in (128, 255, 509)]
+    with pytest.raises(ValueError, match="epsilon_exact must be finite"):
+        convergence_order(OSCILLATOR, grids, bad)
+    table = [(grid.h, 0.5) for grid in grids]
+    table[1] = (grids[1].h, bad)
+    with pytest.raises(ValueError, match="every \\(h, eps\\) pair must be finite"):
+        convergence_order(OSCILLATOR, grids, 0.5, table=table)

@@ -317,3 +317,25 @@ def test_only_units_check_index_decides_a_count_or_index_is_valid():
         ("units.py", True, "must be an integer"),
         ("units.py", True, "must be in ["),
     ]
+
+
+def test_only_parse_kv_file_types_or_rejects_a_flat_file_value():
+    # --config files and preset .conf files share one reader, its checks and its messages
+    package = SRC / "rsse"
+    presets = ast.parse((package / "presets.py").read_text())
+    (reader,) = [
+        node
+        for node in presets.body
+        if isinstance(node, ast.FunctionDef) and node.name == "parse_kv_file"
+    ]
+    inside = range(reader.lineno, reader.end_lineno + 1)
+    phrases = re.compile(r"invalid choice|unknown (?:config|preset|\{what\}) key|invalid \S+ value")
+    found = []
+    for path in sorted(package.glob("*.py")):
+        for number, line in enumerate(path.read_text().splitlines(), start=1):
+            found += [(path.name, number in inside, match) for match in phrases.findall(line)]
+    assert found == [
+        ("presets.py", True, "unknown {what} key"),
+        ("presets.py", True, "invalid choice"),
+        ("presets.py", True, "invalid {kind.__name__} value"),
+    ]

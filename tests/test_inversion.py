@@ -229,6 +229,23 @@ def test_time_reversal_length_mismatch():
         time_reversal_check(np.ones(32), 0.0, np.zeros(30), grid)
 
 
+@pytest.mark.parametrize(
+    "psi, potential, epsilon, words",
+    [
+        # a column has the right length, and would broadcast the residual to n x n
+        (np.ones((32, 1)), np.zeros(32), 0.0, r"mismatch: grid has 32 nodes, psi has shape \(32, 1\)"),
+        (np.ones(32), np.zeros((32, 1)), 0.0, r"potential has shape \(32, 1\)"),
+        (np.where(np.arange(32) == 5, np.nan, 1.0), np.zeros(32), 0.0, "psi samples must be finite"),
+        (np.ones(32), np.where(np.arange(32) == 5, np.inf, 0.0), 0.0, "potential samples must be finite"),
+        (np.ones(32), np.zeros(32), np.nan, "epsilon must be finite, got nan"),
+        (np.ones(32), np.zeros(32), -np.inf, "epsilon must be finite, got -inf"),
+    ],
+)
+def test_time_reversal_rejects_samples_that_are_not_a_finite_row(psi, potential, epsilon, words):
+    with pytest.raises(ValueError, match=words):
+        time_reversal_check(psi, epsilon, potential, GridSpec(0.0, 1.0, 32))
+
+
 def test_time_reversal_zero_state_rejected():
     grid = GridSpec(0.0, 1.0, 32)
     with pytest.raises(ValueError, match="zero"):

@@ -2,8 +2,8 @@
 
 Every command is pinned in csv and json, with FD and Numerov ``solve``
 (hydrogen k = 3 on the 20000-node Numerov grid, positronium on 32000 nodes),
-Numerov ``convergence``, a usage error, and one wavefunction dump whose files
-are hashed with the report.  Three more pins are argvs of the benchmark's
+Numerov ``convergence``, a usage error, one wavefunction dump whose files
+are hashed with the report, and one solve of a preset read from a .conf file.  Three more pins are argvs of the benchmark's
 ``numerov_solve`` pool, so the byte identity of a Numerov speedup covers the
 ops it is measured on.  A refactor of the solvers must leave every byte
 in place; a change that moves digits on purpose updates these pins and says
@@ -124,6 +124,22 @@ DUMP_ARGV = [
 DUMP_DIGEST = "5efd4f2896e29f5a65b2a71147780a7d4fa8445e1b7e3ba28b0910bcad0d4ed7"
 
 
+# a preset file that leaves l, M and the Numerov grid's ends to their fallbacks
+PRESET_CONF = """# a square well; the Numerov grid takes its ends from the FD grid
+potential = finite_well
+V0 = 1
+a = 2
+mu = 0.5
+fd_r_min = -10
+fd_r_max = 10
+fd_n = 2000
+numerov_n = 1001
+description = unit-depth square well
+"""
+PRESET_ARGV = ["solve", "--preset", "well", "--n-max", "2", "--method", "numerov"]
+PRESET_DIGEST = "e9a783d87e1d6cf14ab8dc947d2dcbde0b3f6fcf19026a7b1684237828cdb4cd"
+
+
 def run_digest(capsys, argv):
     code = main(argv)
     return hashlib.sha256(f"{code}\n{capsys.readouterr().out}".encode()).hexdigest()
@@ -147,3 +163,9 @@ def test_wavefunction_dump_bytes_are_pinned(capsys, monkeypatch, tmp_path):
         digest.update(path.name.encode())
         digest.update(path.read_bytes())
     assert digest.hexdigest() == DUMP_DIGEST
+
+
+def test_preset_file_solve_bytes_are_pinned(capsys, monkeypatch, tmp_path):
+    (tmp_path / "well.conf").write_text(PRESET_CONF)
+    monkeypatch.setenv("RSSE_PRESET_DIR", str(tmp_path))
+    assert run_digest(capsys, PRESET_ARGV) == PRESET_DIGEST
