@@ -18,7 +18,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import math
 import sys
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Callable, Optional, Sequence
@@ -44,7 +43,7 @@ from .kinematics import (
 from .presets import get_preset, load_presets, parse_kv_file  # noqa: F401
 from .problem import BracketError, ConvergenceError, GridSpec, WrongStateError
 from .spectra import analytic_level, bohr_level, compare_report, oscillator_level  # noqa: F401
-from .units import ATOMIC, _check_index
+from .units import ATOMIC, _check_finite, _check_index
 
 # the solver functions load with ``rsse.eigensolver`` (and numpy) on the first
 # solve, so the analytic commands never import it.  They are still attributes
@@ -271,8 +270,12 @@ def _cmd_convergence(config: dict[str, Any]) -> int:
     problem = preset.problem
     n_index, method = config["n_index"], config["method"]
     # full-line presets share one fixed ladder; half-line presets refine
-    # their own FD grid
-    base = GridSpec(-8.0, 8.0, 1017) if preset.fd_grid.r_min < 0.0 else preset.fd_grid
+    # their own FD grid, whose every 8th node must still make a grid
+    if preset.fd_grid.r_min < 0.0:
+        base = GridSpec(-8.0, 8.0, 1017)
+    else:
+        base = preset.fd_grid
+        _check_index("half-line preset fd_n", base.n, 121)
     grids = [
         GridSpec(base.r_min, base.r_max, (base.n - 1) // scale + 1) for scale in (8, 4, 2, 1)
     ]
@@ -346,8 +349,8 @@ def _resolve_config(command: str, args: argparse.Namespace) -> dict[str, Any]:
     flags = vars(args)
     config.update({key: flags[key] for key in options if flags[key] is not None})
     for key, value in config.items():
-        if isinstance(value, float) and not math.isfinite(value):
-            raise ValueError(f"option {key!r} must be a finite number, got {value}")
+        if isinstance(value, float):
+            _check_finite(f"option {key!r}", value)
     return config
 
 

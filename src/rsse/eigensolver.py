@@ -66,9 +66,10 @@ from .problem import (
     RadialProblem,
     WrongStateError,
     _check_origin,
+    _check_samples,
     effective_potential,
 )
-from .units import _check_index
+from .units import _check_finite, _check_index
 
 
 # ---------------------------------------------------------------------------
@@ -530,8 +531,7 @@ def numerov_solve(
     if not lo < hi:
         raise ValueError(f"bracket must satisfy lo < hi, got ({lo}, {hi})")
     # the sweep would report an infinite end as a numerical failure, not a usage error
-    if not (math.isfinite(lo) and math.isfinite(hi)):
-        raise ValueError(f"bracket ends must be finite, got ({lo}, {hi})")
+    _check_finite("bracket ends", lo, hi)
 
     shooter = _shooter(problem, grid)
     shooter.check_stencil(lo)
@@ -721,13 +721,7 @@ def rayleigh_quotient(wavefunction: np.ndarray, problem: RadialProblem, grid: Gr
     an eigenstate.
     """
     u = np.asarray(wavefunction, dtype=float)
-    # a column would pass the length check and broadcast to an n x n array
-    if u.ndim != 1:
-        raise ValueError(f"wavefunction must be 1-D, got shape {u.shape}")
-    if u.shape[0] != grid.n:
-        raise ValueError(f"expected {grid.n} samples, got {u.shape[0]}")
-    if not np.isfinite(u).all():
-        raise ValueError("wavefunction samples must be finite")
+    _check_samples("wavefunction", u, grid)
     norm_sq = _trapezoid(u * u, grid.h)
     if norm_sq <= 0.0:
         raise ValueError("cannot form a Rayleigh quotient from a zero wavefunction")
@@ -778,14 +772,14 @@ def convergence_order(
         raise ValueError("degenerate fit: identical grids repeated")
     if method not in ("fd", "numerov"):
         raise ValueError(f"unknown method {method!r}; expected 'fd' or 'numerov'")
-    if not math.isfinite(epsilon_exact):
-        raise ValueError(f"epsilon_exact must be finite, got {epsilon_exact}")
+    _check_finite("epsilon_exact", epsilon_exact)
     if table is None:
         table = [(grid.h, solve_state(problem, grid, n_index, method)) for grid in grids]
     elif len(table) != len(grids):
         raise ValueError(f"need one (h, eps) pair per grid, got {len(table)} for {len(grids)}")
-    elif not all(math.isfinite(h) and math.isfinite(epsilon) for h, epsilon in table):
-        raise ValueError(f"every (h, eps) pair must be finite, got {list(table)}")
+    else:
+        for pair in table:
+            _check_finite("every (h, eps) pair", *pair)
     hs = [h for h, _ in table]
     # floor the error at fp noise so the log never diverges
     floor = 1e-15 * max(1.0, abs(epsilon_exact))

@@ -20,8 +20,8 @@ from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING
 
 from .kinematics import gamma_factor, momentum, total_energy
-from .problem import GridSpec
-from .units import ATOMIC, UnitSystem, _check_positive
+from .problem import GridSpec, _check_samples
+from .units import ATOMIC, UnitSystem, _check_finite, _check_positive
 
 if TYPE_CHECKING:
     import numpy as np
@@ -187,20 +187,13 @@ def time_reversal_check(
     real eigenfunction this equals the residual of psi itself.
     """
     _check_positive("reduced mass", mu)
-    if not math.isfinite(epsilon):
-        raise ValueError(f"epsilon must be finite, got {epsilon}")
+    _check_finite("epsilon", epsilon)
     import numpy as np
 
     psi = np.asarray(psi_spatial, dtype=complex)
     v = np.asarray(potential, dtype=float)
-    # a column of the right length would broadcast the residual to n x n
-    for name, samples in (("psi", psi), ("potential", v)):
-        if samples.shape != (grid.n,):
-            raise ValueError(
-                f"sample shape mismatch: grid has {grid.n} nodes, {name} has shape {samples.shape}"
-            )
-        if not np.isfinite(samples).all():
-            raise ValueError(f"{name} samples must be finite")
+    _check_samples("psi", psi, grid)
+    _check_samples("potential", v, grid)
     peak = float(np.max(np.abs(psi)))
     if peak == 0.0:
         raise ValueError("cannot check a zero wavefunction")

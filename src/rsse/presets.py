@@ -76,9 +76,9 @@ def builtin_presets() -> dict[str, SolverPreset]:
 def parse_kv_file(path: Path | str, kinds: dict[str, Any], what: str) -> dict[str, Any]:
     """The typed values of a flat ``key = value`` file; '#' starts a comment line.
 
-    ``kinds`` maps every key the file may set to a type, or to a tuple of the
-    values it may take; ``what`` names the kind of file in the errors, each
-    of which names the file once.
+    ``kinds`` maps every key the file may set, at most once, to a type, or to
+    a tuple of the values it may take; ``what`` names the kind of file in the
+    errors, each of which names the file once.
     """
     values: dict[str, Any] = {}
     for raw in Path(path).read_text().splitlines():
@@ -97,14 +97,17 @@ def parse_kv_file(path: Path | str, kinds: dict[str, Any], what: str) -> dict[st
                 raise ValueError(
                     f"{path}: {what} key {key!r}: invalid choice: {text!r} (choose from {choices})"
                 )
-            values[key] = text
-            continue
-        try:
-            values[key] = kind(text)
-        except ValueError:
-            raise ValueError(
-                f"{path}: {what} key {key!r}: invalid {kind.__name__} value: {text!r}"
-            ) from None
+            value = text
+        else:
+            try:
+                value = kind(text)
+            except ValueError:
+                raise ValueError(
+                    f"{path}: {what} key {key!r}: invalid {kind.__name__} value: {text!r}"
+                ) from None
+        if key in values:
+            raise ValueError(f"{path}: {what} key {key!r} is set twice")
+        values[key] = value
     return values
 
 

@@ -223,3 +223,13 @@ def _check_origin(problem: RadialProblem, grid: GridSpec) -> None:
             "the effective potential is singular at r = 0; "
             f"choose r_min > 0 (got r_min = {grid.r_min})"
         )
+
+
+def _check_samples(name: str, samples: np.ndarray, grid: GridSpec) -> None:
+    import numpy as np
+
+    shape = np.shape(samples)
+    if shape != (grid.n,):  # a column would broadcast a residual to an n x n array
+        raise ValueError(f"sample shape mismatch: grid has {grid.n} nodes, {name} has shape {shape}")
+    if not np.isfinite(samples).all():
+        raise ValueError(f"{name} samples must be finite")

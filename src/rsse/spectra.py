@@ -23,7 +23,7 @@ from typing import Optional
 
 from .problem import GridSpec, RadialProblem, _check_origin
 from .presets import get_preset
-from .units import ATOMIC, UnitSystem, _check_index, _check_positive
+from .units import ATOMIC, UnitSystem, _check_finite, _check_index, _check_positive
 
 
 # ---------------------------------------------------------------------------
@@ -134,8 +134,7 @@ def _rest_energy(M: float, units: UnitSystem) -> float:
 
 
 def _check_domain(epsilon: float, mc2: float) -> float:
-    if not math.isfinite(epsilon):
-        raise ValueError(f"epsilon must be finite, got {epsilon}")
+    _check_finite("epsilon", epsilon)
     y = 2.0 * epsilon / mc2
     if y < -1.0:
         raise ValueError(

@@ -4,10 +4,11 @@ Everything numerical in this package runs in Hartree atomic units
 (hbar = m_e = e = 1, c = 1/alpha); other energy units appear only at
 I/O boundaries through :func:`convert_energy`.
 
-The module also holds the two rules by which every module checks a scalar:
+The module also holds the three rules by which every module checks a scalar:
 ``_check_positive`` rejects a mass, charge, frequency, energy or unit scale
 that is not positive and finite, and ``_check_index`` a count or state
 index (n, l, k, n_index, a node count) that is not an integer in its range.
+``_check_finite`` rejects an energy, bracket end or float option that is not finite.
 """
 
 from __future__ import annotations
@@ -33,6 +34,12 @@ _EV_PER_UNIT = {
 def _check_positive(what: str, value: Optional[float]) -> None:
     if value is None or not 0.0 < value < math.inf:
         raise ValueError(f"{what} must be positive and finite, got {value}")
+
+
+def _check_finite(what: str, *values: float) -> None:
+    if not all(map(math.isfinite, values)):
+        got = values[0] if len(values) == 1 else "(" + ", ".join(map(str, values)) + ")"
+        raise ValueError(f"{what} must be finite, got {got}")
 
 
 def _check_index(what: str, value: int, low: int, high: Optional[int] = None) -> None:

@@ -364,6 +364,38 @@ def test_wall_that_shifts_the_level_past_h_squared_has_no_analytic_levels(
         assert "no analytic levels for a wall at r_min = 0.015" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("fd_n", [100, 120])
+def test_convergence_on_a_small_half_line_preset_names_its_fd_n(tmp_path, monkeypatch, capsys, fd_n):
+    # the coarsest grid of the ladder keeps every 8th node, and a grid needs 16
+    (tmp_path / "small.conf").write_text(
+        f"potential = coulomb\nfd_r_min = 1e-4\nfd_r_max = 30\nfd_n = {fd_n}\n"
+    )
+    monkeypatch.setenv("RSSE_PRESET_DIR", str(tmp_path))
+    code = main(["convergence", "--preset", "small", "--output", str(tmp_path / "x.csv")])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        f"rsse: error: half-line preset fd_n must be at least 121, got {fd_n}\n"
+    )
+    assert not (tmp_path / "x.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "r_min, r_max, fd_n, ladder",
+    [(1e-4, 30.0, 121, [16, 31, 61, 121]), (-12.0, 12.0, 100, [128, 255, 509, 1017])],
+)
+def test_convergence_ladder_of_a_preset_file(tmp_path, monkeypatch, r_min, r_max, fd_n, ladder):
+    # a half-line preset refines its own grid from fd_n = 121 on; a full-line
+    # preset keeps the fixed ladder whatever its fd_n
+    potential = "coulomb" if r_min > 0.0 else "harmonic"
+    (tmp_path / "p.conf").write_text(
+        f"potential = {potential}\nfd_r_min = {r_min}\nfd_r_max = {r_max}\nfd_n = {fd_n}\n"
+    )
+    monkeypatch.setenv("RSSE_PRESET_DIR", str(tmp_path))
+    path = tmp_path / "conv.json"
+    assert main(["convergence", "--preset", "p", "--format", "json", "--output", str(path)]) == 0
+    assert [row["grid_n"] for row in json.loads(path.read_text())["rows"]] == ladder
+
+
 def test_numerov_solve_beyond_the_fd_seed_exits_2(tmp_path, capsys):
     argv = ["solve", "--preset", "oscillator", "--method", "numerov", "--grid-n", "16"]
     code = main(argv + ["--n-max", "15", "--output", str(tmp_path / "x.csv")])
@@ -503,7 +535,7 @@ def test_non_finite_config_value_exits_2(tmp_path, capsys):
     cfg.write_text("m0 = nan\n")
     code = main(["invert-demo", "--config", str(cfg), "--output", str(tmp_path / "x.csv")])
     assert code == 2
-    assert "option 'm0' must be a finite number" in capsys.readouterr().err
+    assert "option 'm0' must be finite, got nan" in capsys.readouterr().err
 
 
 def test_invert_demo_takes_one_beta(tmp_path, capsys):
@@ -764,10 +796,12 @@ def test_command_is_not_a_config_key(tmp_path, capsys):
         ("config", "mystery = 1", "unknown config key 'mystery'"),
         ("config", "n_max = 2e3", "config key 'n_max': invalid int value: '2e3'"),
         ("config", "format = xml", "config key 'format': invalid choice: 'xml'"),
+        ("config", "n_max = 2\nn_max = 3", "config key 'n_max' is set twice"),
         ("preset", "fd_n 2", "expected 'key = value', got 'fd_n 2'"),
         ("preset", "mystery = 1", "unknown preset key 'mystery'"),
         ("preset", "fd_n = 2e3", "preset key 'fd_n': invalid int value: '2e3'"),
         ("preset", "potential = yukawa", "unsupported potential 'yukawa'"),
+        ("preset", "mu = 1\nmu = 0.5", "preset key 'mu' is set twice"),
     ],
 )
 def test_bad_flat_file_line_exits_2_naming_the_file_once(
@@ -881,7 +915,10 @@ def test_preset_without_grid_key_exits_2(tmp_path, monkeypatch, capsys):
 def test_non_finite_preset_value_exits_2(tmp_path, monkeypatch, capsys, line, words):
     # a preset file is checked like a flag: no silent rows from an infinite box or mass
     conf = tmp_path / "wild.conf"
-    conf.write_text(f"potential = coulomb\nfd_r_min = 0.001\nfd_r_max = 30\nfd_n = 2000\n{line}\n")
+    # the line takes the place of its key's value: a file sets each key once
+    keys = {"potential": "coulomb", "fd_r_min": "0.001", "fd_r_max": "30", "fd_n": "2000"}
+    key, value = line.split(" = ")
+    conf.write_text("".join(f"{k} = {v}\n" for k, v in {**keys, key: value}.items()))
     monkeypatch.setenv("RSSE_PRESET_DIR", str(tmp_path))
     code = main(["solve", "--preset", "wild", "--output", str(tmp_path / "x.csv")])
     assert code == 2

@@ -630,6 +630,53 @@ def test_numerov_step_cap_raises_convergence_error(monkeypatch):
         numerov_solve(OSCILLATOR, OSC_NUMEROV_GRID, 0, (0.2, 0.9))
 
 
+def test_cooley_step_moves_the_match_point_off_an_exact_node(monkeypatch):
+    import rsse.eigensolver
+
+    bracket = (0.2, 0.9)
+    expected = numerov_solve(OSCILLATOR, OSC_NUMEROV_GRID, 0, bracket).epsilon
+    match_index, sweep = _Shooter.match_index, rsse.eigensolver._numerov_sweep
+    matched, lengths = [], []
+
+    def first_match_index(self, epsilon):
+        m = match_index(self, epsilon)
+        if not lengths:
+            matched.append(m)
+        return m
+
+    def sweep_with_a_node_on_the_match_point(w, c, u0, u1):
+        # the first sweep after the first match index is the outward one
+        u = sweep(w, c, u0, u1)
+        lengths.append(len(u))
+        if len(lengths) == 1:
+            u[matched[0]] = 0.0
+        return u
+
+    monkeypatch.setattr(_Shooter, "match_index", first_match_index)
+    monkeypatch.setattr(rsse.eigensolver, "_numerov_sweep", sweep_with_a_node_on_the_match_point)
+    got = numerov_solve(OSCILLATOR, OSC_NUMEROV_GRID, 0, bracket).epsilon
+    # after the inward sweep, the outward one ran again, one node short of the zero
+    m = matched[0]
+    assert lengths[:3] == [m + 2, OSC_NUMEROV_GRID.n - m + 1, m + 1]
+    assert abs(got - expected) <= 1e-10 * abs(expected)
+
+
+def test_numerov_solve_rejects_a_converged_state_with_the_wrong_node_count(monkeypatch):
+    cooley_step = _Shooter.cooley_step
+
+    def one_node_too_many(self, epsilon):
+        merged, delta = cooley_step(self, epsilon)
+        merged = merged.copy()
+        # the tail sample before the far wall takes the sign opposite its neighbour's
+        merged[-2] = -np.copysign(1e-300, merged[-3])
+        return merged, delta
+
+    monkeypatch.setattr(_Shooter, "cooley_step", one_node_too_many)
+    # every step bisects by node counts until the bracket closes on the level
+    with pytest.raises(WrongStateError, match="has 1 interior nodes, expected 0"):
+        numerov_solve(OSCILLATOR, OSC_NUMEROV_GRID, 0, (0.2, 0.9))
+
+
 def test_numerov_rejects_origin_for_coulomb():
     with pytest.raises(ValueError, match="r_min > 0"):
         numerov_solve(HYDROGEN, GridSpec(0.0, 40.0, 1000), 0, (-0.6, -0.4))
@@ -1233,7 +1280,9 @@ def test_rayleigh_quotient_rejects_zero():
 
 
 def test_rayleigh_quotient_rejects_samples_off_the_grid():
-    with pytest.raises(ValueError, match="expected 1000 samples, got 999"):
+    with pytest.raises(
+        ValueError, match=r"sample shape mismatch: grid has 1000 nodes, wavefunction has shape \(999,\)"
+    ):
         rayleigh_quotient(np.ones(999), OSCILLATOR, GridSpec(-12.0, 12.0, 1000))
 
 
@@ -1241,7 +1290,7 @@ def test_rayleigh_quotient_rejects_samples_that_are_not_a_finite_row():
     grid = GridSpec(-6.0, 6.0, 300)
     psi = np.exp(-0.5 * grid.nodes() ** 2)
     # a column has the right length, and would broadcast against the operator
-    with pytest.raises(ValueError, match=r"wavefunction must be 1-D, got shape \(300, 1\)"):
+    with pytest.raises(ValueError, match=r"grid has 300 nodes, wavefunction has shape \(300, 1\)"):
         rayleigh_quotient(psi[:, None], OSCILLATOR, grid)
     for bad in (math.nan, math.inf):
         psi[150] = bad

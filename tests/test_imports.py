@@ -104,6 +104,22 @@ def rsse_modules_after(code):
     return json.loads(run_fresh(code + RSSE_REPORT).splitlines()[-1])
 
 
+def test_reading_a_cli_solver_name_before_any_solve_binds_all_five():
+    # a benchmark tracer reads and wraps rsse.cli.solve_lowest_k this way
+    run_fresh(
+        """
+import sys
+import rsse.cli
+assert "rsse.eigensolver" not in sys.modules and "solve_lowest_k" not in vars(rsse.cli)
+solver = rsse.cli.solve_lowest_k
+import rsse.eigensolver
+assert solver is rsse.eigensolver.solve_lowest_k
+for name in rsse.cli._SOLVERS:
+    assert vars(rsse.cli)[name] is getattr(rsse.eigensolver, name), name
+"""
+    )
+
+
 def test_import_rsse_loads_no_submodule():
     assert rsse_modules_after("import rsse") == ["rsse"]
 
@@ -316,6 +332,32 @@ def test_only_units_check_index_decides_a_count_or_index_is_valid():
         ("units.py", True, "operator.index"),
         ("units.py", True, "must be an integer"),
         ("units.py", True, "must be in ["),
+    ]
+
+
+def test_only_check_finite_and_check_samples_reject_a_non_finite_real_or_sample():
+    # every energy, bracket end, float option and table value goes through
+    # units._check_finite, and every sampled array through problem._check_samples
+    package = SRC / "rsse"
+    rules = {"units.py": "_check_finite", "problem.py": "_check_samples"}
+    inside = {}
+    for module, rule in rules.items():
+        tree = ast.parse((package / module).read_text())
+        (check,) = [
+            node
+            for node in tree.body
+            if isinstance(node, ast.FunctionDef) and node.name == rule
+        ]
+        inside[module] = range(check.lineno, check.end_lineno + 1)
+    found = []
+    for path in sorted(package.glob("*.py")):
+        for number, line in enumerate(path.read_text().splitlines(), start=1):
+            for phrase in ("must be finite, got", "sample shape mismatch"):
+                if phrase in line:
+                    found.append((path.name, number in inside.get(path.name, ()), phrase))
+    assert sorted(found) == [
+        ("problem.py", True, "sample shape mismatch"),
+        ("units.py", True, "must be finite, got"),
     ]
 
 
