@@ -1,10 +1,10 @@
 """Interleaved parent/change runs of perfbench, with interpreter floors.
 
-    python3 tools/bench_pairs.py --parent PARENT --change CHANGE \\
-        --pairs 10 --seconds 10 > BENCH_n.json
+    python3 tools/bench_pairs.py --parent PARENT --change CHANGE > BENCH_n.json
 
-PARENT and CHANGE are the roots of two source checkouts, each with ``src/rsse``
-and ``perfbench/``.  For every workload and pair p = 1..N, each checkout runs
+PARENT and CHANGE are the roots of two source checkouts, each with ``src/rsse``,
+``perfbench/`` and ``BENCHMARK.json``.  S is the parent's ``run_seconds`` in
+``BENCHMARK.json``.  For every workload and pair p = 1..10, each checkout runs
 ``python3 perfbench/run.py --workload W --seed 100+p --seconds S --trace 0``
 from its own root, the parent first on odd pairs and the change first on even
 ones.  After each pair the three floors run once each: ``python -c pass``,
@@ -28,6 +28,7 @@ import sys
 import time
 from pathlib import Path
 
+PAIRS = 10
 WORKLOADS = ("cli_cold", "numerov_solve", "fd_report")
 METRICS = ("setup_s", "ops_per_s", "op_p50_s", "op_tail_s", "peak_rss_mb")
 FLOORS = {
@@ -65,19 +66,17 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--parent", type=Path, required=True)
     parser.add_argument("--change", type=Path, required=True)
-    parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seconds", type=float, default=10.0)
-    parser.add_argument("--workload", choices=WORKLOADS, action="append")
     args = parser.parse_args()
+    seconds = json.loads((args.parent / "BENCHMARK.json").read_text())["run_seconds"]
     sides = {"parent": args.parent, "change": args.change}
     runs = {}
     floors = {name: [] for name in FLOORS}
-    for workload in args.workload or WORKLOADS:
+    for workload in WORKLOADS:
         runs[workload] = []
-        for pair in range(1, args.pairs + 1):
+        for pair in range(1, PAIRS + 1):
             order = ("parent", "change") if pair % 2 else ("change", "parent")
             for side in order:
-                run = perfbench(sides[side], workload, 100 + pair, args.seconds, 0)
+                run = perfbench(sides[side], workload, 100 + pair, seconds, 0)
                 runs[workload].append({"pair": pair, "side": side, **run})
                 print(f"# {workload} pair {pair} {side}: {run}", file=sys.stderr)
             for name, argv in FLOORS.items():
@@ -96,13 +95,13 @@ def main() -> int:
                 "ratio": spread([pair["change"][metric] / pair["parent"][metric] for pair in pairs]),
             }
     trace_1 = {
-        side: {w: perfbench(root, w, 1, args.seconds, 1) for w in args.workload or WORKLOADS}
+        side: {w: perfbench(root, w, 1, seconds, 1) for w in WORKLOADS}
         for side, root in sides.items()
     }
     json.dump(
         {
             "command": "python3 perfbench/run.py --workload W --seed 100+pair "
-            f"--seconds {args.seconds:g} --trace 0",
+            f"--seconds {seconds:g} --trace 0",
             "order": "the parent runs first on odd pairs, the change on even ones",
             "floors_s": {name: round(statistics.median(v), 6) for name, v in floors.items()},
             "trace_1": trace_1,
