@@ -171,7 +171,8 @@ def _dump_wavefunctions(config: dict[str, Any], result) -> None:
     header = "".join(
         f"# {key} = {_fmt(value)}\n" for key, value in config.items() if key != "output"
     )
-    template = "".join(f"{r:.17g} %.17g\n" for r in result.grid.nodes().tolist())
+    r = tuple(result.grid.nodes().tolist())
+    template = ("%.17g %%.17g\n" * len(r)) % r
     for i, u in enumerate(result.wavefunctions):
         path = directory / f"{config['preset']}_{config['method']}_state{i}.dat"
         path.write_text(f"{header}# state = {i}\n" + template % tuple(u.tolist()))
@@ -280,6 +281,8 @@ def _cmd_convergence(config: dict[str, Any]) -> int:
         GridSpec(base.r_min, base.r_max, (base.n - 1) // scale + 1) for scale in (8, 4, 2, 1)
     ]
     exact = analytic_level(problem, n_index, base)
+    # as solve's n_max: the coarsest grid holds n - 2 FD levels, Numerov needs one above
+    _check_index("n_index", n_index, 0, grids[0].n - (3 if method == "fd" else 4))
     table = [(grid.h, solve_state(problem, grid, n_index, method)) for grid in grids]
     rows = [
         {"grid_n": grid.n, "h": h, "epsilon": epsilon, "abs_error": abs(epsilon - exact)}

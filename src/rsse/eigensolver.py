@@ -30,6 +30,9 @@ with V_eff = V + hbar**2 l(l+1) / (2 mu r**2):
 
 Both routes read the problem from one radial form, :class:`_RadialForm`:
 the nodes, V_eff on them, the hbar**2 / mu prefactors and the outward start.
+Each route yields its states from one generator, :func:`_fd_states` or
+:func:`_numerov_states`, which the list solves read and :func:`solve_state`
+reads without eigenvectors or recurrence defects.
 
 Grids are uniform.  Coulomb-type problems use the reduced radial function
 u(r) = r R(r) and require r_min > 0.
@@ -158,14 +161,12 @@ class EigenResult:
 DEGENERACY_GAP = 1e-12  # hartree
 
 
-def _eigen_result(
-    epsilons: np.ndarray, wavefunctions: np.ndarray, residuals: np.ndarray, method: str,
-    grid: GridSpec,
-) -> EigenResult:
-    """The :class:`EigenResult` of either route.
+def _eigen_result(states: Iterator[tuple], method: str, grid: GridSpec) -> EigenResult:
+    """The :class:`EigenResult` of one route's ``(epsilon, wavefunction, residual)`` records.
 
     Node counts and degeneracy flags are derived here, once for both routes.
     """
+    epsilons, wavefunctions, residuals = (np.array(column) for column in zip(*states))
     degenerate = np.zeros(epsilons.shape[0], dtype=bool)
     close = np.abs(np.diff(epsilons)) < DEGENERACY_GAP
     degenerate[:-1] |= close
@@ -295,18 +296,21 @@ def solve_lowest_k(operator: TridiagonalOperator, k: int) -> EigenResult:
     the full grid, zero at both ends, trapezoid-normalized, with a
     deterministic sign convention.
     """
-    epsilons, vectors = _tridiagonal_lowest(
-        operator.diagonal, operator.off_diagonal, k, vectors=True
+    return _eigen_result(_fd_states(operator, k, vectors=True), "fd", operator.grid)
+
+
+def _fd_states(operator: TridiagonalOperator, k: int, vectors: bool) -> Iterator[tuple]:
+    """The lowest k (epsilon, wavefunction, residual) records, values only without ``vectors``."""
+    epsilons, columns = _tridiagonal_lowest(
+        operator.diagonal, operator.off_diagonal, k, vectors=vectors
     )
-    grid = operator.grid
-    wavefunctions = np.zeros((k, grid.n))
-    residuals = np.empty(k)
-    for i in range(k):
-        v = vectors[:, i]
-        residuals[i] = np.max(np.abs(operator.apply(v) - epsilons[i] * v)) / np.max(np.abs(v))
-        wavefunctions[i, 1:-1] = v
-        wavefunctions[i] = _normalize(_fix_sign(wavefunctions[i]), grid)
-    return _eigen_result(epsilons, wavefunctions, residuals, "fd", grid)
+    if not vectors:
+        yield from ((epsilon, None, None) for epsilon in epsilons)
+        return
+    for epsilon, v in zip(epsilons, columns.T):
+        residual = np.max(np.abs(operator.apply(v) - epsilon * v)) / np.max(np.abs(v))
+        u = np.concatenate(([0.0], v, [0.0]))
+        yield epsilon, _normalize(_fix_sign(u), operator.grid), residual
 
 
 # ---------------------------------------------------------------------------
@@ -653,29 +657,31 @@ def _fd_brackets(problem: RadialProblem, grid: GridSpec, k: int) -> list[tuple[f
     return [(float(seed[i] - half[i]), float(seed[i] + half[i])) for i in range(k)]
 
 
-def _seeded_numerov(
-    problem: RadialProblem, grid: GridSpec, k: int, states: Sequence[int]
-) -> Iterator[NumerovResult]:
-    """:func:`numerov_solve` of ``states`` (each below k) on :func:`default_brackets`.
+def _numerov_states(
+    problem: RadialProblem, grid: GridSpec, k: int, states: Sequence[int],
+    brackets: Sequence[tuple[float, float]] | None = None, vectors: bool = True,
+) -> Iterator[tuple]:
+    """:func:`numerov_solve` of ``states`` (each below k) on ``brackets``, else seeded ones.
 
-    The states are yielded one at a time, each as soon as it is solved.  A
-    coarse seed can miss a state whose level the coarse grid resolves
-    badly, such as a narrow well: the node counts at its bracket ends then
-    do not isolate the state.  When a coarse bracket fails with
-    :class:`WrongStateError`, every bracket is re-seeded from the full grid,
-    once.
+    Each ``(epsilon, wavefunction, residual)`` record is yielded as soon as
+    its state is solved; the residual is :func:`numerov_recurrence_defect`,
+    or None without ``vectors``.  A seed (:func:`default_brackets`) on a
+    coarse grid can miss a state it resolves badly, such as a narrow well's:
+    on :class:`WrongStateError` every seeded bracket is re-seeded from the
+    full grid, once.  The caller's ``brackets`` never are.
     """
-    brackets = default_brackets(problem, grid, k)
-    reseeded = _seed_grid(grid, k) == grid
+    reseeded = brackets is not None or _seed_grid(grid, k) == grid
+    brackets = default_brackets(problem, grid, k) if brackets is None else brackets
     for i in states:
         try:
-            result = numerov_solve(problem, grid, i, brackets[i])
+            epsilon, u = numerov_solve(problem, grid, i, brackets[i])
         except WrongStateError:
             if reseeded:
                 raise
             brackets, reseeded = _fd_brackets(problem, grid, k), True
-            result = numerov_solve(problem, grid, i, brackets[i])
-        yield result
+            epsilon, u = numerov_solve(problem, grid, i, brackets[i])
+        # the defect follows its own solve, which leaves that energy's stencil in the shooter
+        yield epsilon, u, numerov_recurrence_defect(u, problem, grid, epsilon) if vectors else None
 
 
 def numerov_recurrence_defect(
@@ -697,16 +703,9 @@ def solve_numerov_lowest_k(
 ) -> EigenResult:
     """Numerov counterpart of :func:`solve_lowest_k` for the lowest k states."""
     _check_index("k", k, 1)
-    if brackets is None:
-        results = _seeded_numerov(problem, grid, k, range(k))
-    elif len(brackets) != k:
+    if brackets is not None and len(brackets) != k:
         raise ValueError(f"need {k} brackets, got {len(brackets)}")
-    else:
-        results = (numerov_solve(problem, grid, i, brackets[i]) for i in range(k))
-    # each defect follows its own solve, which leaves that energy's stencil in the shooter
-    solved = [(e, u, numerov_recurrence_defect(u, problem, grid, e)) for e, u in results]
-    epsilons, wavefunctions, residuals = (np.array(column) for column in zip(*solved))
-    return _eigen_result(epsilons, wavefunctions, residuals, "numerov", grid)
+    return _eigen_result(_numerov_states(problem, grid, k, range(k), brackets), "numerov", grid)
 
 
 # ---------------------------------------------------------------------------
@@ -738,14 +737,13 @@ def solve_state(
     """Eigenvalue of the single state ``n_index`` on one grid by either route."""
     _check_index("n_index", n_index, 0)
     if method == "fd":
-        operator = assemble_tridiagonal(problem, grid)
-        levels, _ = _tridiagonal_lowest(
-            operator.diagonal, operator.off_diagonal, n_index + 1, vectors=False
-        )
-        return float(levels[n_index])
-    if method == "numerov":
-        return next(_seeded_numerov(problem, grid, n_index + 1, [n_index])).epsilon
-    raise ValueError(f"unknown method {method!r}; expected 'fd' or 'numerov'")
+        states = _fd_states(assemble_tridiagonal(problem, grid), n_index + 1, vectors=False)
+    elif method == "numerov":
+        states = _numerov_states(problem, grid, n_index + 1, [n_index], vectors=False)
+    else:
+        raise ValueError(f"unknown method {method!r}; expected 'fd' or 'numerov'")
+    *_, (epsilon, _, _) = states
+    return float(epsilon)
 
 
 def convergence_order(

@@ -414,6 +414,22 @@ def test_solve_names_n_max_when_it_does_not_fit_the_grid(tmp_path, capsys, metho
     assert not (tmp_path / "x.csv").exists()
 
 
+@pytest.mark.parametrize(
+    "preset, method, high",
+    [("oscillator", "fd", 125), ("oscillator", "numerov", 124),
+     ("hydrogen", "fd", 247), ("hydrogen", "numerov", 246)],
+)
+def test_convergence_names_n_index_when_it_does_not_fit_the_coarsest_grid(
+    tmp_path, capsys, preset, method, high
+):
+    # the coarsest ladder grids have 128 (oscillator) and 250 (hydrogen) nodes
+    argv = ["convergence", "--preset", preset, "--method", method, "--n-index", str(high + 1)]
+    assert main(argv + ["--output", str(tmp_path / "x.csv")]) == 2
+    message = f"n_index must be in [0, {high}], got {high + 1}"
+    assert capsys.readouterr().err == f"rsse: error: {message}\n"
+    assert not (tmp_path / "x.csv").exists()
+
+
 def test_convergence_with_a_negative_state_index_exits_2_naming_it(tmp_path, capsys):
     # the analytic level rejects n_index itself, not the principal number 0 it implies
     code = main(["convergence", "--preset", "hydrogen", "--n-index", "-1",

@@ -869,6 +869,23 @@ def test_solve_numerov_lowest_k_on_explicit_brackets():
         solve_numerov_lowest_k(OSCILLATOR, OSC_NUMEROV_GRID, 2, brackets=brackets[:1])
 
 
+def test_explicit_brackets_that_miss_their_state_are_never_reseeded(monkeypatch):
+    # the second bracket holds state 2, not state 1: the caller's error, which
+    # a re-seed from the FD spectrum would hide
+    import rsse.eigensolver
+
+    seeds = []
+    for name in ("default_brackets", "_fd_brackets"):
+        def spy(*args, name=name, original=getattr(rsse.eigensolver, name)):
+            seeds.append(name)
+            return original(*args)
+        monkeypatch.setattr(rsse.eigensolver, name, spy)
+    brackets = [(0.3, 0.9), (2.1, 2.9)]
+    with pytest.raises(WrongStateError, match="holds states 2..2; target state 1 is outside it"):
+        solve_numerov_lowest_k(OSCILLATOR, OSC_NUMEROV_GRID, 2, brackets=brackets)
+    assert seeds == []
+
+
 def test_solve_numerov_lowest_k_needs_a_state():
     with pytest.raises(ValueError, match="k must be at least 1, got 0"):
         solve_numerov_lowest_k(OSCILLATOR, OSC_NUMEROV_GRID, 0)

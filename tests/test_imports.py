@@ -277,6 +277,23 @@ def test_eigensolver_reads_the_problem_only_in_its_radial_form(what):
     assert len(reads(form, what)) == 1
 
 
+@pytest.mark.parametrize(
+    "what, callers",
+    [
+        ("_tridiagonal_lowest", ["_fd_brackets", "_fd_states"]),
+        ("numerov_solve", ["_numerov_states"]),
+    ],
+)
+def test_each_route_solves_its_states_in_one_generator(what, callers):
+    # the list solves and solve_state read the per-state records of one
+    # generator per route; the FD seed is the only other LAPACK eigensolve
+    tree = ast.parse(Path(rsse.eigensolver.__file__).read_text())
+    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    assert "_seeded_numerov" not in functions
+    assert sorted(name for name, node in functions.items() if reads(node, what)) == callers
+    assert len(reads(tree, what)) == sum(len(reads(functions[name], what)) for name in callers)
+
+
 # ---------------------------------------------------------------------------
 # one positivity rule
 # ---------------------------------------------------------------------------
