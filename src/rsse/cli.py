@@ -161,21 +161,23 @@ def _dump_wavefunctions(config: dict[str, Any], result) -> None:
     """Plain two-column (r, u) plot-data files, one per state.
 
     Each file is the resolved config without ``output`` as ``# key = value``
-    lines, then ``# state = i``, then one ``r u`` line per grid node, both at
-    ``%.17g`` (the same text as ``_fmt`` gives a float, ``-0``, ``inf`` and
-    ``nan`` included).  The ``r`` column is formatted once per solve into a
-    row template that every state fills in.
+    lines, then ``# state = i``, then one ``r u`` line per grid node.  Both
+    columns are exactly ``'%.17g' % x`` (the same text as ``_fmt`` gives a
+    float, ``-0``, ``inf`` and ``nan`` included), written in bulk by
+    ``rsse._g17``: the ``r`` column once per solve, each state's ``u``
+    column on its own.
     """
+    from ._g17 import cells_text, g17_cells
+
     directory = Path(config["wavefunctions_dir"])
     directory.mkdir(parents=True, exist_ok=True)
     header = "".join(
         f"# {key} = {_fmt(value)}\n" for key, value in config.items() if key != "output"
     )
-    r = tuple(result.grid.nodes().tolist())
-    template = ("%.17g %%.17g\n" * len(r)) % r
+    r = g17_cells(result.grid.nodes(), " ")
     for i, u in enumerate(result.wavefunctions):
         path = directory / f"{config['preset']}_{config['method']}_state{i}.dat"
-        path.write_text(f"{header}# state = {i}\n" + template % tuple(u.tolist()))
+        path.write_text(f"{header}# state = {i}\n" + cells_text(r, g17_cells(u, "\n")))
 
 
 def _cmd_compare(config: dict[str, Any]) -> int:

@@ -668,18 +668,28 @@ def _numerov_states(
     or None without ``vectors``.  A seed (:func:`default_brackets`) on a
     coarse grid can miss a state it resolves badly, such as a narrow well's:
     on :class:`WrongStateError` every seeded bracket is re-seeded from the
-    full grid, once.  The caller's ``brackets`` never are.
+    full grid, once.  A seeded bracket of zero width, where two seed levels
+    coincide, counts as such a miss.  The caller's ``brackets`` are never
+    re-seeded, and one with lo >= hi stays a ``ValueError``.
     """
-    reseeded = brackets is not None or _seed_grid(grid, k) == grid
-    brackets = default_brackets(problem, grid, k) if brackets is None else brackets
+    seeded = brackets is None
+    reseeded = not seeded or _seed_grid(grid, k) == grid
+    brackets = default_brackets(problem, grid, k) if seeded else brackets
+
+    def solve(i: int) -> NumerovResult:
+        lo, hi = brackets[i]
+        if seeded and not lo < hi:
+            raise WrongStateError(f"the seed leaves state {i} an empty bracket ({lo}, {hi})")
+        return numerov_solve(problem, grid, i, (lo, hi))
+
     for i in states:
         try:
-            epsilon, u = numerov_solve(problem, grid, i, brackets[i])
+            epsilon, u = solve(i)
         except WrongStateError:
             if reseeded:
                 raise
             brackets, reseeded = _fd_brackets(problem, grid, k), True
-            epsilon, u = numerov_solve(problem, grid, i, brackets[i])
+            epsilon, u = solve(i)
         # the defect follows its own solve, which leaves that energy's stencil in the shooter
         yield epsilon, u, numerov_recurrence_defect(u, problem, grid, epsilon) if vectors else None
 

@@ -430,6 +430,16 @@ def test_convergence_names_n_index_when_it_does_not_fit_the_coarsest_grid(
     assert not (tmp_path / "x.csv").exists()
 
 
+def test_convergence_with_an_empty_seeded_bracket_exits_3_naming_the_state(tmp_path, capsys):
+    # state 124 fits the coarsest grid, but its FD seed level there
+    # coincides with a neighbour's: a numerical failure, not a usage error
+    argv = ["convergence", "--preset", "oscillator", "--method", "numerov", "--n-index", "124"]
+    assert main(argv + ["--output", str(tmp_path / "x.csv")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("rsse: numerical failure: the seed leaves state 124 an empty bracket")
+    assert not (tmp_path / "x.csv").exists()
+
+
 def test_convergence_with_a_negative_state_index_exits_2_naming_it(tmp_path, capsys):
     # the analytic level rejects n_index itself, not the principal number 0 it implies
     code = main(["convergence", "--preset", "hydrogen", "--n-index", "-1",

@@ -886,6 +886,45 @@ def test_explicit_brackets_that_miss_their_state_are_never_reseeded(monkeypatch)
     assert seeds == []
 
 
+def test_a_seeded_bracket_of_zero_width_is_a_missed_state_not_a_usage_error():
+    # on the 128-node convergence grid the FD seed levels of states 116 and
+    # 118-124 coincide to the last bit; that grid seeds itself, so no
+    # re-seed is left to try
+    grid = GridSpec(-8.0, 8.0, 128)
+    lo, hi = default_brackets(OSCILLATOR, grid, 125)[124]
+    assert lo == hi
+    with pytest.raises(WrongStateError, match="the seed leaves state 124 an empty bracket"):
+        solve_state(OSCILLATOR, grid, 124, "numerov")
+
+
+def test_a_coarse_seeds_empty_bracket_is_reseeded_from_the_full_grid(monkeypatch):
+    import rsse.eigensolver
+
+    expected = solve_numerov_lowest_k(OSCILLATOR, OSC_NUMEROV_GRID, 3).epsilons
+    reseeds = []
+
+    def collapsed(problem, grid, k):
+        brackets = default_brackets(problem, grid, k)
+        brackets[1] = (brackets[1][0], brackets[1][0])
+        return brackets
+
+    def spy(problem, grid, k, original=rsse.eigensolver._fd_brackets):
+        reseeds.append(grid)
+        return original(problem, grid, k)
+
+    monkeypatch.setattr(rsse.eigensolver, "default_brackets", collapsed)
+    monkeypatch.setattr(rsse.eigensolver, "_fd_brackets", spy)
+    result = solve_numerov_lowest_k(OSCILLATOR, OSC_NUMEROV_GRID, 3)
+    assert [grid.n for grid in reseeds] == [750, 6000]  # the coarse seed, then the re-seed
+    np.testing.assert_allclose(result.epsilons, expected, rtol=1e-11)
+
+
+def test_an_explicit_bracket_of_zero_width_stays_a_usage_error():
+    with pytest.raises(ValueError, match=r"bracket must satisfy lo < hi, got \(1.0, 1.0\)") as info:
+        solve_numerov_lowest_k(OSCILLATOR, OSC_NUMEROV_GRID, 1, brackets=[(1.0, 1.0)])
+    assert not isinstance(info.value, WrongStateError)
+
+
 def test_solve_numerov_lowest_k_needs_a_state():
     with pytest.raises(ValueError, match="k must be at least 1, got 0"):
         solve_numerov_lowest_k(OSCILLATOR, OSC_NUMEROV_GRID, 0)

@@ -137,6 +137,23 @@ def test_kinematics_loads_only_the_numpy_free_modules_it_needs():
     ]
 
 
+@pytest.mark.parametrize(
+    "argv, loads",
+    [
+        (["kinematics"], False),
+        (["invert-demo"], False),
+        (["compare", "--preset", "hydrogen"], False),
+        (["convergence", "--preset", "oscillator"], False),
+        (["solve", "--preset", "hydrogen", "--n-max", "1"], False),
+        (["solve", "--preset", "hydrogen", "--n-max", "1", "--wavefunctions-dir", "{tmp}"], True),
+    ],
+    ids=["kinematics", "invert-demo", "compare", "convergence", "solve", "solve-dump"],
+)
+def test_only_a_wavefunction_dump_loads_the_dump_formatter(tmp_path, argv, loads):
+    argv = [arg.format(tmp=tmp_path) for arg in argv]
+    assert ("rsse._g17" in rsse_modules_after(RUN_MAIN.format(argv=argv))) == loads
+
+
 # ---------------------------------------------------------------------------
 # the rsse namespace
 # ---------------------------------------------------------------------------

@@ -7,10 +7,13 @@ PARENT and CHANGE are the roots of two source checkouts, each with ``src/rsse``,
 ``BENCHMARK.json``.  For every workload and pair p = 1..10, each checkout runs
 ``python3 perfbench/run.py --workload W --seed 100+p --seconds S --trace 0``
 from its own root, the parent first on odd pairs and the change first on even
-ones.  After each pair the three floors run once each: ``python -c pass``,
-``python -S -c pass`` and ``python -c "import numpy"``, timed from process
-start to exit.  Finally each checkout runs every workload once with
-``--trace 1``, for its correctness flag only.
+ones.  Before every run the ``__pycache__`` directories under the checkout's
+``src/`` are deleted, and every child runs with ``PYTHONDONTWRITEBYTECODE=1``,
+so both sides compile rsse from source alike and no cache left by an earlier
+run skews a pair.  After each pair the three floors run once each:
+``python -c pass``, ``python -S -c pass`` and ``python -c "import numpy"``,
+timed from process start to exit.  Finally each checkout runs every workload
+once with ``--trace 1``, for its correctness flag only.
 
 The JSON on stdout holds every run, each side's median and quartiles per
 end-to-end metric, the median and quartiles of the per-pair change/parent
@@ -22,6 +25,8 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
+import shutil
 import statistics
 import subprocess
 import sys
@@ -38,11 +43,18 @@ FLOORS = {
 }
 
 
+# children still read numpy's installed bytecode; they write none of their own
+CHILD_ENV = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1"}
+
+
 def perfbench(root: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
     """The result JSON of one perfbench run in ``root``, flattened."""
+    for cache in sorted((root / "src").rglob("__pycache__")):
+        shutil.rmtree(cache)
     argv = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
             "--seconds", str(seconds), "--trace", str(trace)]
-    out = subprocess.run(argv, cwd=root, capture_output=True, text=True, check=True).stdout
+    out = subprocess.run(argv, cwd=root, env=CHILD_ENV, capture_output=True, text=True,
+                         check=True).stdout
     result = json.loads(out.strip().splitlines()[-1])
     run = {"correct": result["correct"], "failed": result["failed"]}
     if trace == 0:
@@ -52,7 +64,7 @@ def perfbench(root: Path, workload: str, seed: int, seconds: float, trace: int) 
 
 def wall_s(argv: list[str]) -> float:
     start = time.perf_counter()
-    subprocess.run(argv, check=True, capture_output=True)
+    subprocess.run(argv, env=CHILD_ENV, check=True, capture_output=True)
     return time.perf_counter() - start
 
 
