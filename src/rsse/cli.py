@@ -17,68 +17,37 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import sys
+from importlib import import_module
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Callable, Optional, Sequence
+from typing import Any, Callable, Optional, Sequence
 
-from . import __version__
-from .inversion import (
-    dirac_theta_chi,
-    effective_mass,
-    electron_plane_wave,
-    evaluate_plane_wave,
-    spacetime_invert,
-)
-from .kinematics import (
-    check_phase_harmony,
-    clock_and_wave_frequencies,
-    gamma_factor,
-    momentum,
-    total_energy,
-    wave_from_particle,
-)
-# load_presets, bohr_level and oscillator_level are unused here but stay
-# importable: benchmark tracers wrap the layer functions in this namespace
-from .presets import get_preset, load_presets, parse_kv_file  # noqa: F401
-from .problem import BracketError, ConvergenceError, GridSpec, WrongStateError
-from .spectra import analytic_level, bohr_level, compare_report, oscillator_level  # noqa: F401
+from . import _PUBLIC, __version__
 from .units import ATOMIC, _check_finite, _check_index
 
-# the solver functions load with ``rsse.eigensolver`` (and numpy) on the first
-# solve, so the analytic commands never import it.  They are still attributes
-# of this module: reading one binds them all, and a value set from outside
-# before the first solve (a benchmark tracer's wrapper) is kept
-if TYPE_CHECKING:
-    from .eigensolver import (
-        assemble_tridiagonal,
-        convergence_order,
-        solve_lowest_k,
-        solve_numerov_lowest_k,
-        solve_state,
-    )
-
-_SOLVERS = (
-    "assemble_tridiagonal",
-    "convergence_order",
-    "solve_lowest_k",
-    "solve_numerov_lowest_k",
-    "solve_state",
-)
+# The library names cli calls are bound into this namespace lazily, by
+# module: each handler binds the modules it runs and then reads the names as
+# globals, so ``kinematics`` never loads ``spectra``, and only ``solve`` and
+# ``convergence`` load ``rsse.eigensolver`` and numpy.  Reading a name from
+# outside binds its module too; a value set before that (a benchmark
+# tracer's wrapper) is kept, and is the one the handlers call.
+_PRIVATE = {"presets": ("get_preset", "parse_kv_file"), "eigensolver": ("solve_state",)}
+_NAMES = {module: names + _PRIVATE.get(module, ()) for module, names in _PUBLIC.items()}
+_MODULE_OF = {name: module for module, names in _NAMES.items() for name in names}
 
 
-def _bind_solvers() -> None:
-    from . import eigensolver
-
-    for name in _SOLVERS:
-        globals().setdefault(name, getattr(eigensolver, name))
+def _bind(*modules: str) -> None:
+    for module in modules:
+        loaded = import_module(f".{module}", __package__)
+        for name in _NAMES[module]:
+            globals().setdefault(name, getattr(loaded, name))
 
 
 def __getattr__(name: str) -> Any:
-    if name in _SOLVERS:
-        _bind_solvers()
-        return globals()[name]
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    if name not in _MODULE_OF:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    _bind(_MODULE_OF[name])
+    return globals()[name]
 
 
 def _fmt(value: Any) -> str:
@@ -105,6 +74,8 @@ def _write_report(
         "units_energy": ATOMIC.energy_unit_name,
     }
     if config["format"] == "json":
+        import json
+
         text = json.dumps({"config": header, "rows": list(rows), **extra}, indent=2) + "\n"
     else:
         lines = [f"# {key} = {_fmt(value)}" for key, value in {**header, **extra}.items()]
@@ -127,7 +98,7 @@ def _write_report(
 
 
 def _cmd_solve(config: dict[str, Any]) -> int:
-    _bind_solvers()
+    _bind("presets", "problem", "eigensolver")
     preset = get_preset(config["preset"])
     base = preset.fd_grid if config["method"] == "fd" else preset.numerov_grid
     # the configuration overrides the preset's grid; the header echoes the grid used
@@ -181,6 +152,7 @@ def _dump_wavefunctions(config: dict[str, Any], result) -> None:
 
 
 def _cmd_compare(config: dict[str, Any]) -> int:
+    _bind("spectra")
     report = compare_report(config["preset"], config["n_max"])
     columns = ["state", "epsilon", "B_nonrel", "B_rel"]
     if report.has_dirac:
@@ -205,6 +177,7 @@ def _parse_betas(raw: str) -> list[float]:
 
 
 def _cmd_kinematics(config: dict[str, Any]) -> int:
+    _bind("kinematics", "inversion")
     betas = _parse_betas(config["beta"])
     m0 = config["m0"]
     rows = []
@@ -215,25 +188,29 @@ def _cmd_kinematics(config: dict[str, Any]) -> int:
         omega_clock, omega_wave = clock_and_wave_frequencies(m0, v)
         harmony = check_phase_harmony(m0, v, config["time"])
         tc = dirac_theta_chi(m0, v)
-        rows.append(
-            {
-                "beta": beta,
-                "gamma": gamma_factor(v),
-                "p": p,
-                "E": total_energy(m0, p),
-                "lambda": wave.wavelength,
-                "omega_clock": omega_clock,
-                "omega_wave": omega_wave,
-                "phase_residual": harmony.residual,
-                "chi_over_theta": abs(tc.chi) / abs(tc.theta),
-                "effective_mass": effective_mass(m0, v),
-            }
-        )
+        row = {
+            "beta": beta,
+            "gamma": gamma_factor(v),
+            "p": p,
+            "E": total_energy(m0, p),
+            "lambda": wave.wavelength,
+            "omega_clock": omega_clock,
+            "omega_wave": omega_wave,
+            "phase_residual": harmony.residual,
+            "chi_over_theta": abs(tc.chi) / abs(tc.theta),
+            "effective_mass": effective_mass(m0, v),
+        }
+        # a huge m0 overflows E, the frequencies and the phase check
+        for column, value in row.items():
+            if isinstance(value, float):
+                _check_finite(f"kinematics column {column!r} at beta {beta}", value)
+        rows.append(row)
     _write_report(config, rows)
     return 0
 
 
 def _cmd_invert_demo(config: dict[str, Any]) -> int:
+    _bind("inversion")
     betas = _parse_betas(config["beta"])
     if len(betas) != 1:
         raise ValueError(f"invert-demo takes exactly one beta, got {config['beta']!r}")
@@ -268,7 +245,7 @@ def _cmd_invert_demo(config: dict[str, Any]) -> int:
 
 
 def _cmd_convergence(config: dict[str, Any]) -> int:
-    _bind_solvers()
+    _bind("presets", "problem", "spectra", "eigensolver")
     preset = get_preset(config["preset"])
     problem = preset.problem
     n_index, method = config["n_index"], config["method"]
@@ -349,6 +326,7 @@ def _resolve_config(command: str, args: argparse.Namespace) -> dict[str, Any]:
     options = COMMANDS[command][2]
     config = {"command": command, **{key: default for key, (_, default, _) in options.items()}}
     if args.config:
+        _bind("presets")
         kinds = {key: kind for key, (kind, _, _) in options.items()}
         config.update(parse_kv_file(args.config, kinds, "config"))
     flags = vars(args)
@@ -392,14 +370,19 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = _parser().parse_args(argv)
     try:
         return COMMANDS[args.command][0](_resolve_config(args.command, args))
-    except ConvergenceError as exc:
-        print(f"rsse: convergence failure: {exc}", file=sys.stderr)
-        return 3
-    except (BracketError, WrongStateError) as exc:
-        # numerical failures, although the classes subclass ValueError
-        print(f"rsse: numerical failure: {exc}", file=sys.stderr)
-        return 3
-    except (ValueError, OSError) as exc:
+    except (RuntimeError, ValueError, OSError) as exc:
+        # the solver errors load with the module that defines them, on a failure only
+        from .problem import BracketError, ConvergenceError, WrongStateError
+
+        if isinstance(exc, ConvergenceError):
+            print(f"rsse: convergence failure: {exc}", file=sys.stderr)
+            return 3
+        if isinstance(exc, (BracketError, WrongStateError)):
+            # numerical failures, although the classes subclass ValueError
+            print(f"rsse: numerical failure: {exc}", file=sys.stderr)
+            return 3
+        if isinstance(exc, RuntimeError):
+            raise
         print(f"rsse: error: {exc}", file=sys.stderr)
         return 2
 

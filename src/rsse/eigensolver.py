@@ -58,7 +58,6 @@ import importlib.machinery
 import importlib.util
 import math
 import os
-from dataclasses import dataclass
 from typing import Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -72,7 +71,7 @@ from .problem import (
     _check_samples,
     effective_potential,
 )
-from .units import _check_finite, _check_index
+from .units import _check_finite, _check_index, _value_class
 
 
 # ---------------------------------------------------------------------------
@@ -113,7 +112,7 @@ class _RadialForm:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@_value_class
 class TridiagonalOperator:
     """Symmetric tridiagonal discretization of H on the interior nodes."""
 
@@ -140,7 +139,7 @@ class TridiagonalOperator:
         return dense
 
 
-@dataclass(frozen=True)
+@_value_class
 class EigenResult:
     """Eigenvalues, normalized wavefunction samples and solver diagnostics.
 

@@ -16,15 +16,15 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING
 
 from .kinematics import gamma_factor, momentum, total_energy
-from .problem import GridSpec, _check_samples
-from .units import ATOMIC, UnitSystem, _check_finite, _check_positive
+from .units import ATOMIC, UnitSystem, _check_finite, _check_positive, _value_class
 
 if TYPE_CHECKING:
     import numpy as np
+
+    from .problem import GridSpec
 
 MATTER = "matter"
 ANTIMATTER = "antimatter"
@@ -40,7 +40,7 @@ def _check_branch(branch: str) -> None:
         raise ValueError(f"branch must be one of {_BRANCHES}, got {branch!r}")
 
 
-@dataclass(frozen=True)
+@_value_class
 class PlaneWaveState:
     """A free plane-wave mode with positive energy on either branch.
 
@@ -106,7 +106,7 @@ def spacetime_invert(state: PlaneWaveState) -> PlaneWaveState:
 
     and applying the map twice restores the original state exactly.
     """
-    return replace(state, branch=_OPPOSITE[state.branch], Q=-state.Q, L=-state.L)
+    return state._replace(branch=_OPPOSITE[state.branch], Q=-state.Q, L=-state.L)
 
 
 def effective_mass(m0: float, v: float, units: UnitSystem = ATOMIC) -> float:
@@ -115,7 +115,7 @@ def effective_mass(m0: float, v: float, units: UnitSystem = ATOMIC) -> float:
     return gamma_factor(v, units) * m0
 
 
-@dataclass(frozen=True)
+@_value_class
 class ThetaChi:
     """Two-component amplitude content of a free mode, unit-normalized.
 
@@ -189,6 +189,9 @@ def time_reversal_check(
     _check_positive("reduced mass", mu)
     _check_finite("epsilon", epsilon)
     import numpy as np
+
+    # the analytic commands never call this, so they do not load rsse.problem
+    from .problem import _check_samples
 
     psi = np.asarray(psi_spatial, dtype=complex)
     v = np.asarray(potential, dtype=float)

@@ -11,10 +11,9 @@ reconstruction of the wavenumber from the group-velocity condition alone.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
-from .units import ATOMIC, UnitSystem, _check_positive
+from .units import ATOMIC, UnitSystem, _check_positive, _value_class
 
 
 def _check_speed(v: float, c: float) -> None:
@@ -48,7 +47,7 @@ def total_energy(m0: float, p: float, units: UnitSystem = ATOMIC) -> float:
     return math.hypot(m0 * units.c * units.c, p * units.c)
 
 
-@dataclass(frozen=True)
+@_value_class
 class MassiveParticle:
     """A massive particle with velocity and momentum kept mutually consistent."""
 

@@ -9,17 +9,16 @@ All benchmark tolerances quoted in the test-suite refer to these grids.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
 
 from .problem import _PARAMETERS, GridSpec, PotentialSpec, RadialProblem, reduce_two_body
-from .units import PROTON_ELECTRON_MASS_RATIO
+from .units import PROTON_ELECTRON_MASS_RATIO, _value_class
 
 PRESET_DIR_ENV = "RSSE_PRESET_DIR"
 
 
-@dataclass(frozen=True)
+@_value_class
 class SolverPreset:
     name: str
     problem: RadialProblem

@@ -11,10 +11,9 @@ they import it when called, so the analytic commands (``kinematics``,
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
 from typing import TYPE_CHECKING, Optional, Sequence
 
-from .units import ATOMIC, UnitSystem, _check_index, _check_positive
+from .units import ATOMIC, UnitSystem, _check_index, _check_positive, _value_class
 
 if TYPE_CHECKING:
     import numpy as np
@@ -49,7 +48,7 @@ _PARAMETERS = {
 }
 
 
-@dataclass(frozen=True)
+@_value_class
 class PotentialSpec:
     """One of the supported interaction potentials.
 
@@ -76,10 +75,10 @@ class PotentialSpec:
         used = {"kind"} | {name for name, _ in _PARAMETERS[self.kind]}
         if self.kind == "tabulated":
             used |= {"r_samples", "V_samples"}
-        for field in fields(self):
-            value = getattr(self, field.name)
-            if field.name not in used and value is not None:
-                raise ValueError(f"{self.kind} potential takes no {field.name}, got {value!r}")
+        for name in self._fields:
+            value = getattr(self, name)
+            if name not in used and value is not None:
+                raise ValueError(f"{self.kind} potential takes no {name}, got {value!r}")
         if self.kind == "tabulated":
             for name in ("r_samples", "V_samples"):  # tuples keep every spec hashable
                 if getattr(self, name) is not None:
@@ -146,7 +145,7 @@ class PotentialSpec:
         return 0.0
 
 
-@dataclass(frozen=True)
+@_value_class
 class GridSpec:
     """Uniform grid with n nodes on [r_min, r_max]."""
 
@@ -169,7 +168,7 @@ class GridSpec:
         return np.linspace(self.r_min, self.r_max, self.n)
 
 
-@dataclass(frozen=True)
+@_value_class
 class RadialProblem:
     """Potential, angular momentum and masses defining one eigenproblem.
 

@@ -18,12 +18,18 @@ comparison reports.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
 from typing import Optional
 
 from .problem import GridSpec, RadialProblem, _check_origin
 from .presets import get_preset
-from .units import ATOMIC, UnitSystem, _check_finite, _check_index, _check_positive
+from .units import (
+    ATOMIC,
+    UnitSystem,
+    _check_finite,
+    _check_index,
+    _check_positive,
+    _value_class,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -190,7 +196,7 @@ def state_label(n: int, l: int, j: float | None) -> str:
     return f"{n}{letter}{int(round(2 * j))}/2"
 
 
-@dataclass(frozen=True)
+@_value_class
 class BindingRow:
     """One state of a comparison report.
 
@@ -209,7 +215,7 @@ class BindingRow:
     delta_rel_vs_dirac: Optional[float]
 
 
-@dataclass(frozen=True)
+@_value_class
 class BindingReport:
     system: str
     n_max: int
@@ -261,7 +267,7 @@ def compare_report(system: str, n_max: int, units: UnitSystem = ATOMIC) -> Bindi
     if has_dirac:
         for n in range(1, n_max + 1):
             for l in range(n):
-                eps = analytic_level(replace(problem, l=l), n - l - 1, grid)
+                eps = analytic_level(problem._replace(l=l), n - l - 1, grid)
                 for j in [l - 0.5, l + 0.5] if l > 0 else [0.5]:
                     add_row(state_label(n, l, j), n, l, j, eps)
     else:

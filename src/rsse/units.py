@@ -9,13 +9,16 @@ The module also holds the three rules by which every module checks a scalar:
 that is not positive and finite, and ``_check_index`` a count or state
 index (n, l, k, n_index, a node count) that is not an integer in its range.
 ``_check_finite`` rejects an energy, bracket end or float option that is not finite.
+
+``_value_class`` makes every frozen value class of the package.  It stands
+in for ``dataclasses``, whose import (which loads ``inspect``) and per-class
+processing every command paid for at start-up.
 """
 
 from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 from typing import Optional
 
 # CODATA 2018 values.
@@ -54,7 +57,65 @@ def _check_index(what: str, value: int, low: int, high: Optional[int] = None) ->
         raise ValueError(f"{what} must be {bound}, got {value}")
 
 
-@dataclass(frozen=True)
+def _frozen_setattr(self, name, value):
+    raise AttributeError(f"cannot assign to field {name!r}")
+
+
+def _frozen_delattr(self, name):
+    raise AttributeError(f"cannot delete field {name!r}")
+
+
+def _value_class(cls: type) -> type:
+    """Make ``cls`` a frozen value class of its annotated fields, in order.
+
+    As ``@dataclass(frozen=True)`` did: ``__init__`` takes the fields
+    positionally or by keyword, class attributes are the defaults of the
+    trailing fields, and ``__post_init__`` runs last if the class has one;
+    instances are equal when their classes are the same and their field
+    tuples equal, hash as that tuple and repr as ``Name(field=value, ...)``;
+    assignment and deletion raise ``AttributeError``.  ``_replace(**changes)``
+    builds a new instance, checks included, and ``_fields`` names the fields.
+    Instances keep a ``__dict__``, so copy and pickle need nothing more.
+    ``__init__`` is compiled once per class from its source, as
+    ``collections.namedtuple`` does.
+    """
+    fields = tuple(cls.__annotations__)
+    getter = operator.attrgetter(*fields)
+    values = getter if len(fields) > 1 else lambda self: (getter(self),)
+    lines = [f"def __init__(self, {', '.join(fields)}):"]
+    lines += [f"    _set(self, {name!r}, {name})" for name in fields]
+    if hasattr(cls, "__post_init__"):
+        lines.append("    self.__post_init__()")
+    namespace: dict = {"_set": object.__setattr__}
+    exec("\n".join(lines), namespace)
+    init = namespace["__init__"]
+    defaults = tuple(cls.__dict__[name] for name in fields if name in cls.__dict__)
+    init.__defaults__ = defaults or None
+    init.__qualname__ = f"{cls.__qualname__}.__init__"
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return values(self) == values(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(values(self))
+
+    def __repr__(self):
+        pairs = ", ".join(f"{name}={value!r}" for name, value in zip(fields, values(self)))
+        return f"{self.__class__.__qualname__}({pairs})"
+
+    def _replace(self, **changes):
+        return self.__class__(**dict(zip(fields, values(self)), **changes))
+
+    cls._fields = fields
+    cls.__init__ = init
+    cls.__eq__, cls.__hash__, cls.__repr__, cls._replace = __eq__, __hash__, __repr__, _replace
+    cls.__setattr__, cls.__delattr__ = _frozen_setattr, _frozen_delattr
+    return cls
+
+
+@_value_class
 class UnitSystem:
     """Scale factors that make mechanical formulas dimensionally unambiguous.
 

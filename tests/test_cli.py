@@ -547,6 +547,26 @@ def test_non_finite_options_exit_2(tmp_path, capsys, argv, key):
     assert not (tmp_path / "x.csv").exists()
 
 
+@pytest.mark.parametrize(
+    "beta, m0, message",
+    [
+        ("0.9", "1e305", "kinematics column 'E' at beta 0.9 must be finite, got inf"),
+        ("0.6", "1e308", "kinematics column 'p' at beta 0.6 must be finite, got inf"),
+        ("0.1,0.9", "5e303", "kinematics column 'E' at beta 0.9 must be finite, got inf"),
+    ],
+)
+def test_kinematics_row_that_overflows_exits_2_naming_column_and_beta(
+    tmp_path, capsys, beta, m0, message
+):
+    # a finite but huge m0 overflows E = hypot(m0 c**2, p c), the frequencies
+    # and the phase check; as invert-demo, the run writes no report
+    path = tmp_path / "x.csv"
+    assert main(["kinematics", "--beta", beta, "--m0", m0, "--output", str(path)]) == 2
+    assert capsys.readouterr().err == f"rsse: error: {message}\n"
+    assert not path.exists()
+    assert main(["invert-demo", "--beta", beta.split(",")[-1], "--m0", m0]) == 2
+
+
 def test_negative_exponent_form_value_reaches_the_header_when_joined_with_equals(tmp_path):
     # argparse reads a separate "-1e1" as an option; joined with "=" it is the value
     code, text = run_csv(

@@ -13,6 +13,7 @@ other tests do not leak into ``sys.modules``.
 """
 
 import ast
+import importlib.util
 import inspect
 import json
 import os
@@ -114,7 +115,8 @@ assert "rsse.eigensolver" not in sys.modules and "solve_lowest_k" not in vars(rs
 solver = rsse.cli.solve_lowest_k
 import rsse.eigensolver
 assert solver is rsse.eigensolver.solve_lowest_k
-for name in rsse.cli._SOLVERS:
+for name in ("assemble_tridiagonal", "convergence_order", "solve_lowest_k",
+             "solve_numerov_lowest_k", "solve_state"):
     assert vars(rsse.cli)[name] is getattr(rsse.eigensolver, name), name
 """
     )
@@ -130,11 +132,95 @@ def test_kinematics_loads_only_the_numpy_free_modules_it_needs():
         "rsse.cli",
         "rsse.inversion",
         "rsse.kinematics",
-        "rsse.presets",
-        "rsse.problem",
-        "rsse.spectra",
         "rsse.units",
     ]
+
+
+# prints every loaded module's name on stderr, before importing anything itself
+LOADED_REPORT = """
+import sys
+print(repr(sorted(sys.modules)), file=sys.stderr)
+"""
+ANALYTIC = ["rsse", "rsse.cli", "rsse.units"]
+COMPARE = [*ANALYTIC, "rsse.presets", "rsse.problem", "rsse.spectra"]
+INVERSION = [*ANALYTIC, "rsse.inversion", "rsse.kinematics"]
+
+
+@pytest.mark.parametrize(
+    "argv, modules, absent",
+    [
+        (["kinematics", "--beta", "0.1,0.9"], INVERSION, {"json"}),
+        (["kinematics", "--format", "json"], INVERSION, set()),
+        (["invert-demo", "--beta", "0.9"], INVERSION, {"json"}),
+        (["compare", "--preset", "hydrogen", "--n-max", "2"], COMPARE, {"json"}),
+        (["compare", "--preset", "oscillator", "--format", "json"], COMPARE, set()),
+        (["kinematics", "--config", "{config}"], [*INVERSION, "rsse.presets", "rsse.problem"],
+         {"json"}),
+    ],
+    ids=["kinematics", "kinematics-json", "invert-demo", "compare-csv", "compare-json", "config"],
+)
+def test_each_analytic_command_loads_only_its_own_modules(tmp_path, argv, modules, absent):
+    # no command loads dataclasses or inspect, and a CSV report loads no json
+    config = tmp_path / "run.conf"
+    config.write_text("beta = 0.5\nm0 = 2.0\n")
+    argv = [arg.format(config=config) for arg in argv]
+    report = run_fresh(RUN_MAIN.format(argv=argv) + LOADED_REPORT)
+    loaded = ast.literal_eval(report.splitlines()[-1])
+    assert sorted(m for m in loaded if m.split(".")[0] == "rsse") == sorted(modules)
+    assert not {"dataclasses", "inspect", *absent} & set(loaded)
+
+
+def test_no_rsse_module_imports_dataclasses():
+    for path in sorted((SRC / "rsse").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        imported = [alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+                    for alias in node.names]
+        imported += [node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)]
+        assert not {"dataclasses", "inspect"} & set(imported), path.name
+
+
+def test_a_failing_analytic_command_still_exits_with_its_code():
+    # main classifies the solver errors without importing them up front
+    run_fresh(
+        """
+import contextlib, io, sys
+import rsse.cli
+with contextlib.redirect_stderr(io.StringIO()) as err:
+    assert rsse.cli.main(["kinematics", "--beta", "1.5"]) == 2
+assert err.getvalue() == "rsse: error: beta must satisfy |beta| < 1, got 1.5\\n", err.getvalue()
+"""
+    )
+
+
+def test_main_reraises_a_runtime_error_that_is_not_a_solver_failure(monkeypatch):
+    import rsse.cli
+
+    def broken(config):
+        raise RuntimeError("not a solver failure")
+
+    _, command_help, options = rsse.cli.COMMANDS["kinematics"]
+    monkeypatch.setitem(rsse.cli.COMMANDS, "kinematics", (broken, command_help, options))
+    with pytest.raises(RuntimeError, match="not a solver failure"):
+        rsse.cli.main(["kinematics"])
+
+
+def test_every_name_the_benchmark_tracer_wraps_is_readable_from_a_fresh_cli():
+    spec = importlib.util.spec_from_file_location(
+        "tracer", SRC.parent / "perfbench" / "tracer.py"
+    )
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    calls = {layer: list(names) for layer, names in tracer.CLI_CALLS.items()}
+    run_fresh(
+        f"""
+import importlib
+import rsse.cli
+for layer, names in {calls!r}.items():
+    for name in names:
+        value = getattr(rsse.cli, name)
+        assert value is getattr(importlib.import_module("rsse." + layer), name), name
+"""
+    )
 
 
 @pytest.mark.parametrize(
@@ -232,7 +318,7 @@ def test_first_read_of_a_solver_name_loads_the_eigensolver():
 
 
 # ---------------------------------------------------------------------------
-# rsse.cli keeps wrappers set before the first solve
+# rsse.cli keeps wrappers set before the first call
 # ---------------------------------------------------------------------------
 
 WRAP_BEFORE_FIRST_SOLVE = """
@@ -248,13 +334,16 @@ def counting(name, fn):
     return wrapper
 
 # as a benchmark tracer does: read the name from rsse.cli, set a wrapper
-for name in ("solve_lowest_k", "solve_numerov_lowest_k", "convergence_order"):
+for name in ("solve_lowest_k", "solve_numerov_lowest_k", "convergence_order",
+             "gamma_factor", "compare_report"):
     setattr(rsse.cli, name, counting(name, getattr(rsse.cli, name)))
 with contextlib.redirect_stdout(io.StringIO()):
     for argv in (
         ["solve", "--n-max", "1"],
         ["solve", "--n-max", "1", "--method", "numerov"],
         ["convergence"],
+        ["kinematics", "--beta", "0.1,0.2"],
+        ["compare"],
     ):
         assert rsse.cli.main(argv) == 0, argv
 print(dict(calls), file=sys.stderr)
@@ -264,7 +353,13 @@ print(dict(calls), file=sys.stderr)
 def test_cli_keeps_wrappers_set_before_the_first_solve():
     calls = run_fresh(WRAP_BEFORE_FIRST_SOLVE).splitlines()[-1]
     assert calls == str(
-        {"solve_lowest_k": 1, "solve_numerov_lowest_k": 1, "convergence_order": 1}
+        {
+            "solve_lowest_k": 1,
+            "solve_numerov_lowest_k": 1,
+            "convergence_order": 1,
+            "gamma_factor": 2,
+            "compare_report": 1,
+        }
     )
 
 

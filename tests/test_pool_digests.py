@@ -1,6 +1,8 @@
 import importlib.util
 import json
 import math
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -15,6 +17,26 @@ pool_digests = importlib.util.module_from_spec(_SPEC)
 _SPEC.loader.exec_module(pool_digests)
 
 SOLVE = ["solve", "--preset", "oscillator", "--n-max", "2"]
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def test_every_pool_op_gives_the_bytes_of_the_manifest():
+    # byte identity of every benchmark pool op against the committed manifest;
+    # a change that moves bytes regenerates it with `tools/pool_digests.py --write src`
+    manifest = json.loads(pool_digests.MANIFEST.read_text())
+    made_with = {name: manifest[name] for name in ("numpy", "scipy")}
+    assert pool_digests.versions() == made_with, (
+        f"the manifest was made with {made_with}, this run has {pool_digests.versions()}"
+    )
+    env = {key: value for key, value in os.environ.items() if key != "RSSE_PRESET_DIR"}
+    out = subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "pool_digests.py"), str(ROOT / "src")],
+        env=env, capture_output=True, text=True, check=True,
+    ).stdout
+    digests, expected = json.loads(out), manifest["digests"]
+    assert sorted(digests) == sorted(expected), "the pool and the manifest name different argvs"
+    moved = [argv for argv in sorted(digests) if digests[argv] != expected[argv]]
+    assert moved == [], f"{len(moved)} pool ops changed bytes: {moved}"
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
@@ -62,3 +84,18 @@ def test_rows_flag_prints_digest_and_rows(monkeypatch, capsys):
     assert entry["digest"] == pool_digests.digest(main, SOLVE)
     assert len(entry["rows"]) == 2
     assert pool_digests.main([src, "extra"]) == 2
+    assert pool_digests.main(["--rows", "--write", src]) == 2
+
+
+def test_write_flag_regenerates_the_manifest(monkeypatch, tmp_path, capsys):
+    monkeypatch.setattr(pool_digests, "pool_argvs", lambda: [SOLVE])
+    monkeypatch.setattr(pool_digests, "MANIFEST", tmp_path / "manifest.json")
+    monkeypatch.delenv("RSSE_PRESET_DIR", raising=False)
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    assert pool_digests.main(["--write", str(ROOT / "src")]) == 0
+    assert capsys.readouterr().out == ""
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    assert manifest == {
+        **pool_digests.versions(),
+        "digests": {" ".join(SOLVE): pool_digests.digest(main, SOLVE)},
+    }

@@ -1,6 +1,7 @@
 """SHA-256 digests of every distinct benchmark pool op, run in process.
 
     python3 tools/pool_digests.py [--rows] SRC > digests.json
+    python3 tools/pool_digests.py --write src
 
 SRC is the directory that holds the ``rsse`` package of the tree under test
 (``src`` of a checkout).  The ops are the distinct argvs of the pools in
@@ -18,6 +19,12 @@ when their outputs are equal::
     python3 tools/pool_digests.py /path/to/parent/src > parent.json
     python3 tools/pool_digests.py src > change.json
     diff parent.json change.json
+
+``tools/pool_digests.json`` is the committed manifest: the digests of this
+checkout's ``src`` with the numpy and scipy versions they were made with
+(FD bytes are LAPACK's).  ``tests/test_pool_digests.py`` checks the pool
+against it.  ``--write`` regenerates it from SRC instead of printing; a change
+that moves report bytes commits the new manifest and names the moved argvs.
 
 With ``--rows`` each argv maps to ``{"digest": ..., "rows": [...]}``, where
 the rows are those of its report (stdout, or the ``report.*`` file it
@@ -47,6 +54,7 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+MANIFEST = ROOT / "tools" / "pool_digests.json"
 SEEDS = range(40)
 ROUNDS = 4
 
@@ -132,13 +140,20 @@ def digest(main, template: list[str], rows: bool = False):
     return {"digest": sha, "rows": report_rows(record)} if rows else sha
 
 
+def versions() -> dict[str, str]:
+    """The installed numpy and scipy versions, read without importing either."""
+    from importlib.metadata import version
+
+    return {name: version(name) for name in ("numpy", "scipy")}
+
+
 def main(argv: list[str] | None = None) -> int:
     args = sys.argv[1:] if argv is None else list(argv)
-    rows = "--rows" in args
-    if rows:
-        args.remove("--rows")
-    if len(args) != 1:
-        print(f"usage: {Path(__file__).name} [--rows] SRC", file=sys.stderr)
+    flags = {flag for flag in ("--rows", "--write") if flag in args}
+    args = [arg for arg in args if arg not in flags]
+    rows, write = "--rows" in flags, "--write" in flags
+    if len(args) != 1 or rows and write:
+        print(f"usage: {Path(__file__).name} [--rows | --write] SRC", file=sys.stderr)
         return 2
     src = Path(args[0]).resolve()
     if os.environ.get("RSSE_PRESET_DIR"):
@@ -153,6 +168,11 @@ def main(argv: list[str] | None = None) -> int:
     digests = {
         " ".join(template): digest(rsse.cli.main, template, rows) for template in pool_argvs()
     }
+    if write:
+        manifest = {**versions(), "digests": digests}
+        MANIFEST.write_text(json.dumps(manifest, indent=1, sort_keys=True) + "\n")
+        print(f"wrote {len(digests)} digests to {MANIFEST}", file=sys.stderr)
+        return 0
     json.dump(digests, sys.stdout, indent=1, sort_keys=True)
     print()
     return 0
