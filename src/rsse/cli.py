@@ -18,7 +18,6 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
-from importlib import import_module
 from pathlib import Path
 from typing import Any, Callable, Optional, Sequence
 
@@ -38,7 +37,9 @@ _MODULE_OF = {name: module for module, names in _NAMES.items() for name in names
 
 def _bind(*modules: str) -> None:
     for module in modules:
-        loaded = import_module(f".{module}", __package__)
+        # an import statement's path, which ``-X importtime`` reports
+        __import__(f"{__package__}.{module}")
+        loaded = sys.modules[f"{__package__}.{module}"]
         for name in _NAMES[module]:
             globals().setdefault(name, getattr(loaded, name))
 
@@ -371,7 +372,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         return COMMANDS[args.command][0](_resolve_config(args.command, args))
     except (RuntimeError, ValueError, OSError) as exc:
-        # the solver errors load with the module that defines them, on a failure only
+        # imported on a failure only, so a command that needs no rsse.problem loads none
         from .problem import BracketError, ConvergenceError, WrongStateError
 
         if isinstance(exc, ConvergenceError):

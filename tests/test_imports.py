@@ -6,7 +6,8 @@ nor scipy: ``rsse.eigensolver`` is the only module that imports numpy at
 module level, and ``rsse`` and ``rsse.cli`` import it on the first read of a
 solver name or the first solve.  The solvers then load only scipy's compiled
 LAPACK extension, ``scipy.linalg._flapack``, from its file, never the scipy
-package.
+package.  Each analytic command loads only the rsse modules it runs, and no
+command loads ``dataclasses`` or ``inspect``.
 
 Each import-graph case starts a fresh interpreter, so modules imported by
 other tests do not leak into ``sys.modules``.
