@@ -211,12 +211,16 @@ def _cmd_kinematics(config: dict[str, Any]) -> int:
 
 
 def _cmd_invert_demo(config: dict[str, Any]) -> int:
-    _bind("inversion")
+    _bind("kinematics", "inversion")
     betas = _parse_betas(config["beta"])
     if len(betas) != 1:
         raise ValueError(f"invert-demo takes exactly one beta, got {config['beta']!r}")
     beta = betas[0]
     v = beta * ATOMIC.c
+    # a huge m0 overflows p or E; name the report column, as kinematics does
+    p = momentum(config["m0"], v)
+    for column, value in (("p", p), ("E", total_energy(config["m0"], p))):
+        _check_finite(f"invert-demo column {column!r} at beta {beta}", value)
     electron = electron_plane_wave(v, m0=config["m0"])
     positron = spacetime_invert(electron)
     # evaluation identity checked on a fixed deterministic lattice

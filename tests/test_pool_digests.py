@@ -8,7 +8,8 @@ from pathlib import Path
 
 import pytest
 
-from rsse.cli import main
+from rsse.cli import COMMANDS, main
+from rsse.presets import builtin_presets
 
 _SPEC = importlib.util.spec_from_file_location(
     "pool_digests", Path(__file__).resolve().parent.parent / "tools" / "pool_digests.py"
@@ -18,25 +19,62 @@ _SPEC.loader.exec_module(pool_digests)
 
 SOLVE = ["solve", "--preset", "oscillator", "--n-max", "2"]
 ROOT = Path(__file__).resolve().parent.parent
+MANIFEST = json.loads(pool_digests.MANIFEST.read_text())
+TOO_COARSE = "solve --preset oscillator --method numerov --grid-n 16 --n-max 13"
 
 
-def test_every_pool_op_gives_the_bytes_of_the_manifest():
-    # byte identity of every benchmark pool op against the committed manifest;
-    # a change that moves bytes regenerates it with `tools/pool_digests.py --write src`
-    manifest = json.loads(pool_digests.MANIFEST.read_text())
-    made_with = {name: manifest[name] for name in ("numpy", "scipy")}
-    assert pool_digests.versions() == made_with, (
-        f"the manifest was made with {made_with}, this run has {pool_digests.versions()}"
-    )
+@pytest.fixture(scope="module")
+def digests():
+    """The tool's digests of this checkout's ``src``, made once in a fresh process."""
     env = {key: value for key, value in os.environ.items() if key != "RSSE_PRESET_DIR"}
     out = subprocess.run(
         [sys.executable, str(ROOT / "tools" / "pool_digests.py"), str(ROOT / "src")],
         env=env, capture_output=True, text=True, check=True,
     ).stdout
-    digests, expected = json.loads(out), manifest["digests"]
-    assert sorted(digests) == sorted(expected), "the pool and the manifest name different argvs"
-    moved = [argv for argv in sorted(digests) if digests[argv] != expected[argv]]
-    assert moved == [], f"{len(moved)} pool ops changed bytes: {moved}"
+    return json.loads(out)
+
+
+def test_the_manifest_was_made_with_this_numpy_and_scipy():
+    made_with = {name: MANIFEST[name] for name in ("numpy", "scipy")}
+    assert pool_digests.versions() == made_with, (
+        f"the manifest was made with {made_with}, this run has {pool_digests.versions()}"
+    )
+
+
+def test_the_tool_and_the_manifest_name_the_same_argvs(digests):
+    assert sorted(digests) == sorted(MANIFEST["digests"]), (
+        "the tool and the manifest name different argvs"
+    )
+
+
+# byte identity of every op against the committed manifest, one test per argv;
+# a change that moves bytes regenerates it with `tools/pool_digests.py --write src`
+@pytest.mark.parametrize("argv", sorted(MANIFEST["digests"]))
+def test_op_gives_the_bytes_of_the_manifest(digests, argv):
+    assert digests.get(argv) == MANIFEST["digests"][argv]
+
+
+def _config(key: str) -> tuple[str, dict]:
+    """The command of a manifest argv and its options, defaults filled in."""
+    command, *flags = key.split()
+    config = {option: default for option, (_, default, _) in COMMANDS[command][2].items()}
+    for flag, value in zip(flags[::2], flags[1::2]):
+        config[flag[2:].replace("-", "_")] = value
+    return command, config
+
+
+def test_the_manifest_covers_every_command_preset_and_path():
+    # a shorter PINNED list must not drop what these cover
+    ops = [_config(key) for key in MANIFEST["digests"]]
+    formats = ("csv", "json")
+    commands = {(command, config["format"]) for command, config in ops}
+    assert commands >= {(command, fmt) for command in COMMANDS for fmt in formats}
+    compared = {(config["preset"], config["format"]) for command, config in ops
+                if command == "compare"}
+    assert compared >= {(preset, fmt) for preset in builtin_presets() for fmt in formats}
+    assert TOO_COARSE in MANIFEST["digests"] and main(TOO_COARSE.split()) == 2
+    assert any(config.get("wavefunctions_dir") for _, config in ops)
+    assert ("convergence", "numerov") in {(command, config.get("method")) for command, config in ops}
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
@@ -76,6 +114,7 @@ def test_largest_relative_changes_per_numeric_column():
 
 def test_rows_flag_prints_digest_and_rows(monkeypatch, capsys):
     monkeypatch.setattr(pool_digests, "pool_argvs", lambda: [SOLVE])
+    monkeypatch.setattr(pool_digests, "PINNED", [])
     monkeypatch.delenv("RSSE_PRESET_DIR", raising=False)
     monkeypatch.setattr(sys, "path", list(sys.path))  # main puts SRC first
     src = str(Path(__file__).resolve().parent.parent / "src")
@@ -89,6 +128,7 @@ def test_rows_flag_prints_digest_and_rows(monkeypatch, capsys):
 
 def test_write_flag_regenerates_the_manifest(monkeypatch, tmp_path, capsys):
     monkeypatch.setattr(pool_digests, "pool_argvs", lambda: [SOLVE])
+    monkeypatch.setattr(pool_digests, "PINNED", [])
     monkeypatch.setattr(pool_digests, "MANIFEST", tmp_path / "manifest.json")
     monkeypatch.delenv("RSSE_PRESET_DIR", raising=False)
     monkeypatch.setattr(sys, "path", list(sys.path))
@@ -99,3 +139,25 @@ def test_write_flag_regenerates_the_manifest(monkeypatch, tmp_path, capsys):
         **pool_digests.versions(),
         "digests": {" ".join(SOLVE): pool_digests.digest(main, SOLVE)},
     }
+
+
+def test_write_flag_names_the_argvs_that_moved(monkeypatch, tmp_path, capsys):
+    kept, fresh = SOLVE + ["--format", "json"], SOLVE + ["--n-max", "1"]
+    monkeypatch.setattr(pool_digests, "pool_argvs", lambda: [fresh, SOLVE])
+    monkeypatch.setattr(pool_digests, "PINNED", [kept, SOLVE])
+    manifest = tmp_path / "manifest.json"
+    monkeypatch.setattr(pool_digests, "MANIFEST", manifest)
+    monkeypatch.delenv("RSSE_PRESET_DIR", raising=False)
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    old = {" ".join(SOLVE): "0" * 64, " ".join(kept): pool_digests.digest(main, kept), "gone": "1"}
+    manifest.write_text(json.dumps({"digests": old}))
+    assert pool_digests.main(["--write", str(ROOT / "src")]) == 0
+    assert capsys.readouterr().err.splitlines() == [
+        "added " + " ".join(fresh),
+        "removed gone",
+        "changed " + " ".join(SOLVE),
+        f"wrote 3 digests to {manifest}",
+    ]
+    assert sorted(json.loads(manifest.read_text())["digests"]) == sorted(
+        " ".join(argv) for argv in (fresh, kept, SOLVE)
+    )

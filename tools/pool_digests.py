@@ -1,20 +1,23 @@
-"""SHA-256 digests of every distinct benchmark pool op, run in process.
+"""SHA-256 digests of every benchmark pool op and of a fixed pinned list, run in process.
 
     python3 tools/pool_digests.py [--rows] SRC > digests.json
     python3 tools/pool_digests.py --write src
 
 SRC is the directory that holds the ``rsse`` package of the tree under test
 (``src`` of a checkout).  The ops are the distinct argvs of the pools in
-``perfbench/workloads.py`` of the checkout that holds this script: four
-rounds of seeds 0-39 of every workload, plus the three warm-ups.  Each op
-runs once through ``rsse.cli.main`` in this process, in sorted order, with
-its ``{dir}`` placeholder set to a fresh temporary directory.  The output
-maps each argv, joined by spaces, to one digest of its exit code, stdout,
-stderr and every file it wrote, with the temporary directory replaced by
-``{dir}`` wherever it appears.
+``perfbench/workloads.py`` of the checkout that holds this script (four
+rounds of seeds 0-39 of every workload, plus the three warm-ups) and the
+argvs of :data:`PINNED` below, which cover what the pools do not: every
+command in both formats, Numerov ``convergence``, a usage error, a
+wavefunction dump and a ``compare`` report of every built-in preset.  Each
+op runs once through ``rsse.cli.main`` in this process, in sorted order,
+with its ``{dir}`` placeholder set to a fresh temporary directory.  The
+output maps each argv, joined by spaces, to one digest of its exit code,
+stdout, stderr and every file it wrote, with the temporary directory
+replaced by ``{dir}`` wherever it appears.
 
-Two trees give the same reports, dumps, messages and exit codes on the pool
-when their outputs are equal::
+Two trees give the same reports, dumps, messages and exit codes on these
+ops when their outputs are equal::
 
     python3 tools/pool_digests.py /path/to/parent/src > parent.json
     python3 tools/pool_digests.py src > change.json
@@ -22,9 +25,14 @@ when their outputs are equal::
 
 ``tools/pool_digests.json`` is the committed manifest: the digests of this
 checkout's ``src`` with the numpy and scipy versions they were made with
-(FD bytes are LAPACK's).  ``tests/test_pool_digests.py`` checks the pool
-against it.  ``--write`` regenerates it from SRC instead of printing; a change
-that moves report bytes commits the new manifest and names the moved argvs.
+(FD bytes are LAPACK's).  It is the repository's one check of report bytes:
+``tests/test_pool_digests.py`` runs every op and checks it against the
+manifest.  ``--write`` regenerates the manifest from SRC instead of
+printing, and prints on stderr each argv that it adds, removes or changes
+against the manifest it replaces, one sorted line each; a change that moves
+report bytes commits the new manifest and names those argvs.  The ops run
+with the built-in presets only, so the tool refuses to run with
+``RSSE_PRESET_DIR`` set.
 
 With ``--rows`` each argv maps to ``{"digest": ..., "rows": [...]}``, where
 the rows are those of its report (stdout, or the ``report.*`` file it
@@ -58,6 +66,48 @@ MANIFEST = ROOT / "tools" / "pool_digests.json"
 SEEDS = range(40)
 ROUNDS = 4
 
+# Fixed argvs beside the pools; some are pool argvs too
+PINNED = [
+    # every command in csv and json
+    ["solve", "--preset", "hydrogen", "--n-max", "3"],
+    ["solve", "--preset", "oscillator", "--n-max", "5", "--format", "json"],
+    ["solve", "--preset", "positronium", "--n-max", "3"],
+    ["compare", "--preset", "hydrogen", "--n-max", "3"],
+    ["compare", "--preset", "positronium", "--n-max", "2", "--format", "json"],
+    ["kinematics", "--beta", "0,0.1,0.6,0.99", "--time", "2.5"],
+    ["kinematics", "--beta", "0.3,0.9", "--m0", "2.0", "--format", "json"],
+    ["invert-demo", "--beta", "0.6"],
+    ["invert-demo", "--beta", "0.9", "--m0", "3.0", "--format", "json"],
+    ["convergence", "--preset", "hydrogen"],
+    ["convergence", "--preset", "oscillator", "--n-index", "1", "--format", "json"],
+    # Numerov solves: hydrogen k = 3 on the 20000-node preset grid, positronium on 32000
+    ["solve", "--preset", "hydrogen", "--n-max", "3", "--method", "numerov"],
+    ["solve", "--preset", "hydrogen", "--method", "numerov", "--n-max", "3", "--grid-n", "20000"],
+    ["solve", "--preset", "oscillator", "--n-max", "4", "--method", "numerov", "--format", "json"],
+    ["solve", "--preset", "positronium", "--n-max", "2", "--method", "numerov"],
+    ["solve", "--preset", "positronium", "--method", "numerov", "--n-max", "2", "--grid-n", "6000"],
+    ["solve", "--preset", "hydrogen_finite_mass", "--n-max", "2", "--method", "numerov",
+     "--grid-n", "10000", "--format", "json"],
+    ["solve", "--preset", "oscillator", "--method", "numerov", "--n-max", "6",
+     "--r-min", "-10", "--r-max", "10", "--grid-n", "2001"],
+    # a usage error: the grid is too coarse for the Numerov stencil (exit 2)
+    ["solve", "--preset", "oscillator", "--method", "numerov", "--grid-n", "16", "--n-max", "13"],
+    # Numerov convergence
+    ["convergence", "--method", "numerov"],
+    ["convergence", "--preset", "hydrogen", "--method", "numerov"],
+    ["convergence", "--preset", "positronium", "--method", "numerov", "--format", "json"],
+    # a Numerov wavefunction dump, hashed with the report
+    ["solve", "--preset", "hydrogen", "--n-max", "2", "--method", "numerov",
+     "--wavefunctions-dir", "{dir}/wf"],
+    # the compare report of every built-in preset, in both formats, written to a file
+    *(
+        ["compare", "--preset", preset, "--n-max", "3", "--format", fmt,
+         "--output", "{dir}/report." + fmt]
+        for preset in ("coulomb", "hydrogen", "hydrogen_finite_mass", "oscillator", "positronium")
+        for fmt in ("csv", "json")
+    ),
+]
+
 
 def _workloads():
     """``perfbench/workloads.py``, loaded from its file without touching the package."""
@@ -77,6 +127,11 @@ def pool_argvs() -> list[list[str]]:
             for _ in range(ROUNDS):
                 argvs.update(tuple(argv) for argv in next(rounds))
     return [list(argv) for argv in sorted(argvs)]
+
+
+def argvs() -> list[list[str]]:
+    """The distinct argvs of every pool and of :data:`PINNED`, sorted."""
+    return [list(argv) for argv in sorted({*map(tuple, pool_argvs()), *map(tuple, PINNED)})]
 
 
 def report_rows(record: dict) -> list[dict]:
@@ -140,6 +195,15 @@ def digest(main, template: list[str], rows: bool = False):
     return {"digest": sha, "rows": report_rows(record)} if rows else sha
 
 
+def moved(old: dict[str, str], new: dict[str, str]) -> list[str]:
+    """One line per argv added, removed or changed from the ``old`` digests to the ``new``."""
+    return (
+        [f"added {argv}" for argv in sorted(new.keys() - old.keys())]
+        + [f"removed {argv}" for argv in sorted(old.keys() - new.keys())]
+        + [f"changed {argv}" for argv in sorted(old.keys() & new.keys()) if old[argv] != new[argv]]
+    )
+
+
 def versions() -> dict[str, str]:
     """The installed numpy and scipy versions, read without importing either."""
     from importlib.metadata import version
@@ -157,7 +221,7 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     src = Path(args[0]).resolve()
     if os.environ.get("RSSE_PRESET_DIR"):
-        print("unset RSSE_PRESET_DIR: the pools use the built-in presets", file=sys.stderr)
+        print("unset RSSE_PRESET_DIR: the ops use the built-in presets", file=sys.stderr)
         return 2
     sys.path.insert(0, str(src))
     import rsse.cli
@@ -165,10 +229,11 @@ def main(argv: list[str] | None = None) -> int:
     if not Path(rsse.cli.__file__).resolve().is_relative_to(src):
         print(f"rsse was imported from {rsse.cli.__file__}, not from {src}", file=sys.stderr)
         return 2
-    digests = {
-        " ".join(template): digest(rsse.cli.main, template, rows) for template in pool_argvs()
-    }
+    digests = {" ".join(template): digest(rsse.cli.main, template, rows) for template in argvs()}
     if write:
+        old = json.loads(MANIFEST.read_text())["digests"] if MANIFEST.exists() else {}
+        for line in moved(old, digests):
+            print(line, file=sys.stderr)
         manifest = {**versions(), "digests": digests}
         MANIFEST.write_text(json.dumps(manifest, indent=1, sort_keys=True) + "\n")
         print(f"wrote {len(digests)} digests to {MANIFEST}", file=sys.stderr)
