@@ -9,8 +9,8 @@ header, and writes a machine-readable CSV or JSON report.  Output bytes are
 deterministic for a fixed configuration and package version.
 
 Exit codes: 0 on success, 2 on usage or domain errors (a Numerov grid too
-coarse for its stencil among them), 3 on numerical failure
-(non-convergence or a state with the wrong node count).
+coarse for its stencil and a non-finite report cell among them), 3 on
+numerical failure (non-convergence or a state with the wrong node count).
 """
 
 from __future__ import annotations
@@ -63,6 +63,15 @@ def _fmt(value: Any) -> str:
 def _write_report(
     config: dict[str, Any], rows: Sequence[dict[str, Any]], extra: Optional[dict[str, Any]] = None
 ) -> None:
+    # one rule for every command: a float cell must be finite; the message names
+    # its column and the first cell of its row
+    for row in rows:
+        first = next(iter(row))
+        for column, value in row.items():
+            if isinstance(value, float):
+                _check_finite(
+                    f"{config['command']} column {column!r} at {first} {row[first]}", value
+                )
     extra = extra or {}
     # the output destination is not a run parameter: identical configs give
     # identical bytes no matter where the report lands
@@ -189,7 +198,7 @@ def _cmd_kinematics(config: dict[str, Any]) -> int:
         omega_clock, omega_wave = clock_and_wave_frequencies(m0, v)
         harmony = check_phase_harmony(m0, v, config["time"])
         tc = dirac_theta_chi(m0, v)
-        row = {
+        rows.append({
             "beta": beta,
             "gamma": gamma_factor(v),
             "p": p,
@@ -200,12 +209,8 @@ def _cmd_kinematics(config: dict[str, Any]) -> int:
             "phase_residual": harmony.residual,
             "chi_over_theta": abs(tc.chi) / abs(tc.theta),
             "effective_mass": effective_mass(m0, v),
-        }
-        # a huge m0 overflows E, the frequencies and the phase check
-        for column, value in row.items():
-            if isinstance(value, float):
-                _check_finite(f"kinematics column {column!r} at beta {beta}", value)
-        rows.append(row)
+        })
+    # a huge m0 overflows E, the frequencies and the phase check: _write_report exits 2
     _write_report(config, rows)
     return 0
 
@@ -225,9 +230,11 @@ def _cmd_invert_demo(config: dict[str, Any]) -> int:
     positron = spacetime_invert(electron)
     # evaluation identity checked on a fixed deterministic lattice
     points = [(-1.0 + 0.08 * i, -1.0 + 0.096 * i) for i in range(26)]
+    # a nan (a phase overflowed at a lattice point) wins, so _write_report rejects it
     residual = max(
-        abs(evaluate_plane_wave(positron, x, t) - evaluate_plane_wave(electron, -x, -t))
-        for x, t in points
+        (abs(evaluate_plane_wave(positron, x, t) - evaluate_plane_wave(electron, -x, -t))
+         for x, t in points),
+        key=lambda r: (r != r, r),
     )
     rows = []
     for label, state in (("electron", electron), ("positron", positron)):
@@ -377,13 +384,13 @@ def main(argv: Sequence[str] | None = None) -> int:
         return COMMANDS[args.command][0](_resolve_config(args.command, args))
     except (RuntimeError, ValueError, OSError) as exc:
         # imported on a failure only, so a command that needs no rsse.problem loads none
-        from .problem import BracketError, ConvergenceError, WrongStateError
+        from .problem import ConvergenceError, WrongStateError
 
         if isinstance(exc, ConvergenceError):
             print(f"rsse: convergence failure: {exc}", file=sys.stderr)
             return 3
-        if isinstance(exc, (BracketError, WrongStateError)):
-            # numerical failures, although the classes subclass ValueError
+        if isinstance(exc, WrongStateError):
+            # a numerical failure, although the class subclasses ValueError
             print(f"rsse: numerical failure: {exc}", file=sys.stderr)
             return 3
         if isinstance(exc, RuntimeError):

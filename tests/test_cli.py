@@ -12,7 +12,6 @@ from rsse.cli import COMMANDS, build_parser, main
 from rsse.eigensolver import assemble_tridiagonal, solve_lowest_k, solve_numerov_lowest_k
 from rsse.presets import SolverPreset, builtin_presets, load_presets
 from rsse.problem import (
-    BracketError,
     ConvergenceError,
     GridSpec,
     PotentialSpec,
@@ -522,6 +521,8 @@ def test_non_finite_options_exit_2(tmp_path, capsys, argv, key):
         ("0.9", "1e305", "kinematics column 'E' at beta 0.9 must be finite, got inf"),
         ("0.6", "1e308", "kinematics column 'p' at beta 0.6 must be finite, got inf"),
         ("0.1,0.9", "5e303", "kinematics column 'E' at beta 0.9 must be finite, got inf"),
+        # both rows overflow; the rows are checked once built, and the first is named
+        ("0.5,0.9", "1e305", "kinematics column 'E' at beta 0.5 must be finite, got inf"),
     ],
 )
 def test_kinematics_row_that_overflows_exits_2_naming_column_and_beta(
@@ -542,6 +543,12 @@ def test_kinematics_row_that_overflows_exits_2_naming_column_and_beta(
         ("0.9", "1e305", "invert-demo column 'E' at beta 0.9 must be finite, got inf"),
         ("0.9", "5e303", "invert-demo column 'E' at beta 0.9 must be finite, got inf"),
         ("0.6", "1e308", "invert-demo column 'p' at beta 0.6 must be finite, got inf"),
+        # E * t overflows at 1 (3e303) or 4 (4e303) of the 26 lattice points: the
+        # residual is nan, not the largest of the finite ones
+        ("0.9", "3e303", "invert-demo column 'eval_identity_residual' at state electron"
+         " must be finite, got nan"),
+        ("0.9", "4e303", "invert-demo column 'eval_identity_residual' at state electron"
+         " must be finite, got nan"),
     ],
 )
 def test_invert_demo_that_overflows_exits_2_naming_column_and_beta(
@@ -700,10 +707,9 @@ def test_numerov_bracket_without_a_state_exits_3(tmp_path, capsys):
     assert "holds no state; target state 5 is outside it" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("error", [BracketError, WrongStateError])
-def test_numerical_failure_exits_3(tmp_path, monkeypatch, capsys, error):
+def test_numerical_failure_exits_3(tmp_path, monkeypatch, capsys):
     def failed(*args, **kwargs):
-        raise error("no bound state here")
+        raise WrongStateError("no bound state here")
 
     monkeypatch.setattr(rsse.cli, "solve_numerov_lowest_k", failed)
     code = main(
@@ -1067,114 +1073,3 @@ def test_preset_dir_extends_and_overrides(tmp_path, monkeypatch):
     assert code == 0
     row = csv_rows((tmp_path / "o.csv").read_text())[0]
     assert abs(float(row["epsilon_hartree"]) - 0.5) < 1e-3
-
-
-# ---------------------------------------------------------------------------
-# help
-# ---------------------------------------------------------------------------
-
-
-# `--help` texts at 80 columns, byte for byte
-HELP_TEXTS = {
-    "": """\
-usage: rsse [-h] [--version]
-            {solve,compare,kinematics,invert-demo,convergence} ...
-
-Stationary eigenproblem solvers with a relativistic binding-energy correction
-and matter-wave demonstrations.
-
-positional arguments:
-  {solve,compare,kinematics,invert-demo,convergence}
-    solve               solve a preset eigenproblem
-    compare             binding-energy comparison report
-    kinematics          per-velocity kinematics table
-    invert-demo         space-time-inversion table
-    convergence         measured convergence order
-
-options:
-  -h, --help            show this help message and exit
-  --version             show program's version number and exit
-""",
-    "solve": """\
-usage: rsse solve [-h] [--preset PRESET] [--method {fd,numerov}]
-                  [--n-max N_MAX] [--r-min R_MIN] [--r-max R_MAX]
-                  [--grid-n GRID_N] [--wavefunctions-dir WAVEFUNCTIONS_DIR]
-                  [--config CONFIG] [--format {csv,json}] [--output OUTPUT]
-
-options:
-  -h, --help            show this help message and exit
-  --preset PRESET
-  --method {fd,numerov}
-  --n-max N_MAX
-  --r-min R_MIN
-  --r-max R_MAX
-  --grid-n GRID_N
-  --wavefunctions-dir WAVEFUNCTIONS_DIR
-                        also write per-state two-column (r, u) plot-data files
-                        here
-  --config CONFIG       flat key=value config file; flags override it
-  --format {csv,json}
-  --output OUTPUT       output path, '-' for stdout
-""",
-    "compare": """\
-usage: rsse compare [-h] [--preset PRESET] [--n-max N_MAX] [--config CONFIG]
-                    [--format {csv,json}] [--output OUTPUT]
-
-options:
-  -h, --help           show this help message and exit
-  --preset PRESET
-  --n-max N_MAX
-  --config CONFIG      flat key=value config file; flags override it
-  --format {csv,json}
-  --output OUTPUT      output path, '-' for stdout
-""",
-    "kinematics": """\
-usage: rsse kinematics [-h] [--beta BETA] [--time TIME] [--m0 M0]
-                       [--config CONFIG] [--format {csv,json}]
-                       [--output OUTPUT]
-
-options:
-  -h, --help           show this help message and exit
-  --beta BETA          comma-separated v/c values
-  --time TIME          phase-check instant
-  --m0 M0
-  --config CONFIG      flat key=value config file; flags override it
-  --format {csv,json}
-  --output OUTPUT      output path, '-' for stdout
-""",
-    "invert-demo": """\
-usage: rsse invert-demo [-h] [--beta BETA] [--m0 M0] [--config CONFIG]
-                        [--format {csv,json}] [--output OUTPUT]
-
-options:
-  -h, --help           show this help message and exit
-  --beta BETA
-  --m0 M0
-  --config CONFIG      flat key=value config file; flags override it
-  --format {csv,json}
-  --output OUTPUT      output path, '-' for stdout
-""",
-    "convergence": """\
-usage: rsse convergence [-h] [--preset PRESET] [--method {fd,numerov}]
-                        [--n-index N_INDEX] [--config CONFIG]
-                        [--format {csv,json}] [--output OUTPUT]
-
-options:
-  -h, --help            show this help message and exit
-  --preset PRESET
-  --method {fd,numerov}
-  --n-index N_INDEX
-  --config CONFIG       flat key=value config file; flags override it
-  --format {csv,json}
-  --output OUTPUT       output path, '-' for stdout
-""",
-}
-
-
-@pytest.mark.parametrize("command", sorted(HELP_TEXTS))
-def test_help_texts_are_pinned(monkeypatch, capsys, command):
-    monkeypatch.setenv("COLUMNS", "80")
-    with pytest.raises(SystemExit) as info:
-        main([command, "--help"] if command else ["--help"])
-    assert info.value.code == 0
-    assert capsys.readouterr().out == HELP_TEXTS[command]

@@ -26,10 +26,9 @@ TOO_COARSE = "solve --preset oscillator --method numerov --grid-n 16 --n-max 13"
 @pytest.fixture(scope="module")
 def digests():
     """The tool's digests of this checkout's ``src``, made once in a fresh process."""
-    env = {key: value for key, value in os.environ.items() if key != "RSSE_PRESET_DIR"}
     out = subprocess.run(
         [sys.executable, str(ROOT / "tools" / "pool_digests.py"), str(ROOT / "src")],
-        env=env, capture_output=True, text=True, check=True,
+        capture_output=True, text=True, check=True,
     ).stdout
     return json.loads(out)
 
@@ -65,7 +64,9 @@ def _config(key: str) -> tuple[str, dict]:
 
 def test_the_manifest_covers_every_command_preset_and_path():
     # a shorter PINNED list must not drop what these cover
-    ops = [_config(key) for key in MANIFEST["digests"]]
+    keys = MANIFEST["digests"]
+    assert {"--help", *(command + " --help" for command in COMMANDS)} <= keys.keys()
+    ops = [_config(key) for key in keys if not key.endswith("--help")]
     formats = ("csv", "json")
     commands = {(command, config["format"]) for command, config in ops}
     assert commands >= {(command, fmt) for command in COMMANDS for fmt in formats}
@@ -75,6 +76,8 @@ def test_the_manifest_covers_every_command_preset_and_path():
     assert TOO_COARSE in MANIFEST["digests"] and main(TOO_COARSE.split()) == 2
     assert any(config.get("wavefunctions_dir") for _, config in ops)
     assert ("convergence", "numerov") in {(command, config.get("method")) for command, config in ops}
+    assert any(command == "solve" and config["preset"] not in builtin_presets()
+               for command, config in ops)
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
@@ -115,7 +118,6 @@ def test_largest_relative_changes_per_numeric_column():
 def test_rows_flag_prints_digest_and_rows(monkeypatch, capsys):
     monkeypatch.setattr(pool_digests, "pool_argvs", lambda: [SOLVE])
     monkeypatch.setattr(pool_digests, "PINNED", [])
-    monkeypatch.delenv("RSSE_PRESET_DIR", raising=False)
     monkeypatch.setattr(sys, "path", list(sys.path))  # main puts SRC first
     src = str(Path(__file__).resolve().parent.parent / "src")
     assert pool_digests.main(["--rows", src]) == 0
@@ -130,7 +132,6 @@ def test_write_flag_regenerates_the_manifest(monkeypatch, tmp_path, capsys):
     monkeypatch.setattr(pool_digests, "pool_argvs", lambda: [SOLVE])
     monkeypatch.setattr(pool_digests, "PINNED", [])
     monkeypatch.setattr(pool_digests, "MANIFEST", tmp_path / "manifest.json")
-    monkeypatch.delenv("RSSE_PRESET_DIR", raising=False)
     monkeypatch.setattr(sys, "path", list(sys.path))
     assert pool_digests.main(["--write", str(ROOT / "src")]) == 0
     assert capsys.readouterr().out == ""
@@ -147,7 +148,6 @@ def test_write_flag_names_the_argvs_that_moved(monkeypatch, tmp_path, capsys):
     monkeypatch.setattr(pool_digests, "PINNED", [kept, SOLVE])
     manifest = tmp_path / "manifest.json"
     monkeypatch.setattr(pool_digests, "MANIFEST", manifest)
-    monkeypatch.delenv("RSSE_PRESET_DIR", raising=False)
     monkeypatch.setattr(sys, "path", list(sys.path))
     old = {" ".join(SOLVE): "0" * 64, " ".join(kept): pool_digests.digest(main, kept), "gone": "1"}
     manifest.write_text(json.dumps({"digests": old}))
@@ -161,3 +161,26 @@ def test_write_flag_names_the_argvs_that_moved(monkeypatch, tmp_path, capsys):
     assert sorted(json.loads(manifest.read_text())["digests"]) == sorted(
         " ".join(argv) for argv in (fresh, kept, SOLVE)
     )
+
+
+def test_the_tool_restores_the_environment_and_ignores_the_callers(monkeypatch, tmp_path, capsys):
+    # help wraps at COLUMNS, and a caller's hydrogen.conf shadows the built-in preset
+    pinned = [["solve", "--help"], ["solve", "--preset", "hydrogen", "--n-max", "1"],
+              ["solve", "--preset", "well", "--n-max", "1"]]
+    monkeypatch.setattr(pool_digests, "pool_argvs", lambda: [])
+    monkeypatch.setattr(pool_digests, "PINNED", pinned)
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    (tmp_path / "hydrogen.conf").write_text(pool_digests.PRESET_CONF)
+    outputs = []
+    for caller in ({}, {"COLUMNS": "200", "RSSE_PRESET_DIR": str(tmp_path)}):
+        for key in ("COLUMNS", "RSSE_PRESET_DIR"):
+            monkeypatch.delenv(key, raising=False)
+        for key, value in caller.items():
+            monkeypatch.setenv(key, value)
+        before = dict(os.environ)
+        assert pool_digests.main([str(ROOT / "src")]) == 0
+        assert dict(os.environ) == before
+        outputs.append(json.loads(capsys.readouterr().out))
+    assert outputs[0] == outputs[1]
+    # outside the tool the caller's environment moves every one of these ops
+    assert all(pool_digests.digest(main, argv) != outputs[1][" ".join(argv)] for argv in pinned)

@@ -8,10 +8,15 @@ SRC is the directory that holds the ``rsse`` package of the tree under test
 ``perfbench/workloads.py`` of the checkout that holds this script (four
 rounds of seeds 0-39 of every workload, plus the three warm-ups) and the
 argvs of :data:`PINNED` below, which cover what the pools do not: every
-command in both formats, Numerov ``convergence``, a usage error, a
-wavefunction dump and a ``compare`` report of every built-in preset.  Each
-op runs once through ``rsse.cli.main`` in this process, in sorted order,
-with its ``{dir}`` placeholder set to a fresh temporary directory.  The
+command in both formats, every ``--help`` text, Numerov ``convergence``,
+usage errors, a wavefunction dump, a solve of a preset read from a file and
+a ``compare`` report of every built-in preset.  Each op runs once through
+``rsse.cli.main`` in this process, in sorted order, with its ``{dir}``
+placeholder set to a fresh temporary directory.  For the whole run the tool
+sets ``COLUMNS=80``, so help texts wrap alike in every terminal, and points
+``RSSE_PRESET_DIR`` at a temporary directory of its own that holds only
+``well.conf`` (:data:`PRESET_CONF`), so a caller's preset files shadow no
+preset; it puts both variables back when it is done.  The
 output maps each argv, joined by spaces, to one digest of its exit code,
 stdout, stderr and every file it wrote, with the temporary directory
 replaced by ``{dir}`` wherever it appears.
@@ -30,9 +35,7 @@ checkout's ``src`` with the numpy and scipy versions they were made with
 manifest.  ``--write`` regenerates the manifest from SRC instead of
 printing, and prints on stderr each argv that it adds, removes or changes
 against the manifest it replaces, one sorted line each; a change that moves
-report bytes commits the new manifest and names those argvs.  The ops run
-with the built-in presets only, so the tool refuses to run with
-``RSSE_PRESET_DIR`` set.
+report bytes commits the new manifest and names those argvs.
 
 With ``--rows`` each argv maps to ``{"digest": ..., "rows": [...]}``, where
 the rows are those of its report (stdout, or the ``report.*`` file it
@@ -60,11 +63,26 @@ import os
 import sys
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 ROOT = Path(__file__).resolve().parent.parent
 MANIFEST = ROOT / "tools" / "pool_digests.json"
 SEEDS = range(40)
 ROUNDS = 4
+
+# the preset file of the ``--preset well`` op: l, M and the Numerov grid's ends
+# are left to their fallbacks
+PRESET_CONF = """# a square well; the Numerov grid takes its ends from the FD grid
+potential = finite_well
+V0 = 1
+a = 2
+mu = 0.5
+fd_r_min = -10
+fd_r_max = 10
+fd_n = 2000
+numerov_n = 1001
+description = unit-depth square well
+"""
 
 # Fixed argvs beside the pools; some are pool argvs too
 PINNED = [
@@ -92,6 +110,16 @@ PINNED = [
      "--r-min", "-10", "--r-max", "10", "--grid-n", "2001"],
     # a usage error: the grid is too coarse for the Numerov stencil (exit 2)
     ["solve", "--preset", "oscillator", "--method", "numerov", "--grid-n", "16", "--n-max", "13"],
+    # the report-cell rule (exit 2): every row overflows and the first is named, and a
+    # lattice phase that overflows makes the invert-demo residual nan
+    ["kinematics", "--beta", "0.5,0.9", "--m0", "1e305"],
+    ["invert-demo", "--beta", "0.9", "--m0", "3e303"],
+    # the help texts, wrapped at COLUMNS=80
+    ["--help"],
+    *([command, "--help"] for command in ("solve", "compare", "kinematics", "invert-demo",
+                                          "convergence")),
+    # a Numerov solve of the preset file PRESET_CONF
+    ["solve", "--preset", "well", "--n-max", "2", "--method", "numerov"],
     # Numerov convergence
     ["convergence", "--method", "numerov"],
     ["convergence", "--preset", "hydrogen", "--method", "numerov"],
@@ -220,16 +248,19 @@ def main(argv: list[str] | None = None) -> int:
         print(f"usage: {Path(__file__).name} [--rows | --write] SRC", file=sys.stderr)
         return 2
     src = Path(args[0]).resolve()
-    if os.environ.get("RSSE_PRESET_DIR"):
-        print("unset RSSE_PRESET_DIR: the ops use the built-in presets", file=sys.stderr)
-        return 2
     sys.path.insert(0, str(src))
     import rsse.cli
 
     if not Path(rsse.cli.__file__).resolve().is_relative_to(src):
         print(f"rsse was imported from {rsse.cli.__file__}, not from {src}", file=sys.stderr)
         return 2
-    digests = {" ".join(template): digest(rsse.cli.main, template, rows) for template in argvs()}
+    with tempfile.TemporaryDirectory() as presets, mock.patch.dict(
+        os.environ, {"COLUMNS": "80", "RSSE_PRESET_DIR": presets}
+    ):
+        (Path(presets) / "well.conf").write_text(PRESET_CONF)
+        digests = {
+            " ".join(template): digest(rsse.cli.main, template, rows) for template in argvs()
+        }
     if write:
         old = json.loads(MANIFEST.read_text())["digests"] if MANIFEST.exists() else {}
         for line in moved(old, digests):
