@@ -1,35 +1,38 @@
 """Bound-state solvers for the stationary equation H psi = eps psi.
 
-Two independent routes are provided for the radial/1-D problem
+Two independent routes solve the radial/1-D problem
 
     -(hbar**2 / 2 mu) u''(r) + V_eff(r) u(r) = eps u(r),   u = 0 at both ends,
 
-with V_eff = V + hbar**2 l(l+1) / (2 mu r**2):
+V_eff = V + hbar**2 l(l+1) / (2 mu r**2), which one radial form,
+:class:`_RadialForm`, states on the nodes of a grid as
 
-* a symmetric tridiagonal second-difference discretization whose lowest
-  eigenpairs are extracted by Sturm-sequence bisection plus inverse
-  iteration (LAPACK ``dstebz`` and ``dstein``), and
-* a Numerov shooting method with outward/inward integration, node
-  counting and matching on the Numerov recurrence residual at the outer
-  classical turning point.  It is fourth order for smooth potentials; on a
+    u'' = (q - eps w) u,   w = 2 mu / hbar**2,   q = w V_eff:
+
+* a symmetric tridiagonal second-difference discretization, diagonal
+  hbar**2 / (mu h**2) + V_eff, whose lowest eigenpairs are extracted by
+  Sturm-sequence bisection plus inverse iteration (LAPACK ``dstebz`` and
+  ``dstein``), and
+* a Numerov shooting method that reads only h, q, w and the outward start,
+  with outward/inward integration, node counting and matching on the
+  recurrence residual at the outer classical turning point, the last sign
+  change of q - eps w.  It is fourth order for smooth potentials; on a
   uniform grid the 1/r singularity of the Coulomb problems lowers the
-  measured order to about 2 (2.33 for hydrogen, 2.12 for positronium on
-  the ``convergence`` ladder).  The eigenvalue is
-  found by one loop of Cooley's energy correction from a coarse FD seed,
-  whose levels are bisected only until they are isolated, safeguarded by
-  its bracket.  Node counts check the caller's bracket once,
-  at the first anomaly (a merged solution with the wrong node count, a step
-  that would leave the bracket, a bracket that closes first), and then pick
-  the end that a bisection step moves; a seeded bracket rarely needs
-  them.  ``_Shooter.stencil`` forms, once per energy, the recurrence
-  coefficients w = 1 - t and c = 2 + 10 t (t = h**2 f / 12) that every
-  sweep and both recurrence defects read.  Each sweep solves the three-term
-  recurrence as a lower-banded triangular system with LAPACK (``dtbtrs``),
-  in chunks between which the samples are rescaled by a power of two so
-  that they neither overflow nor lose their signs.
+  measured order to about 2 (2.33 for hydrogen, 2.12 for positronium on the
+  ``convergence`` ladder).  The eigenvalue is found by one loop of Cooley's
+  energy correction from a coarse FD seed, whose levels are bisected only
+  until they are isolated, safeguarded by its bracket.  Node counts check
+  the caller's bracket once, at the first anomaly (a merged solution with
+  the wrong node count, a step that would leave the bracket, a bracket that
+  closes first), and then pick the end that a bisection step moves; a seeded
+  bracket rarely needs them.  :meth:`_RadialForm.stencil` forms, once per
+  energy, the recurrence coefficients d = 1 - t and c = 2 + 10 t, where
+  t = (h**2 / 12) (q - eps w), that every sweep and both recurrence defects
+  read.  Each sweep solves the three-term recurrence as a lower-banded
+  triangular system with LAPACK (``dtbtrs``), in chunks between which the
+  samples are rescaled by a power of two so that they neither overflow nor
+  lose their signs.
 
-Both routes read the problem from one radial form, :class:`_RadialForm`:
-the nodes, V_eff on them, the hbar**2 / mu prefactors and the outward start.
 Each route yields its states from one generator, :func:`_fd_states` or
 :func:`_numerov_states`, which the list solves read and :func:`solve_state`
 reads without eigenvectors or recurrence defects.
@@ -80,15 +83,15 @@ from .units import _check_finite, _check_index, _value_class
 
 
 class _RadialForm:
-    """The problem on the nodes of one grid, as both solvers read it.
+    """The problem on the nodes of one grid as u'' = (q - eps w) u; :func:`_form` keeps the last.
 
     This is the one place that checks the origin, builds the nodes ``r``
-    and the spacing ``h``, evaluates V_eff on every node, and forms the
-    prefactors: ``pref`` = 2 mu / hbar**2 of u'' = pref (V_eff - eps) u for
-    Numerov, and ``kinetic`` = hbar**2 / (mu h**2) of the FD diagonal.
-    ``start_out`` is the first two samples of an outward solution: the
-    power law r**(l+1) where the problem excludes the origin, else the
-    Dirichlet start (0, 1).
+    and the spacing ``h``, evaluates ``v_eff`` = V_eff on every node, and
+    forms the weight ``w`` = 2 mu / hbar**2 and ``q`` = w V_eff.  The FD
+    diagonal reads ``kinetic`` = hbar**2 / (mu h**2) and ``v_eff``; the
+    Numerov methods below read only ``h``, ``q``, ``w`` and ``start_out``,
+    the first two samples of an outward solution: the power law r**(l+1)
+    where the problem excludes the origin, else the Dirichlet start (0, 1).
     """
 
     def __init__(self, problem: RadialProblem, grid: GridSpec):
@@ -96,15 +99,98 @@ class _RadialForm:
         self.grid = grid
         self.h = grid.h
         self.r = grid.nodes()
-        self.veff = effective_potential(problem, self.r)
+        self.v_eff = effective_potential(problem, self.r)
         hbar = problem.units.hbar
-        self.pref = 2.0 * problem.mu / (hbar * hbar)
+        self.w = 2.0 * problem.mu / (hbar * hbar)
+        self.q = self.w * self.v_eff
         self.kinetic = hbar * hbar / (problem.mu * self.h * self.h)
         if grid.r_min > 0.0 and (problem.potential.singular_at_origin or problem.l > 0):
             lp1 = problem.l + 1
             self.start_out = (self.r[0] ** lp1, self.r[1] ** lp1)
         else:
             self.start_out = (0.0, 1.0)
+        self._stencil = (math.nan, None)  # the last (epsilon, (d, c)) built
+
+    def stencil(self, epsilon: float) -> tuple[np.ndarray, np.ndarray]:
+        """Recurrence coefficients d = 1 - t and c = 2 + 10 t, t = (h**2 / 12) (q - eps w).
+
+        The arrays of the last energy are kept and returned again, read-only,
+        so a Cooley step and the recurrence defect of its state share them.
+        """
+        last, coefficients = self._stencil
+        if epsilon == last:
+            return coefficients
+        t = (self.h * self.h / 12.0) * (self.q - self.w * epsilon)
+        d, c = 1.0 - t, 2.0 + 10.0 * t
+        d.flags.writeable = c.flags.writeable = False
+        self._stencil = (epsilon, (d, c))
+        return d, c
+
+    def check_stencil(self, epsilon: float) -> None:
+        """Reject a grid on which d = 1 - t is not positive at ``epsilon``.
+
+        t falls as epsilon rises, so the low end of a bracket is the worst
+        case.  Only the samples the sweeps divide by are checked (index 2
+        on); the start values may sit where q is huge.  Each rounded step of
+        d = 1 - (h**2 / 12) (q - w epsilon) is monotone in q, so d at the
+        largest q decides; the full stencil is built only to name the first
+        bad sample.
+        """
+        q_max = float(np.max(self.q[2:]))
+        if 1.0 - (self.h * self.h / 12.0) * (q_max - self.w * epsilon) > 0.0:
+            return
+        diagonal = self.stencil(epsilon)[0][2:]
+        bad = np.nonzero(diagonal <= 0.0)[0]
+        if bad.size:
+            raise ValueError(
+                f"grid {self.grid} is too coarse for the Numerov stencil at eps = {epsilon}: "
+                f"1 - h^2 f / 12 = {diagonal[bad[0]]:.3g} <= 0 at r = {self.r[bad[0] + 2]:.6g}"
+            )
+
+    def count_states_below(self, epsilon: float) -> int:
+        """Nodes of the full outward solution = number of eigenvalues below."""
+        u = _numerov_sweep(*self.stencil(epsilon), *self.start_out)
+        # index 0 may be an exact zero of the start; the far end has no wall
+        return count_sign_changes(u[1:])
+
+    def match_index(self, epsilon: float) -> int:
+        """Outermost sign change of q - eps w (turning point), clipped to the interior."""
+        f = self.q - self.w * epsilon
+        crossings = np.nonzero(f[:-1] * f[1:] < 0.0)[0]
+        m = int(crossings[-1]) if crossings.size else len(f) // 2
+        return min(max(m, 2), len(f) - 3)
+
+    def cooley_step(self, epsilon: float) -> tuple[np.ndarray, float]:
+        """Outward/inward solutions joined at the turning point, and the energy correction.
+
+        The merged samples u satisfy the Numerov recurrence everywhere but
+        at the match point m, where its residual D vanishes exactly at an
+        eigenvalue.  The correction is Cooley's (J. W. Cooley, Math. Comp.
+        15, 363 (1961)), delta = -D u[m] / (w h**2 sum u**2): first-order
+        perturbation theory of the recurrence in epsilon.
+        """
+        d, c = self.stencil(epsilon)
+        m = self.match_index(epsilon)
+        # a node can sit exactly on the match point; nudge inward if so
+        for _ in range(3):
+            u_out = _numerov_sweep(d[: m + 2], c[: m + 2], *self.start_out)
+            # the inward sweep starts at the far wall
+            u_in = _numerov_sweep(d[m - 1 :][::-1], c[m - 1 :][::-1], 0.0, 1.0)[::-1]
+            if u_out[m] != 0.0 and u_in[1] != 0.0:
+                break
+            m -= 1
+        scale = u_out[m] / u_in[1]  # u_in spans indices m-1 .. n-1
+        merged = np.concatenate([u_out[: m + 1], scale * u_in[2:]])
+        # work on u / max|u|, so that neither D nor sum u**2 overflows
+        peak = np.max(np.abs(merged))
+        u = merged[m - 1 : m + 2] / peak
+        defect = d[m + 1] * u[2] + d[m - 1] * u[0] - c[m] * u[1]
+        norm_sq = float(np.sum(np.square(merged / peak)))
+        return merged, -defect * u[1] / (self.w * self.h * self.h * norm_sq)
+
+
+# every state of a Numerov solve and its recurrence defects share one form
+_form = functools.lru_cache(maxsize=1)(_RadialForm)
 
 
 # ---------------------------------------------------------------------------
@@ -188,7 +274,7 @@ def assemble_tridiagonal(problem: RadialProblem, grid: GridSpec) -> TridiagonalO
     nodes; off-diagonal entries are -hbar**2/(2 mu h**2).
     """
     form = _RadialForm(problem, grid)
-    diagonal = form.kinetic + form.veff[1:-1]
+    diagonal = form.kinetic + form.v_eff[1:-1]
     off = np.full(grid.n - 3, -0.5 * form.kinetic)
     return TridiagonalOperator(diagonal=diagonal, off_diagonal=off, grid=grid, problem=problem)
 
@@ -208,6 +294,8 @@ def _trapezoid(y: np.ndarray, h: float) -> float:
 
 
 def _normalize(u: np.ndarray, grid: GridSpec) -> np.ndarray:
+    # scaled exactly, by the power of two of its peak, so that u * u cannot overflow
+    u = np.ldexp(u, -math.frexp(float(np.max(np.abs(u))))[1])
     norm_sq = _trapezoid(u * u, grid.h)
     if norm_sq <= 0.0:
         raise ValueError("cannot normalize a zero wavefunction")
@@ -323,31 +411,32 @@ _SWEEP_CHUNK = 4096
 _RESCALE_ABOVE = 2.0**600
 
 
-def _numerov_sweep(w: np.ndarray, c: np.ndarray, u0: float, u1: float) -> np.ndarray:
+def _numerov_sweep(d: np.ndarray, c: np.ndarray, u0: float, u1: float) -> np.ndarray:
     """Integrate u'' = f u left to right with the Numerov three-term recurrence.
 
-    With the coefficients w = 1 - t and c = 2 + 10 t (t = h**2 f / 12) of
-    :meth:`_Shooter.stencil` on the swept samples, the recurrence
+    With the coefficients d = 1 - t and c = 2 + 10 t (t = h**2 f / 12, here
+    f = q - eps w) of :meth:`_RadialForm.stencil` on the swept samples, the
+    recurrence
 
-        w[i] u[i] - c[i-1] u[i-1] + w[i-2] u[i-2] = 0
+        d[i] u[i] - c[i-1] u[i-1] + d[i-2] u[i-2] = 0
 
     is a lower-triangular banded system of bandwidth 2 in the unknowns
     u[2:], solved chunk by chunk with LAPACK ``dtbtrs``; the first two
     right-hand-side rows of a chunk carry the last two samples before it.
-    Between chunks the prefix is renormalised (B. R. Johnson, J. Chem. Phys.
-    69, 4678 (1978)): once the last two samples pass 2**600 it is scaled by
-    a power of two, which is exact and keeps every sign bit, also where
-    samples underflow to +-0.  A chunk that overflows is retried at half the
-    length.
+    Between chunks the samples so far are renormalised (B. R. Johnson, J.
+    Chem. Phys. 69, 4678 (1978)): once the last two pass 2**600 they are
+    scaled by a power of two, which is exact and keeps every sign bit, also
+    where samples underflow to +-0.  A chunk that overflows is retried at
+    half the length.
 
     Raises
     ------
     ConvergenceError
-        If LAPACK reports a zero diagonal (w = 0) or a single row still
+        If LAPACK reports a zero diagonal (d = 0) or a single row still
         overflows.
     """
     dtbtrs = _lapack().dtbtrs
-    n = w.shape[0]
+    n = d.shape[0]
     u = np.empty(n)
     u[:2] = u0, u1
     start = 2
@@ -358,13 +447,13 @@ def _numerov_sweep(w: np.ndarray, c: np.ndarray, u0: float, u1: float) -> np.nda
             # band storage of the chunk's columns: diagonal, then the two
             # subdiagonals; Fortran order goes to LAPACK without a copy
             ab = np.empty((3, stop - start), order="F")
-            ab[0] = w[start:stop]
+            ab[0] = d[start:stop]
             ab[1] = -c[start:stop]
             ab[2] = ab[0]
             b = np.zeros(stop - start)
-            b[0] = c[start - 1] * u[start - 1] - w[start - 2] * u[start - 2]
+            b[0] = c[start - 1] * u[start - 1] - d[start - 2] * u[start - 2]
             if b.shape[0] > 1:
-                b[1] = -w[start - 1] * u[start - 1]
+                b[1] = -d[start - 1] * u[start - 1]
             x, info = dtbtrs(ab, b, uplo="L", overwrite_b=1)
             if info != 0:
                 raise ConvergenceError(
@@ -401,96 +490,6 @@ class NumerovResult(NamedTuple):
     wavefunction: np.ndarray
 
 
-class _Shooter(_RadialForm):
-    """Numerov machinery on a :class:`_RadialForm`; :func:`_shooter` keeps the last one."""
-
-    def __init__(self, problem: RadialProblem, grid: GridSpec):
-        super().__init__(problem, grid)
-        self.f_base = self.pref * self.veff
-        # the largest f the sweeps divide by (index 2 on) gives the smallest w
-        self.f_max = float(np.max(self.f_base[2:]))
-        self._stencil = (math.nan, None)  # the last (epsilon, (w, c)) built
-
-    def stencil(self, epsilon: float) -> tuple[np.ndarray, np.ndarray]:
-        """Recurrence coefficients w = 1 - t and c = 2 + 10 t (t = h**2 f / 12) at ``epsilon``.
-
-        The arrays of the last energy are kept and returned again, read-only,
-        so a Cooley step and the recurrence defect of its state share them.
-        """
-        last, coefficients = self._stencil
-        if epsilon == last:
-            return coefficients
-        t = (self.h * self.h / 12.0) * (self.f_base - self.pref * epsilon)
-        w, c = 1.0 - t, 2.0 + 10.0 * t
-        w.flags.writeable = c.flags.writeable = False
-        self._stencil = (epsilon, (w, c))
-        return w, c
-
-    def check_stencil(self, epsilon: float) -> None:
-        """Reject a grid on which 1 - h**2 f / 12 is not positive at ``epsilon``.
-
-        f falls as epsilon rises, so the low end of a bracket is the worst
-        case.  Only the samples the sweeps divide by are checked (index 2
-        on); the start values may sit where f is huge.  Each rounded step of
-        w = 1 - (h**2 / 12) (f - pref epsilon) is monotone in f, so w at
-        ``f_max`` decides; the full stencil is built only to name the first
-        bad sample.
-        """
-        if 1.0 - (self.h * self.h / 12.0) * (self.f_max - self.pref * epsilon) > 0.0:
-            return
-        diagonal = self.stencil(epsilon)[0][2:]
-        bad = np.nonzero(diagonal <= 0.0)[0]
-        if bad.size:
-            raise ValueError(
-                f"grid {self.grid} is too coarse for the Numerov stencil at eps = {epsilon}: "
-                f"1 - h^2 f / 12 = {diagonal[bad[0]]:.3g} <= 0 at r = {self.r[bad[0] + 2]:.6g}"
-            )
-
-    def count_states_below(self, epsilon: float) -> int:
-        """Nodes of the full outward solution = number of eigenvalues below."""
-        u = _numerov_sweep(*self.stencil(epsilon), *self.start_out)
-        # index 0 may be an exact zero of the start; the far end has no wall
-        return count_sign_changes(u[1:])
-
-    def match_index(self, epsilon: float) -> int:
-        """Outermost classical turning point, clipped to the interior."""
-        diff = self.veff - epsilon
-        crossings = np.nonzero(diff[:-1] * diff[1:] < 0.0)[0]
-        m = int(crossings[-1]) if crossings.size else self.grid.n // 2
-        return min(max(m, 2), self.grid.n - 3)
-
-    def cooley_step(self, epsilon: float) -> tuple[np.ndarray, float]:
-        """Outward/inward solutions joined at the turning point, and the energy correction.
-
-        The merged samples u satisfy the Numerov recurrence everywhere but
-        at the match point m, where its residual D vanishes exactly at an
-        eigenvalue.  The correction is Cooley's (J. W. Cooley, Math. Comp.
-        15, 363 (1961)), delta = -D u[m] / (pref h**2 sum u**2): first-order
-        perturbation theory of the recurrence in epsilon.
-        """
-        w, c = self.stencil(epsilon)
-        m = self.match_index(epsilon)
-        # a node can sit exactly on the match point; nudge inward if so
-        for _ in range(3):
-            u_out = _numerov_sweep(w[: m + 2], c[: m + 2], *self.start_out)
-            # the inward sweep starts at the far wall
-            u_in = _numerov_sweep(w[m - 1 :][::-1], c[m - 1 :][::-1], 0.0, 1.0)[::-1]
-            if u_out[m] != 0.0 and u_in[1] != 0.0:
-                break
-            m -= 1
-        scale = u_out[m] / u_in[1]  # u_in spans indices m-1 .. n-1
-        merged = np.concatenate([u_out[: m + 1], scale * u_in[2:]])
-        # work on u / max|u|, so that neither D nor sum u**2 overflows
-        peak = np.max(np.abs(merged))
-        u = merged[m - 1 : m + 2] / peak
-        defect = w[m + 1] * u[2] + w[m - 1] * u[0] - c[m] * u[1]
-        norm_sq = float(np.sum(np.square(merged / peak)))
-        return merged, -defect * u[1] / (self.pref * self.h * self.h * norm_sq)
-
-
-# every state of a solve and its recurrence defects share one shooter
-_shooter = functools.lru_cache(maxsize=1)(_Shooter)
-
 # Cooley steps allowed per solve: quadratic convergence needs a handful, and
 # bisection from any bracket reaches 1e-12 relative width in about 45; 600
 # brackets on hydrogen s and p, the oscillator and two finite wells, up to
@@ -504,7 +503,7 @@ def numerov_solve(
 ) -> NumerovResult:
     """Locate the eigenvalue with ``n_index`` interior nodes inside ``bracket``.
 
-    Cooley's energy correction (:meth:`_Shooter.cooley_step`) iterates from
+    Cooley's energy correction (:meth:`_RadialForm.cooley_step`) iterates from
     the bracket midpoint, safeguarded by the bracket: each step moves one end.
     Where the merged solution has ``n_index`` nodes the sign of the correction
     picks the end and the next energy is the corrected one; elsewhere an
@@ -521,8 +520,8 @@ def numerov_solve(
     ------
     ValueError
         If the bracket ends are not finite with lo < hi, or if
-        1 - h**2 f / 12 is not positive on the grid at the bracket's low
-        end, where node counts stop counting levels.
+        1 - (h**2 / 12) (q - eps w) is not positive on the grid at the
+        bracket's low end, where node counts stop counting levels.
     WrongStateError
         If node counting shows the bracket does not contain the target
         state, or the converged state has the wrong node count.
@@ -536,11 +535,11 @@ def numerov_solve(
     # the sweep would report an infinite end as a numerical failure, not a usage error
     _check_finite("bracket ends", lo, hi)
 
-    shooter = _shooter(problem, grid)
-    shooter.check_stencil(lo)
+    form = _form(problem, grid)
+    form.check_stencil(lo)
     epsilon, checked = 0.5 * (lo + hi), False
     for _ in range(_COOLEY_MAX_STEPS):
-        u, delta = shooter.cooley_step(epsilon)
+        u, delta = form.cooley_step(epsilon)
         nodes = count_sign_changes(u[1:-1])
         tol = _COOLEY_RTOL * abs(epsilon)
         # with the target's node count the correction points at the root;
@@ -551,9 +550,9 @@ def numerov_solve(
                 break
             below, step = delta > 0.0, epsilon + delta
         else:
-            checked = checked or _check_bracket(shooter, n_index, bracket)
+            checked = checked or _check_bracket(form, n_index, bracket)
             # a NaN step fails the bracket test below, so the loop bisects
-            below, step = shooter.count_states_below(epsilon) <= n_index, math.nan
+            below, step = form.count_states_below(epsilon) <= n_index, math.nan
         if below:
             lo = epsilon
         else:
@@ -561,7 +560,7 @@ def numerov_solve(
         # node counts hold the root in a checked bracket; round-off can keep delta above tol
         closed = hi - lo <= tol
         if closed or not lo < step < hi:
-            checked = checked or _check_bracket(shooter, n_index, bracket)
+            checked = checked or _check_bracket(form, n_index, bracket)
             if closed:
                 break
             step = 0.5 * (lo + hi)
@@ -580,7 +579,7 @@ def numerov_solve(
     return NumerovResult(epsilon=epsilon, wavefunction=u)
 
 
-def _check_bracket(shooter: _Shooter, n_index: int, bracket: tuple[float, float]) -> bool:
+def _check_bracket(form: _RadialForm, n_index: int, bracket: tuple[float, float]) -> bool:
     """Check that outward node counts at the ends of ``bracket`` hold state ``n_index``.
 
     Returns True, which :func:`numerov_solve` keeps as its checked flag.
@@ -591,8 +590,8 @@ def _check_bracket(shooter: _Shooter, n_index: int, bracket: tuple[float, float]
         If they do not.
     """
     lo, hi = bracket
-    n_lo = shooter.count_states_below(lo)
-    n_hi = shooter.count_states_below(hi)
+    n_lo = form.count_states_below(lo)
+    n_hi = form.count_states_below(hi)
     if n_lo > n_index or n_hi <= n_index:
         held = f"states {n_lo}..{n_hi - 1}" if n_hi > n_lo else "no state"
         raise WrongStateError(
@@ -689,7 +688,7 @@ def _numerov_states(
                 raise
             brackets, reseeded = _fd_brackets(problem, grid, k), True
             epsilon, u = solve(i)
-        # the defect follows its own solve, which leaves that energy's stencil in the shooter
+        # the defect follows its own solve, which leaves that energy's stencil in the form
         yield epsilon, u, numerov_recurrence_defect(u, problem, grid, epsilon) if vectors else None
 
 
@@ -701,8 +700,8 @@ def numerov_recurrence_defect(
     For a converged shooting solution this is at the level of the matching
     defect; it serves as the per-state diagnostic of the Numerov route.
     """
-    w, c = _shooter(problem, grid).stencil(epsilon)
-    lhs = w[2:] * u[2:] - c[1:-1] * u[1:-1] + w[:-2] * u[:-2]
+    d, c = _form(problem, grid).stencil(epsilon)
+    lhs = d[2:] * u[2:] - c[1:-1] * u[1:-1] + d[:-2] * u[:-2]
     return float(np.max(np.abs(lhs)) / np.max(np.abs(u)))
 
 
@@ -723,21 +722,21 @@ def solve_numerov_lowest_k(
 
 
 def rayleigh_quotient(wavefunction: np.ndarray, problem: RadialProblem, grid: GridSpec) -> float:
-    """<u|H|u> / <u|u> by trapezoid quadrature, using the discretized H.
+    """<u|H|u> / <u|u> over the interior nodes, using the discretized H.
 
-    Scale invariant; equals the eigenvalue to quadrature accuracy when fed
-    an eigenstate.
+    Both sums run over the same interior samples, where H acts; the wall
+    samples are ignored.  So the quotient is that of the FD matrix, scale
+    invariant, never below its lowest eigenvalue, and equal to the
+    eigenvalue when fed an eigenvector.
     """
     u = np.asarray(wavefunction, dtype=float)
     _check_samples("wavefunction", u, grid)
-    norm_sq = _trapezoid(u * u, grid.h)
+    interior = u[1:-1]
+    norm_sq = float(np.dot(interior, interior))
     if norm_sq <= 0.0:
         raise ValueError("cannot form a Rayleigh quotient from a zero wavefunction")
     operator = assemble_tridiagonal(problem, grid)
-    interior = u[1:-1]
-    # boundary samples are (near) zero, so the trapezoid weights collapse to h
-    numerator = grid.h * float(np.dot(interior, operator.apply(interior)))
-    return numerator / norm_sq
+    return float(np.dot(interior, operator.apply(interior))) / norm_sq
 
 
 def solve_state(

@@ -60,6 +60,21 @@ def test_solve_hydrogen_numerov(tmp_path):
     assert [int(r["nodes"]) for r in rows] == [0, 1, 2]
 
 
+@pytest.mark.filterwarnings("error")
+def test_numerov_solve_on_a_wide_box_reports_finite_residuals(tmp_path):
+    # the merged solutions peak near 1.3e154 there; squaring them in the
+    # normalisation used to overflow, and the report exited 2 on a nan residual
+    code, text = run_csv(
+        tmp_path,
+        ["solve", "--preset", "oscillator", "--method", "numerov", "--r-min", "-28",
+         "--r-max", "28", "--grid-n", "8001", "--n-max", "2"],
+    )
+    assert code == 0
+    rows = csv_rows(text)
+    assert [float(row["epsilon_hartree"]) for row in rows] == pytest.approx([0.5, 1.5], abs=1e-9)
+    assert all(0.0 < float(row["residual"]) < 1e-12 for row in rows)
+
+
 def test_solve_oscillator_single_row(tmp_path):
     code, text = run_csv(tmp_path, ["solve", "--preset", "oscillator", "--n-max", "1"])
     assert code == 0

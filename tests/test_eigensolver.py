@@ -14,9 +14,10 @@ from rsse.eigensolver import (
     _SEED_RTOL,
     _numerov_sweep,
     _seed_grid,
-    _Shooter,
+    _RadialForm,
+    _form,
     _lapack,
-    _shooter,
+    _normalize,
     _trapezoid,
     _tridiagonal_lowest,
     assemble_tridiagonal,
@@ -270,17 +271,49 @@ def test_both_routes_read_the_problem_as_written_out_here(
     assert np.array_equal(operator.diagonal, kinetic + effective_potential(problem, r[1:-1]))
     assert np.array_equal(operator.off_diagonal, np.full(n - 3, -0.5 * kinetic))
 
-    shooter = _Shooter(problem, grid)
+    form = _RadialForm(problem, grid)
     pref = 2.0 * mu / (hbar * hbar)
     f_base = pref * effective_potential(problem, r)
-    assert np.array_equal(shooter.f_base, f_base)
+    assert np.array_equal(form.q, f_base)
     if kind == "coulomb" or l > 0:  # power-law start, r_min > 0 above
-        assert shooter.start_out == (r[0] ** (l + 1), r[1] ** (l + 1))
+        assert form.start_out == (r[0] ** (l + 1), r[1] ** (l + 1))
     else:
-        assert shooter.start_out == (0.0, 1.0)
+        assert form.start_out == (0.0, 1.0)
     t = (h * h / 12.0) * (f_base - pref * epsilon)
-    w, c = shooter.stencil(epsilon)
+    w, c = form.stencil(epsilon)
     assert np.array_equal(w, 1.0 - t) and np.array_equal(c, 2.0 + 10.0 * t)
+
+
+def _mapped_form(problem, grid, a):
+    """The form of phi(x) = u(x / a): phi'' = (q / a**2 - eps w / a**2) phi, spacing a h."""
+    form = _RadialForm(problem, grid)
+    form.h, form.q, form.w = a * form.h, form.q / (a * a), form.w / (a * a)
+    return form
+
+
+@pytest.mark.parametrize("a, rtol", [(2.0, 0.0), (3.0, 1e-12)])
+@pytest.mark.parametrize(
+    "problem, grid",
+    [(HYDROGEN, HYDROGEN_NUMEROV_GRID), (OSCILLATOR, OSC_NUMEROV_GRID)],
+    ids=["hydrogen", "oscillator"],
+)
+def test_numerov_levels_are_those_of_the_form_under_a_linear_map(
+    monkeypatch, problem, grid, a, rtol
+):
+    # Numerov reads the equation only through (h, q, w): x = a r leaves the
+    # levels where they are, bit for bit where a is a power of two
+    import rsse.eigensolver
+
+    expected = solve_numerov_lowest_k(problem, grid, 3).epsilons
+    mapped = _mapped_form(problem, grid, a)
+    monkeypatch.setattr(rsse.eigensolver, "_form", lambda *key: mapped)
+    got = solve_numerov_lowest_k(problem, grid, 3).epsilons
+    # the mapped form served the solve: it holds the last state's stencil
+    assert mapped._stencil[0] == got[-1]
+    if rtol == 0.0:
+        assert np.array_equal(got, expected)
+    else:
+        assert np.all(np.abs(got - expected) <= rtol * np.abs(expected))
 
 
 # ---------------------------------------------------------------------------
@@ -635,7 +668,7 @@ def test_cooley_step_moves_the_match_point_off_an_exact_node(monkeypatch):
 
     bracket = (0.2, 0.9)
     expected = numerov_solve(OSCILLATOR, OSC_NUMEROV_GRID, 0, bracket).epsilon
-    match_index, sweep = _Shooter.match_index, rsse.eigensolver._numerov_sweep
+    match_index, sweep = _RadialForm.match_index, rsse.eigensolver._numerov_sweep
     matched, lengths = [], []
 
     def first_match_index(self, epsilon):
@@ -652,7 +685,7 @@ def test_cooley_step_moves_the_match_point_off_an_exact_node(monkeypatch):
             u[matched[0]] = 0.0
         return u
 
-    monkeypatch.setattr(_Shooter, "match_index", first_match_index)
+    monkeypatch.setattr(_RadialForm, "match_index", first_match_index)
     monkeypatch.setattr(rsse.eigensolver, "_numerov_sweep", sweep_with_a_node_on_the_match_point)
     got = numerov_solve(OSCILLATOR, OSC_NUMEROV_GRID, 0, bracket).epsilon
     # after the inward sweep, the outward one ran again, one node short of the zero
@@ -662,7 +695,7 @@ def test_cooley_step_moves_the_match_point_off_an_exact_node(monkeypatch):
 
 
 def test_numerov_solve_rejects_a_converged_state_with_the_wrong_node_count(monkeypatch):
-    cooley_step = _Shooter.cooley_step
+    cooley_step = _RadialForm.cooley_step
 
     def one_node_too_many(self, epsilon):
         merged, delta = cooley_step(self, epsilon)
@@ -671,7 +704,7 @@ def test_numerov_solve_rejects_a_converged_state_with_the_wrong_node_count(monke
         merged[-2] = -np.copysign(1e-300, merged[-3])
         return merged, delta
 
-    monkeypatch.setattr(_Shooter, "cooley_step", one_node_too_many)
+    monkeypatch.setattr(_RadialForm, "cooley_step", one_node_too_many)
     # every step bisects by node counts until the bracket closes on the level
     with pytest.raises(WrongStateError, match="has 1 interior nodes, expected 0"):
         numerov_solve(OSCILLATOR, OSC_NUMEROV_GRID, 0, (0.2, 0.9))
@@ -688,7 +721,7 @@ def test_numerov_hydrogen_p_channel():
     problem = RadialProblem(PotentialSpec.coulomb(1.0), l=1)
     # the stencil guard must skip the start values: w[0] = 1 - t[0] is far
     # below 0 at r_min = 1e-5, but the sweeps never divide by w[0]
-    w, _ = _Shooter(problem, HYDROGEN_NUMEROV_GRID).stencil(-0.2)
+    w, _ = _RadialForm(problem, HYDROGEN_NUMEROV_GRID).stencil(-0.2)
     assert w[0] < -999.0 and np.all(w[2:] > 0.0)
     eps, u = numerov_solve(problem, HYDROGEN_NUMEROV_GRID, 0, (-0.2, -0.05))
     assert eps == pytest.approx(bohr_level(1.0, 1.0, 2), abs=1e-8)
@@ -784,8 +817,8 @@ def test_count_sign_changes_reads_signed_zeros():
     "grid", [GridSpec(1e-5, 800.0, 40000), GridSpec(1e-5, 3000.0, 20000)], ids=["r800", "r3000"]
 )
 def test_count_states_below_on_long_boxes(grid):
-    shooter = _Shooter(HYDROGEN, grid)
-    assert [shooter.count_states_below(e) for e in (-0.6, -0.3, -0.1)] == [0, 1, 2]
+    form = _RadialForm(HYDROGEN, grid)
+    assert [form.count_states_below(e) for e in (-0.6, -0.3, -0.1)] == [0, 1, 2]
 
 
 @pytest.mark.filterwarnings("error")
@@ -799,43 +832,69 @@ def test_numerov_hydrogen_long_box():
     assert np.all(result.residuals < 1e-10)
 
 
+@pytest.mark.filterwarnings("error")
+def test_numerov_wavefunctions_survive_a_peak_that_squares_past_overflow():
+    # on this wide box the merged solutions peak near 1.3e154, so their squares
+    # overflow; the norm used to be inf, the wavefunctions 0 and the residuals nan
+    grid = GridSpec(-28.0, 28.0, 8001)
+    result = solve_numerov_lowest_k(OSCILLATOR, grid, 2)
+    assert result.epsilons == pytest.approx([0.5, 1.5], abs=1e-9)
+    assert np.array_equal(result.nodes, [0, 1])
+    for u in result.wavefunctions:
+        assert _trapezoid(u * u, grid.h) == pytest.approx(1.0, rel=1e-12)
+    assert np.all(result.residuals > 0.0) and np.all(result.residuals < 1e-12)
+
+
+def test_normalize_scales_by_a_power_of_two_exactly():
+    grid = GridSpec(-12.0, 12.0, 3000)
+    u = np.exp(-0.5 * grid.nodes() ** 2)
+    normalized = _normalize(u, grid)
+    for exponent in (-900, -1, 1, 600, 1000):
+        assert np.array_equal(_normalize(np.ldexp(u, exponent), grid), normalized)
+
+
 def test_numerov_solve_evaluates_each_energy_once(monkeypatch):
-    # no energy is merged twice by the same shooter: the converged state
+    # no energy is merged twice by the same form: the converged state
     # reuses the merge of its last Cooley step
     merged = []
-    original = _Shooter.cooley_step
+    original = _RadialForm.cooley_step
 
     def spy(self, epsilon):
-        merged.append((self, epsilon))  # holding self keeps shooter ids distinct
+        merged.append((self, epsilon))  # holding self keeps form ids distinct
         return original(self, epsilon)
 
-    monkeypatch.setattr(_Shooter, "cooley_step", spy)
+    monkeypatch.setattr(_RadialForm, "cooley_step", spy)
     solve_numerov_lowest_k(HYDROGEN, HYDROGEN_NUMEROV_GRID, 3)
-    keys = [(id(shooter), epsilon) for shooter, epsilon in merged]
+    keys = [(id(form), epsilon) for form, epsilon in merged]
     assert len(keys) == len(set(keys))
 
 
-def test_numerov_solve_builds_one_shooter_per_problem_and_grid(monkeypatch):
-    # every state and every recurrence defect of a solve shares one shooter
+def test_numerov_solve_builds_one_form_per_problem_and_grid(monkeypatch):
+    # every state and every recurrence defect of a solve shares one form on
+    # the Numerov grid; the FD seed assembles its own, once, on the seed grid
     built = []
-    original = _Shooter.__init__
+    original = _RadialForm.__init__
 
     def spy(self, problem, grid):
         built.append((problem, grid))
         original(self, problem, grid)
 
-    monkeypatch.setattr(_Shooter, "__init__", spy)
-    _shooter.cache_clear()
+    monkeypatch.setattr(_RadialForm, "__init__", spy)
+    _form.cache_clear()
     solve_numerov_lowest_k(HYDROGEN, HYDROGEN_NUMEROV_GRID, 3)
-    assert built == [(HYDROGEN, HYDROGEN_NUMEROV_GRID)]
-    # another problem or grid gets its own shooter
-    assert _shooter(OSCILLATOR, OSC_FD_GRID) is _shooter(OSCILLATOR, OSC_FD_GRID)
-    assert _shooter(OSCILLATOR, OSC_NUMEROV_GRID).grid == OSC_NUMEROV_GRID
-    assert len(built) == 3
+    numerov = [entry for entry in built if entry[1] == HYDROGEN_NUMEROV_GRID]
+    assert numerov == [(HYDROGEN, HYDROGEN_NUMEROV_GRID)]
+    seed = [entry for entry in built if entry not in numerov]
+    assert seed == [(HYDROGEN, _seed_grid(HYDROGEN_NUMEROV_GRID, 3))]
+    # another problem or grid gets its own form
+    built.clear()
+    assert _form(OSCILLATOR, OSC_FD_GRID) is _form(OSCILLATOR, OSC_FD_GRID)
+    assert _form(OSCILLATOR, OSC_NUMEROV_GRID).grid == OSC_NUMEROV_GRID
+    assert len(built) == 2
 
 
 def test_numerov_solves_a_directly_built_tabulated_spec():
-    # list or ndarray samples become tuples, so the shooter cache can hash the spec
+    # list or ndarray samples become tuples, so the form cache can hash the spec
     grid = GridSpec(-8.0, 8.0, 1200)
     r = grid.nodes()
     samples = (r, 0.5 * r * r)
@@ -1066,7 +1125,7 @@ def test_numerov_solve_on_narrow_brackets_about_the_default_level(case, state):
 
 
 def _count_calls(monkeypatch, *names):
-    """Counts of the calls to the named ``_Shooter`` methods, patched in place."""
+    """Counts of the calls to the named ``_RadialForm`` methods, patched in place."""
     calls = dict.fromkeys(names, 0)
 
     def counting(name, original):
@@ -1076,7 +1135,7 @@ def _count_calls(monkeypatch, *names):
         return spy
 
     for name in names:
-        monkeypatch.setattr(_Shooter, name, counting(name, getattr(_Shooter, name)))
+        monkeypatch.setattr(_RadialForm, name, counting(name, getattr(_RadialForm, name)))
     return calls
 
 
@@ -1085,15 +1144,15 @@ def test_seeded_numerov_counts_no_nodes_and_builds_one_stencil_per_cooley_step(m
     # and each state's recurrence defect reuses the stencil of its last step
     calls = _count_calls(monkeypatch, "count_states_below", "cooley_step")
     stencils = []  # held, so that every built array keeps its own id
-    original = _Shooter.stencil
+    original = _RadialForm.stencil
 
     def spy(self, epsilon):
         w, c = original(self, epsilon)
         stencils.append(w)
         return w, c
 
-    monkeypatch.setattr(_Shooter, "stencil", spy)
-    _shooter.cache_clear()
+    monkeypatch.setattr(_RadialForm, "stencil", spy)
+    _form.cache_clear()
     result = solve_numerov_lowest_k(HYDROGEN, HYDROGEN_NUMEROV_GRID, 3)
     assert np.array_equal(result.nodes, [0, 1, 2])
     assert calls["count_states_below"] == 0
@@ -1138,13 +1197,13 @@ def test_numerov_solve_bisects_where_the_merged_solution_has_the_wrong_node_coun
 
 def test_numerov_solve_counts_each_end_of_the_callers_bracket_once(monkeypatch):
     seen = []
-    original = _Shooter.count_states_below
+    original = _RadialForm.count_states_below
 
     def spy(self, epsilon):
         seen.append(epsilon)
         return original(self, epsilon)
 
-    monkeypatch.setattr(_Shooter, "count_states_below", spy)
+    monkeypatch.setattr(_RadialForm, "count_states_below", spy)
     numerov_solve(HYDROGEN, HYDROGEN_NUMEROV_GRID, 0, (-0.6, -0.05))
     assert seen.count(-0.6) == 1
     assert seen.count(-0.05) == 1
@@ -1241,10 +1300,10 @@ def test_isolated_seeds_bracket_every_state_of_the_numerov_pool(monkeypatch, tmp
         d, e = _seed_operator(problem, grid, k)
         tau = _SEED_RTOL * (np.max(np.abs(d)) + 2.0 * np.max(np.abs(e)))
         converged = _tridiagonal_lowest(d, e, k + 1, vectors=False)[0]
-        shooter = _shooter(problem, grid)
+        form = _form(problem, grid)
         for i, (lo, hi) in enumerate(brackets):
-            assert shooter.count_states_below(lo) == i
-            assert shooter.count_states_below(hi) == i + 1
+            assert form.count_states_below(lo) == i
+            assert form.count_states_below(hi) == i + 1
             # each bracket is symmetric about its isolated seed level
             assert abs(0.5 * (lo + hi) - converged[i]) <= 0.5 * tau
 
@@ -1327,6 +1386,18 @@ def test_rayleigh_quotient_scale_invariant():
     assert rayleigh_quotient(7.3 * psi, OSCILLATOR, grid) == pytest.approx(
         rayleigh_quotient(psi, OSCILLATOR, grid), rel=1e-12
     )
+
+
+def test_rayleigh_quotient_keeps_the_variational_bound_whatever_the_wall_samples():
+    # H acts on the interior nodes only, so the norm must not count the walls:
+    # with both set to twice the peak the quotient used to read 0.4743
+    grid = GridSpec(-12.0, 12.0, 1000)
+    result = solve_lowest_k(assemble_tridiagonal(OSCILLATOR, grid), 1)
+    u = result.wavefunctions[0].copy()
+    u[0] = u[-1] = 2.0 * np.max(np.abs(u))
+    quotient = rayleigh_quotient(u, OSCILLATOR, grid)
+    assert quotient >= result.epsilons[0]
+    assert quotient == pytest.approx(result.epsilons[0], rel=1e-12)
 
 
 def test_rayleigh_quotient_rejects_zero():

@@ -378,16 +378,48 @@ def reads(tree, what):
     return [func for func in calls if isinstance(func, ast.Name) and func.id == what]
 
 
-@pytest.mark.parametrize("what", ["effective_potential", "_check_origin", ".nodes", ".hbar"])
+# the coefficients the solvers read before the form stated u'' = (q - eps w) u
+GONE = [".veff", ".pref", ".f_base", ".f_max"]
+
+
+@pytest.mark.parametrize(
+    "what", ["effective_potential", "_check_origin", ".nodes", ".hbar", *GONE]
+)
 def test_eigensolver_reads_the_problem_only_in_its_radial_form(what):
     # one radial form checks the origin, builds the nodes, evaluates V_eff and
-    # forms the hbar**2 / mu prefactors; both solvers read it
+    # forms w = 2 mu / hbar**2 and q = w V_eff; both solvers read it, and no
+    # code reads the old coefficients
+    tree = ast.parse(Path(rsse.eigensolver.__file__).read_text())
+    classes = [node for node in tree.body if isinstance(node, ast.ClassDef)]
+    (form,) = [node for node in classes if node.name == "_RadialForm"]
+    assert "_Shooter" not in [node.name for node in classes]
+    expected = 0 if what in GONE else 1
+    assert len(reads(tree, what)) == expected
+    assert len(reads(form, what)) == expected
+
+
+NUMEROV_METHODS = ["stencil", "check_stencil", "count_states_below", "match_index", "cooley_step"]
+
+
+def test_numerov_reads_only_h_q_w_and_the_outward_start():
+    # and its own stencil cache; check_stencil's error message also names the
+    # grid and the node of the first bad sample
     tree = ast.parse(Path(rsse.eigensolver.__file__).read_text())
     (form,) = [
         node for node in tree.body if isinstance(node, ast.ClassDef) and node.name == "_RadialForm"
     ]
-    assert len(reads(tree, what)) == 1
-    assert len(reads(form, what)) == 1
+    methods = {node.name: node for node in form.body if isinstance(node, ast.FunctionDef)}
+    for name in NUMEROV_METHODS:
+        read = {
+            node.attr
+            for node in ast.walk(methods[name])
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+            and node.value.id == "self" and node.attr not in NUMEROV_METHODS
+        }
+        allowed = {"h", "q", "w", "start_out", "_stencil"}
+        if name == "check_stencil":
+            allowed |= {"grid", "r"}
+        assert read <= allowed, name
 
 
 @pytest.mark.parametrize(
