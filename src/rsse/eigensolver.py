@@ -91,7 +91,8 @@ class _RadialForm:
     diagonal reads ``kinetic`` = hbar**2 / (mu h**2) and ``v_eff``; the
     Numerov methods below read only ``h``, ``q``, ``w`` and ``start_out``,
     the first two samples of an outward solution: the power law r**(l+1)
-    where the problem excludes the origin, else the Dirichlet start (0, 1).
+    where the problem excludes the origin (scaled to end in 1 where
+    r[1]**(l+1) is 0 or inf), else the Dirichlet start (0, 1).
     """
 
     def __init__(self, problem: RadialProblem, grid: GridSpec):
@@ -99,16 +100,22 @@ class _RadialForm:
         self.grid = grid
         self.h = grid.h
         self.r = grid.nodes()
-        self.v_eff = effective_potential(problem, self.r)
         hbar = problem.units.hbar
         self.w = 2.0 * problem.mu / (hbar * hbar)
-        self.q = self.w * self.v_eff
-        self.kinetic = hbar * hbar / (problem.mu * self.h * self.h)
-        if grid.r_min > 0.0 and (problem.potential.singular_at_origin or problem.l > 0):
-            lp1 = problem.l + 1
-            self.start_out = (self.r[0] ** lp1, self.r[1] ** lp1)
-        else:
-            self.start_out = (0.0, 1.0)
+        # an input that overflows leaves inf or nan here, not a numpy warning;
+        # the finite rules of the FD matrix and of check_stencil reject it
+        with np.errstate(all="ignore"):
+            self.v_eff = effective_potential(problem, self.r)
+            self.q = self.w * self.v_eff
+            self.kinetic = np.divide(hbar * hbar, problem.mu * self.h * self.h)
+            if grid.r_min > 0.0 and (problem.potential.singular_at_origin or problem.l > 0):
+                lp1 = problem.l + 1
+                self.start_out = (self.r[0] ** lp1, self.r[1] ** lp1)
+                if not 0.0 < self.start_out[1] < math.inf:
+                    # the power law's scale is free: this one neither vanishes nor overflows
+                    self.start_out = ((self.r[0] / self.r[1]) ** lp1, 1.0)
+            else:
+                self.start_out = (0.0, 1.0)
         self._stencil = (math.nan, None)  # the last (epsilon, (d, c)) built
 
     def stencil(self, epsilon: float) -> tuple[np.ndarray, np.ndarray]:
@@ -127,15 +134,20 @@ class _RadialForm:
         return d, c
 
     def check_stencil(self, epsilon: float) -> None:
-        """Reject a grid on which d = 1 - t is not positive at ``epsilon``.
+        """Reject a stencil that is not finite, or d = 1 - t that is not positive at ``epsilon``.
 
-        t falls as epsilon rises, so the low end of a bracket is the worst
-        case.  Only the samples the sweeps divide by are checked (index 2
-        on); the start values may sit where q is huge.  Each rounded step of
-        d = 1 - (h**2 / 12) (q - w epsilon) is monotone in q, so d at the
-        largest q decides; the full stencil is built only to name the first
-        bad sample.
+        h**2 and every q must be finite; the FD matrix, which reads V_eff
+        on the interior nodes only, does not check them all.  t falls as epsilon rises, so the low end of a bracket is the
+        worst case for d.  Only the samples the sweeps divide by are checked
+        for it (index 2 on); the start values may sit where q is huge.  Each
+        rounded step of d = 1 - (h**2 / 12) (q - w epsilon) is monotone in
+        q, so d at the largest q decides; the full stencil is built only to
+        name the first bad sample.
         """
+        _check_finite(
+            f"grid {self.grid}: h**2 and the range of q",
+            self.h * self.h, float(np.min(self.q)), float(np.max(self.q)),
+        )
         q_max = float(np.max(self.q[2:]))
         if 1.0 - (self.h * self.h / 12.0) * (q_max - self.w * epsilon) > 0.0:
             return
@@ -156,7 +168,8 @@ class _RadialForm:
     def match_index(self, epsilon: float) -> int:
         """Outermost sign change of q - eps w (turning point), clipped to the interior."""
         f = self.q - self.w * epsilon
-        crossings = np.nonzero(f[:-1] * f[1:] < 0.0)[0]
+        with np.errstate(over="ignore"):  # an overflow to +-inf keeps the product's sign
+            crossings = np.nonzero(f[:-1] * f[1:] < 0.0)[0]
         m = int(crossings[-1]) if crossings.size else len(f) // 2
         return min(max(m, 2), len(f) - 3)
 
@@ -262,9 +275,28 @@ def _eigen_result(states: Iterator[tuple], method: str, grid: GridSpec) -> Eigen
         residuals=residuals,
         method=method,
         grid=grid,
-        nodes=np.array([count_sign_changes(u[1:-1]) for u in wavefunctions], dtype=int),
+        nodes=np.array([_interior_nodes(u, method) for u in wavefunctions], dtype=int),
         degenerate=degenerate,
     )
+
+
+# an FD eigenvector's samples below this fraction of its peak are round-off
+_FD_NOISE_FLOOR = 16.0 * np.finfo(float).eps
+
+
+def _interior_nodes(u: np.ndarray, method: str) -> int:
+    """Sign changes of a wavefunction between its walls.
+
+    Numerov samples keep their sign bits through every rescale, so all of
+    them count.  Inverse iteration leaves an FD eigenvector's tails with
+    sign noise at round-off level (sign changes at 1e-45 of the peak in a
+    deep centrifugal well), so there only samples above
+    16 eps_mach max|u| count.
+    """
+    interior = u[1:-1]
+    if method == "fd":
+        interior = interior[np.abs(interior) > _FD_NOISE_FLOOR * np.max(np.abs(interior))]
+    return count_sign_changes(interior)
 
 
 def assemble_tridiagonal(problem: RadialProblem, grid: GridSpec) -> TridiagonalOperator:

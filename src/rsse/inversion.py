@@ -201,7 +201,7 @@ def time_reversal_check(
     if peak == 0.0:
         raise ValueError("cannot check a zero wavefunction")
     conj = psi.conj()
-    h = grid.h
-    kinetic = -(units.hbar**2) / (2.0 * mu) * (conj[2:] - 2.0 * conj[1:-1] + conj[:-2]) / (h * h)
+    h, hbar = grid.h, units.hbar
+    kinetic = -(hbar * hbar) / (2.0 * mu) * (conj[2:] - 2.0 * conj[1:-1] + conj[:-2]) / (h * h)
     residual = kinetic + v[1:-1] * conj[1:-1] - epsilon * conj[1:-1]
     return float(np.max(np.abs(residual)) / peak)

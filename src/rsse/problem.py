@@ -126,7 +126,7 @@ class PotentialSpec:
 
         r = np.asarray(r, dtype=float)
         if self.kind == "harmonic":
-            return 0.5 * mu * self.omega**2 * r * r
+            return 0.5 * mu * (self.omega * self.omega) * r * r
         if self.kind == "coulomb":
             return -self.Z / r
         if self.kind == "finite_well":
@@ -157,6 +157,8 @@ class GridSpec:
         if not -math.inf < self.r_min < self.r_max < math.inf:
             raise ValueError(f"need finite r_min < r_max, got [{self.r_min}, {self.r_max}]")
         _check_index("grid node count n", self.n, 16)
+        # the span can overflow, and its n - 1 steps underflow, between finite ends
+        _check_positive("grid spacing h", self.h)
 
     @property
     def h(self) -> float:

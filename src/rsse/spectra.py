@@ -68,10 +68,11 @@ def analytic_level(problem: RadialProblem, n_index: int, grid: GridSpec) -> floa
     _check_index("n_index", n_index, 0)
     _check_origin(problem, grid)
     potential = problem.potential
-    if grid.r_min ** (2 * problem.l + 1) > grid.h**2:
+    # in logarithms, where neither side overflows or underflows to 0
+    if grid.r_min > 0.0 and (2 * problem.l + 1) * math.log(grid.r_min) > 2.0 * math.log(grid.h):
         raise ValueError(
             f"no analytic levels for a wall at r_min = {grid.r_min}: "
-            f"r_min**(2 l + 1) > h**2 = {grid.h**2} for l = {problem.l}"
+            f"r_min**(2 l + 1) > h**2 = {grid.h * grid.h} for l = {problem.l}"
         )
     if potential.kind == "coulomb":
         return bohr_level(potential.Z, problem.mu, n_index + problem.l + 1)

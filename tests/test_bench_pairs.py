@@ -1,4 +1,6 @@
 import importlib.util
+import json
+import sys
 from pathlib import Path
 
 _SPEC = importlib.util.spec_from_file_location(
@@ -34,3 +36,47 @@ def test_summary_counts_wins_in_each_metrics_direction_and_flags_wide_parents():
     assert summary["rate"]["parent"] == {"median": 25.0, "q1": 17.5, "q3": 32.5}
     assert summary["rate"]["resolved"] is False
     assert summary["t"]["ratio"]["median"] == 0.95
+
+
+def test_main_runs_the_parents_declared_workloads_with_its_declared_command(
+    tmp_path, monkeypatch, capsys
+):
+    # one of today's workloads and one that no version of the tool has named
+    workloads = ["cli_cold", "brand_new"]
+    declared = {
+        "command": ["python3", "bench/go.py"],
+        "run_seconds": 3,
+        "workloads": [{"name": name} for name in workloads],
+        "end_to_end": END_TO_END[:1],
+    }
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    for root in (parent, change):
+        root.mkdir()
+        (root / "BENCHMARK.json").write_text(json.dumps(declared))
+    calls = []
+
+    def perfbench(root, command, workload, seed, seconds, trace, metrics=()):
+        calls.append((root, command, workload, seed, seconds, trace))
+        return {"correct": True, "failed": 0, **dict.fromkeys(metrics, 1.0)}
+
+    monkeypatch.setattr(bench_pairs, "perfbench", perfbench)
+    monkeypatch.setattr(bench_pairs, "wall_s", lambda argv: 0.05)
+    assert bench_pairs.main(["--parent", str(parent), "--change", str(change)]) == 0
+    record = json.loads(capsys.readouterr().out)
+
+    # the declared command, with this interpreter for its first word, and run_seconds
+    assert all(call[1] == [sys.executable, "bench/go.py"] and call[4] == 3 for call in calls)
+    timed = [(root, workload, seed) for root, _, workload, seed, _, trace in calls if trace == 0]
+    expected = []
+    for workload in workloads:
+        for pair in range(1, 11):
+            order = (parent, change) if pair % 2 else (change, parent)
+            expected += [(root, workload, 100 + pair) for root in order]
+    assert timed == expected
+    traced = [(root, workload) for root, _, workload, _, _, trace in calls if trace == 1]
+    assert sorted(traced) == sorted((root, w) for root in (parent, change) for w in workloads)
+    assert record["command"] == (
+        "python3 bench/go.py --workload W --seed 100+pair --seconds 3 --trace 0"
+    )
+    assert list(record["runs"]) == list(record["summary"]) == workloads
+    assert [record["summary"][w]["pairs"] for w in workloads] == [10, 10]

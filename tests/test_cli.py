@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -60,7 +64,6 @@ def test_solve_hydrogen_numerov(tmp_path):
     assert [int(r["nodes"]) for r in rows] == [0, 1, 2]
 
 
-@pytest.mark.filterwarnings("error")
 def test_numerov_solve_on_a_wide_box_reports_finite_residuals(tmp_path):
     # the merged solutions peak near 1.3e154 there; squaring them in the
     # normalisation used to overflow, and the report exited 2 on a nan residual
@@ -407,6 +410,60 @@ def test_convergence_ladder_of_a_preset_file(tmp_path, monkeypatch, r_min, r_max
     path = tmp_path / "conv.json"
     assert main(["convergence", "--preset", "p", "--format", "json", "--output", str(path)]) == 0
     assert [row["grid_n"] for row in json.loads(path.read_text())["rows"]] == ladder
+
+
+# preset files whose values overflow float arithmetic, each with a command
+# that used to exit 1 on an OverflowError there
+OVERFLOWING_PRESETS = {
+    "w": "potential = harmonic\nomega = 1e300\nfd_r_min = -5\nfd_r_max = 5\nfd_n = 400\n",
+    "y": "potential = infinite_well\nfd_r_min = -5\nfd_r_max = 1e300\nfd_n = 400\n",
+    "z": "potential = coulomb\nfd_r_min = 10\nfd_r_max = 30\nfd_n = 400\nl = 200\n",
+}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["solve", "--preset", "w"],
+        ["solve", "--preset", "w", "--method", "numerov"],
+        ["convergence", "--preset", "w"],
+        ["compare", "--preset", "y"],
+        ["convergence", "--preset", "z"],
+        # V = r**2 / 2 overflows on these nodes: a numpy RuntimeWarning, not an exception
+        ["solve", "--preset", "oscillator", "--r-min=-1e160", "--r-max=1e160"],
+    ],
+    ids=" ".join,
+)
+def test_an_input_that_overflows_exits_2_with_one_error_line(tmp_path, monkeypatch, capsys, argv):
+    for name, text in OVERFLOWING_PRESETS.items():
+        (tmp_path / f"{name}.conf").write_text(text)
+    monkeypatch.setenv("RSSE_PRESET_DIR", str(tmp_path))
+    # in process, where the suite turns every warning into an error
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("rsse: error: ")
+    assert captured.err.count("\n") == 1
+    # and in a fresh interpreter that does the same
+    result = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "rsse.cli", *argv],
+        env={**os.environ, "PYTHONPATH": str(Path(rsse.cli.__file__).parents[1])},
+        capture_output=True,
+        text=True,
+    )
+    assert (result.returncode, result.stdout, result.stderr) == (2, "", captured.err)
+
+
+def test_fd_nodes_skip_the_sign_noise_of_an_eigenvectors_tail(tmp_path, monkeypatch):
+    # l = 200 on [10, 30]: inverse iteration leaves sign changes at 1e-45 of
+    # the peak in the tails, which used to count as 7 and 4 nodes
+    (tmp_path / "z.conf").write_text(OVERFLOWING_PRESETS["z"])
+    monkeypatch.setenv("RSSE_PRESET_DIR", str(tmp_path))
+    for method in ("fd", "numerov"):
+        code, text = run_csv(
+            tmp_path, ["solve", "--preset", "z", "--n-max", "2", "--method", method]
+        )
+        assert code == 0
+        assert [int(row["nodes"]) for row in csv_rows(text)] == [0, 1], method
 
 
 def test_numerov_solve_beyond_the_fd_seed_exits_2(tmp_path, capsys):

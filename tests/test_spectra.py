@@ -83,6 +83,19 @@ def test_analytic_level_harmonic_reads_the_grid(l, r_min, levels):
 
 
 @pytest.mark.parametrize(
+    "l, grid",
+    [
+        (200, GridSpec(10.0, 30.0, 400)),  # r_min**401 overflows a float
+        (0, GridSpec(1e-200, 1e-160, 400)),  # h**2 underflows to 0
+    ],
+)
+def test_analytic_level_states_the_wall_rule_in_logarithms(l, grid):
+    problem = RadialProblem(PotentialSpec.coulomb(1.0), l=l)
+    with pytest.raises(ValueError, match=f"no analytic levels for a wall at r_min = {grid.r_min}"):
+        analytic_level(problem, 0, grid)
+
+
+@pytest.mark.parametrize(
     "potential", [PotentialSpec.finite_well(1.0, 1.0), PotentialSpec.infinite_well(1.0)]
 )
 def test_analytic_level_other_kinds_raise(potential):

@@ -1,22 +1,24 @@
-"""Interleaved parent/change runs of perfbench, with interpreter floors.
+"""Interleaved parent/change runs of the declared benchmark, with interpreter floors.
 
     python3 tools/bench_pairs.py --parent PARENT --change CHANGE > BENCH_n.json
 
-PARENT and CHANGE are the roots of two source checkouts, each with ``src/rsse``,
-``perfbench/`` and ``BENCHMARK.json``.  S is the parent's ``run_seconds`` in
-``BENCHMARK.json``.  For every workload and pair p = 1..10, each checkout runs
-``python3 perfbench/run.py --workload W --seed 100+p --seconds S --trace 0``
-from its own root, the parent first on odd pairs and the change first on even
-ones.  Before every run the ``__pycache__`` directories under the checkout's
-``src/`` are deleted, and every child runs with ``PYTHONDONTWRITEBYTECODE=1``,
-so both sides compile rsse from source alike and no cache left by an earlier
-run skews a pair.  After each pair the three floors run once each:
+PARENT and CHANGE are the roots of two source checkouts, each with ``src/rsse``
+and ``BENCHMARK.json``.  The parent's ``BENCHMARK.json`` declares everything
+run and compared here: the ``command``, run with this interpreter in place of
+its first word; the ``workloads``, by name; ``run_seconds``, S; and the
+``end_to_end`` metrics, which way each is better and their bounds.  For every
+declared workload W and pair p = 1..10, each checkout runs
+``COMMAND --workload W --seed 100+p --seconds S --trace 0`` from its own root,
+the parent first on odd pairs and the change first on even ones.  Before
+every run the ``__pycache__`` directories under the checkout's ``src/`` are
+deleted, and every child runs with ``PYTHONDONTWRITEBYTECODE=1``, so both
+sides compile rsse from source alike and no cache left by an earlier run
+skews a pair.  After each pair the three floors run once each:
 ``python -c pass``, ``python -S -c pass`` and ``python -c "import numpy"``,
 timed from process start to exit.  Finally each checkout runs every workload
 once with ``--trace 1``, for its correctness flag only.
 
-The end-to-end metrics, which way each is better and their bounds are those
-of the parent's ``BENCHMARK.json``.  The JSON on stdout holds every run, each
+The JSON on stdout holds the command, every run, each
 side's median and quartiles per metric, the median and quartiles of the
 per-pair change/parent ratio beside them, and the median of each floor over
 all pairs.  Per metric it also gives ``wins``, the pairs in which each side
@@ -39,7 +41,6 @@ import time
 from pathlib import Path
 
 PAIRS = 10
-WORKLOADS = ("cli_cold", "numerov_solve", "fd_report")
 FLOORS = {
     "python -c pass": [sys.executable, "-c", "pass"],
     "python -S -c pass": [sys.executable, "-S", "-c", "pass"],
@@ -52,12 +53,13 @@ CHILD_ENV = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1"}
 
 
 def perfbench(
-    root: Path, workload: str, seed: int, seconds: float, trace: int, metrics: tuple = ()
+    root: Path, command: list[str], workload: str, seed: int, seconds: float, trace: int,
+    metrics: tuple = (),
 ) -> dict:
-    """The result JSON of one perfbench run in ``root``, flattened to ``metrics``."""
+    """The result JSON of one run of ``command`` in ``root``, flattened to ``metrics``."""
     for cache in sorted((root / "src").rglob("__pycache__")):
         shutil.rmtree(cache)
-    argv = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
+    argv = [*command, "--workload", workload, "--seed", str(seed),
             "--seconds", str(seconds), "--trace", str(trace)]
     out = subprocess.run(argv, cwd=root, env=CHILD_ENV, capture_output=True, text=True,
                          check=True).stdout
@@ -105,36 +107,38 @@ def summarize(runs: dict, end_to_end: list[dict]) -> dict:
     return summary
 
 
-def main() -> int:
+def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--parent", type=Path, required=True)
     parser.add_argument("--change", type=Path, required=True)
-    args = parser.parse_args()
+    args = parser.parse_args(argv)
     benchmark = json.loads((args.parent / "BENCHMARK.json").read_text())
+    command = [sys.executable, *benchmark["command"][1:]]
+    workloads = [workload["name"] for workload in benchmark["workloads"]]
     seconds = benchmark["run_seconds"]
     metrics = tuple(metric["name"] for metric in benchmark["end_to_end"])
     sides = {"parent": args.parent, "change": args.change}
     runs = {}
     floors = {name: [] for name in FLOORS}
-    for workload in WORKLOADS:
+    for workload in workloads:
         runs[workload] = []
         for pair in range(1, PAIRS + 1):
             order = ("parent", "change") if pair % 2 else ("change", "parent")
             for side in order:
-                run = perfbench(sides[side], workload, 100 + pair, seconds, 0, metrics)
+                run = perfbench(sides[side], command, workload, 100 + pair, seconds, 0, metrics)
                 runs[workload].append({"pair": pair, "side": side, **run})
                 print(f"# {workload} pair {pair} {side}: {run}", file=sys.stderr)
-            for name, argv in FLOORS.items():
-                floors[name].append(wall_s(argv))
+            for name, floor in FLOORS.items():
+                floors[name].append(wall_s(floor))
     summary = summarize(runs, benchmark["end_to_end"])
     trace_1 = {
-        side: {w: perfbench(root, w, 1, seconds, 1) for w in WORKLOADS}
+        side: {w: perfbench(root, command, w, 1, seconds, 1) for w in workloads}
         for side, root in sides.items()
     }
     json.dump(
         {
-            "command": "python3 perfbench/run.py --workload W --seed 100+pair "
-            f"--seconds {seconds:g} --trace 0",
+            "command": " ".join(benchmark["command"])
+            + f" --workload W --seed 100+pair --seconds {seconds:g} --trace 0",
             "order": "the parent runs first on odd pairs, the change on even ones",
             "floors_s": {name: round(statistics.median(v), 6) for name, v in floors.items()},
             "trace_1": trace_1,
