@@ -21,34 +21,25 @@ import sys
 from pathlib import Path
 from typing import Any, Callable, Optional, Sequence
 
-from . import _PUBLIC, __version__
+from . import _MODULE_OF, __version__
 from .units import ATOMIC, _check_finite, _check_index
 
-# The library names cli calls are bound into this namespace lazily, by
-# module: each handler binds the modules it runs and then reads the names as
-# globals, so ``kinematics`` never loads ``spectra``, and only ``solve`` and
-# ``convergence`` load ``rsse.eigensolver`` and numpy.  Reading a name from
-# outside binds its module too; a value set before that (a benchmark
-# tracer's wrapper) is kept, and is the one the handlers call.
-_PRIVATE = {"presets": ("get_preset", "parse_kv_file"), "eigensolver": ("solve_state",)}
-_NAMES = {module: names + _PRIVATE.get(module, ()) for module, names in _PUBLIC.items()}
-_MODULE_OF = {name: module for module, names in _NAMES.items() for name in names}
-
-
-def _bind(*modules: str) -> None:
-    for module in modules:
-        # an import statement's path, which ``-X importtime`` reports
-        __import__(f"{__package__}.{module}")
-        loaded = sys.modules[f"{__package__}.{module}"]
-        for name in _NAMES[module]:
-            globals().setdefault(name, getattr(loaded, name))
+# The handlers read every public library name as an attribute of this module,
+# ``_cli.name``.  The first read imports the module that the package's one
+# table names for it, so ``kinematics`` never loads ``spectra``, and only
+# ``solve`` and ``convergence`` load ``rsse.eigensolver`` and numpy.  A value
+# set on ``rsse.cli`` before that read (a benchmark tracer's wrapper) is the
+# one the handlers call.
+_cli = sys.modules[__name__]
 
 
 def __getattr__(name: str) -> Any:
     if name not in _MODULE_OF:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    _bind(_MODULE_OF[name])
-    return globals()[name]
+    # an import statement's path, which ``-X importtime`` reports
+    module = __import__(f"{__package__}.{_MODULE_OF[name]}", fromlist=[name])
+    value = globals()[name] = getattr(module, name)
+    return value
 
 
 def _fmt(value: Any) -> str:
@@ -108,20 +99,22 @@ def _write_report(
 
 
 def _cmd_solve(config: dict[str, Any]) -> int:
-    _bind("presets", "problem", "eigensolver")
+    from .presets import get_preset
+
     preset = get_preset(config["preset"])
     base = preset.fd_grid if config["method"] == "fd" else preset.numerov_grid
     # the configuration overrides the preset's grid; the header echoes the grid used
     for key, value in zip(("r_min", "r_max", "grid_n"), (base.r_min, base.r_max, base.n)):
         if config[key] is None:
             config[key] = value
-    grid = GridSpec(config["r_min"], config["r_max"], config["grid_n"])
+    grid = _cli.GridSpec(config["r_min"], config["r_max"], config["grid_n"])
     # FD has one level per interior node; Numerov also needs the FD level above its top state
     _check_index("n_max", config["n_max"], 1, grid.n - (2 if config["method"] == "fd" else 3))
     if config["method"] == "fd":
-        result = solve_lowest_k(assemble_tridiagonal(preset.problem, grid), config["n_max"])
+        operator = _cli.assemble_tridiagonal(preset.problem, grid)
+        result = _cli.solve_lowest_k(operator, config["n_max"])
     else:
-        result = solve_numerov_lowest_k(preset.problem, grid, config["n_max"])
+        result = _cli.solve_numerov_lowest_k(preset.problem, grid, config["n_max"])
     rows = [
         {
             "n": i,
@@ -162,8 +155,7 @@ def _dump_wavefunctions(config: dict[str, Any], result) -> None:
 
 
 def _cmd_compare(config: dict[str, Any]) -> int:
-    _bind("spectra")
-    report = compare_report(config["preset"], config["n_max"])
+    report = _cli.compare_report(config["preset"], config["n_max"])
     columns = ["state", "epsilon", "B_nonrel", "B_rel"]
     if report.has_dirac:
         columns += ["B_dirac", "delta_rel_vs_dirac"]
@@ -187,28 +179,27 @@ def _parse_betas(raw: str) -> list[float]:
 
 
 def _cmd_kinematics(config: dict[str, Any]) -> int:
-    _bind("kinematics", "inversion")
     betas = _parse_betas(config["beta"])
     m0 = config["m0"]
     rows = []
     for beta in betas:
         v = beta * ATOMIC.c
-        p = momentum(m0, v)
-        wave = wave_from_particle(m0, v)
-        omega_clock, omega_wave = clock_and_wave_frequencies(m0, v)
-        harmony = check_phase_harmony(m0, v, config["time"])
-        tc = dirac_theta_chi(m0, v)
+        p = _cli.momentum(m0, v)
+        wave = _cli.wave_from_particle(m0, v)
+        omega_clock, omega_wave = _cli.clock_and_wave_frequencies(m0, v)
+        harmony = _cli.check_phase_harmony(m0, v, config["time"])
+        tc = _cli.dirac_theta_chi(m0, v)
         rows.append({
             "beta": beta,
-            "gamma": gamma_factor(v),
+            "gamma": _cli.gamma_factor(v),
             "p": p,
-            "E": total_energy(m0, p),
+            "E": _cli.total_energy(m0, p),
             "lambda": wave.wavelength,
             "omega_clock": omega_clock,
             "omega_wave": omega_wave,
             "phase_residual": harmony.residual,
             "chi_over_theta": abs(tc.chi) / abs(tc.theta),
-            "effective_mass": effective_mass(m0, v),
+            "effective_mass": _cli.effective_mass(m0, v),
         })
     # a huge m0 overflows E, the frequencies and the phase check: _write_report exits 2
     _write_report(config, rows)
@@ -216,29 +207,28 @@ def _cmd_kinematics(config: dict[str, Any]) -> int:
 
 
 def _cmd_invert_demo(config: dict[str, Any]) -> int:
-    _bind("kinematics", "inversion")
     betas = _parse_betas(config["beta"])
     if len(betas) != 1:
         raise ValueError(f"invert-demo takes exactly one beta, got {config['beta']!r}")
     beta = betas[0]
     v = beta * ATOMIC.c
     # a huge m0 overflows p or E; name the report column, as kinematics does
-    p = momentum(config["m0"], v)
-    for column, value in (("p", p), ("E", total_energy(config["m0"], p))):
+    p = _cli.momentum(config["m0"], v)
+    for column, value in (("p", p), ("E", _cli.total_energy(config["m0"], p))):
         _check_finite(f"invert-demo column {column!r} at beta {beta}", value)
-    electron = electron_plane_wave(v, m0=config["m0"])
-    positron = spacetime_invert(electron)
+    electron = _cli.electron_plane_wave(v, m0=config["m0"])
+    positron = _cli.spacetime_invert(electron)
     # evaluation identity checked on a fixed deterministic lattice
     points = [(-1.0 + 0.08 * i, -1.0 + 0.096 * i) for i in range(26)]
     # a nan (a phase overflowed at a lattice point) wins, so _write_report rejects it
     residual = max(
-        (abs(evaluate_plane_wave(positron, x, t) - evaluate_plane_wave(electron, -x, -t))
+        (abs(_cli.evaluate_plane_wave(positron, x, t) - _cli.evaluate_plane_wave(electron, -x, -t))
          for x, t in points),
         key=lambda r: (r != r, r),
     )
     rows = []
     for label, state in (("electron", electron), ("positron", positron)):
-        tc = dirac_theta_chi(config["m0"], v, branch=state.branch)
+        tc = _cli.dirac_theta_chi(config["m0"], v, branch=state.branch)
         rows.append(
             {
                 "state": label,
@@ -257,21 +247,23 @@ def _cmd_invert_demo(config: dict[str, Any]) -> int:
 
 
 def _cmd_convergence(config: dict[str, Any]) -> int:
-    _bind("presets", "problem", "spectra", "eigensolver")
+    from .eigensolver import solve_state
+    from .presets import get_preset
+
     preset = get_preset(config["preset"])
     problem = preset.problem
     n_index, method = config["n_index"], config["method"]
     # full-line presets share one fixed ladder; half-line presets refine
     # their own FD grid, whose every 8th node must still make a grid
     if preset.fd_grid.r_min < 0.0:
-        base = GridSpec(-8.0, 8.0, 1017)
+        base = _cli.GridSpec(-8.0, 8.0, 1017)
     else:
         base = preset.fd_grid
         _check_index("half-line preset fd_n", base.n, 121)
     grids = [
-        GridSpec(base.r_min, base.r_max, (base.n - 1) // scale + 1) for scale in (8, 4, 2, 1)
+        _cli.GridSpec(base.r_min, base.r_max, (base.n - 1) // scale + 1) for scale in (8, 4, 2, 1)
     ]
-    exact = analytic_level(problem, n_index, base)
+    exact = _cli.analytic_level(problem, n_index, base)
     # as solve's n_max: the coarsest grid holds n - 2 FD levels, Numerov needs one above
     _check_index("n_index", n_index, 0, grids[0].n - (3 if method == "fd" else 4))
     table = [(grid.h, solve_state(problem, grid, n_index, method)) for grid in grids]
@@ -279,7 +271,9 @@ def _cmd_convergence(config: dict[str, Any]) -> int:
         {"grid_n": grid.n, "h": h, "epsilon": epsilon, "abs_error": abs(epsilon - exact)}
         for grid, (h, epsilon) in zip(grids, table)
     ]
-    slope = convergence_order(problem, grids, exact, n_index=n_index, method=method, table=table)
+    slope = _cli.convergence_order(
+        problem, grids, exact, n_index=n_index, method=method, table=table
+    )
     _write_report(config, rows, {"slope": slope, "epsilon_exact": exact})
     return 0
 
@@ -338,7 +332,8 @@ def _resolve_config(command: str, args: argparse.Namespace) -> dict[str, Any]:
     options = COMMANDS[command][2]
     config = {"command": command, **{key: default for key, (_, default, _) in options.items()}}
     if args.config:
-        _bind("presets")
+        from .presets import parse_kv_file
+
         kinds = {key: kind for key, (kind, _, _) in options.items()}
         config.update(parse_kv_file(args.config, kinds, "config"))
     flags = vars(args)

@@ -763,10 +763,12 @@ def rayleigh_quotient(wavefunction: np.ndarray, problem: RadialProblem, grid: Gr
     """
     u = np.asarray(wavefunction, dtype=float)
     _check_samples("wavefunction", u, grid)
-    interior = u[1:-1]
-    norm_sq = float(np.dot(interior, interior))
-    if norm_sq <= 0.0:
+    peak = float(np.max(np.abs(u[1:-1])))
+    if peak == 0.0:
         raise ValueError("cannot form a Rayleigh quotient from a zero wavefunction")
+    # scaled exactly, as _normalize does, so that the squares neither overflow nor vanish
+    interior = np.ldexp(u[1:-1], -math.frexp(peak)[1])
+    norm_sq = float(np.dot(interior, interior))
     operator = assemble_tridiagonal(problem, grid)
     return float(np.dot(interior, operator.apply(interior))) / norm_sq
 

@@ -200,8 +200,15 @@ def time_reversal_check(
     peak = float(np.max(np.abs(psi)))
     if peak == 0.0:
         raise ValueError("cannot check a zero wavefunction")
-    conj = psi.conj()
     h, hbar = grid.h, units.hbar
-    kinetic = -(hbar * hbar) / (2.0 * mu) * (conj[2:] - 2.0 * conj[1:-1] + conj[:-2]) / (h * h)
+    # formed as the FD matrix's kinetic term is: an hbar that squares past
+    # overflow, or an h whose square vanishes, leaves inf here, not a warning
+    with np.errstate(all="ignore"):
+        coefficient = float(np.divide(hbar * hbar, 2.0 * mu * h * h))
+    _check_finite("time-reversal stencil coefficient hbar**2 / (2 mu h**2)", coefficient)
+    # scaled exactly, by the power of two of its peak, as the residual is linear in psi
+    exponent = math.frexp(peak)[1]
+    conj = np.ldexp(psi.real, -exponent) - 1j * np.ldexp(psi.imag, -exponent)
+    kinetic = -coefficient * (conj[2:] - 2.0 * conj[1:-1] + conj[:-2])
     residual = kinetic + v[1:-1] * conj[1:-1] - epsilon * conj[1:-1]
-    return float(np.max(np.abs(residual)) / peak)
+    return float(np.max(np.abs(residual)) / math.ldexp(peak, -exponent))

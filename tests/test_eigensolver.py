@@ -1421,6 +1421,19 @@ def test_rayleigh_quotient_scale_invariant():
     )
 
 
+def test_rayleigh_quotient_is_scale_invariant_where_the_squares_overflow_or_vanish():
+    # 1e200 used to overflow np.dot (nan, and a warning) and 1e-170 to square to zero
+    grid = GridSpec(-12.0, 12.0, 1000)
+    u = solve_lowest_k(assemble_tridiagonal(OSCILLATOR, grid), 1).wavefunctions[0]
+    quotient = rayleigh_quotient(u, OSCILLATOR, grid)
+    for scale in (2.0**600, 2.0**-600):
+        assert rayleigh_quotient(scale * u, OSCILLATOR, grid) == quotient
+    # any other scale rounds every sample, and the stencil's cancellation
+    # (2/h**2 ~ 3500 against eps = 0.5) shows that rounding at about 1e-13
+    for scale in (1e200, 1e-170, 1e-200):
+        assert rayleigh_quotient(scale * u, OSCILLATOR, grid) == pytest.approx(quotient, rel=1e-12)
+
+
 def test_rayleigh_quotient_keeps_the_variational_bound_whatever_the_wall_samples():
     # H acts on the interior nodes only, so the norm must not count the walls:
     # with both set to twice the peak the quotient used to read 0.4743

@@ -14,12 +14,14 @@ other tests do not leak into ``sys.modules``.
 """
 
 import ast
+import builtins
 import importlib.util
 import inspect
 import json
 import os
 import re
 import subprocess
+import symtable
 import sys
 import types
 from pathlib import Path
@@ -106,19 +108,21 @@ def rsse_modules_after(code):
     return json.loads(run_fresh(code + RSSE_REPORT).splitlines()[-1])
 
 
-def test_reading_a_cli_solver_name_before_any_solve_binds_all_five():
+def test_reading_a_cli_library_name_loads_only_the_module_that_defines_it():
     # a benchmark tracer reads and wraps rsse.cli.solve_lowest_k this way
     run_fresh(
         """
 import sys
 import rsse.cli
-assert "rsse.eigensolver" not in sys.modules and "solve_lowest_k" not in vars(rsse.cli)
+assert "gamma_factor" not in vars(rsse.cli)
+gamma_factor = rsse.cli.gamma_factor
+assert vars(rsse.cli)["gamma_factor"] is gamma_factor
+assert "momentum" not in vars(rsse.cli)  # one name, not its module's all
+assert gamma_factor is sys.modules["rsse.kinematics"].gamma_factor
+assert "rsse.eigensolver" not in sys.modules and "numpy" not in sys.modules
 solver = rsse.cli.solve_lowest_k
 import rsse.eigensolver
 assert solver is rsse.eigensolver.solve_lowest_k
-for name in ("assemble_tridiagonal", "convergence_order", "solve_lowest_k",
-             "solve_numerov_lowest_k", "solve_state"):
-    assert vars(rsse.cli)[name] is getattr(rsse.eigensolver, name), name
 """
     )
 
@@ -178,6 +182,27 @@ def test_no_rsse_module_imports_dataclasses():
                     for alias in node.names]
         imported += [node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)]
         assert not {"dataclasses", "inspect"} & set(imported), path.name
+
+
+def test_no_rsse_module_reads_a_global_it_does_not_define():
+    # a function may read a global only if its module assigns or imports it,
+    # or it is a builtin: cli reads library names as attributes of its module
+    found = []
+    for path in sorted((SRC / "rsse").glob("*.py")):
+        top = symtable.symtable(path.read_text(), path.name, "exec")
+        defined = {s.get_name() for s in top.get_symbols() if s.is_assigned() or s.is_imported()}
+        tables = list(top.get_children())
+        while tables:
+            table = tables.pop()
+            tables += table.get_children()
+            if table.get_type() == "function":
+                found += [
+                    (path.name, table.get_name(), s.get_name())
+                    for s in table.get_symbols()
+                    if s.is_global() and s.is_referenced()
+                    and s.get_name() not in defined and not hasattr(builtins, s.get_name())
+                ]
+    assert found == []
 
 
 def test_a_failing_analytic_command_still_exits_with_its_code():

@@ -16,7 +16,7 @@ from rsse.inversion import (
     time_reversal_check,
 )
 from rsse.problem import GridSpec, PotentialSpec, RadialProblem
-from rsse.units import ATOMIC
+from rsse.units import ATOMIC, UnitSystem
 
 C = ATOMIC.c
 
@@ -219,6 +219,30 @@ def test_time_reversal_solver_state_within_solver_residual():
             result.wavefunctions[i], result.epsilons[i], potential, grid
         )
         assert residual <= 10.0 * result.residuals[i]
+
+
+@pytest.mark.parametrize(
+    "grid, units",
+    [
+        (GridSpec(-5.0, 5.0, 100), UnitSystem(hbar=1e200)),  # hbar**2 overflows
+        (GridSpec(-5e-160, 5e-160, 100), ATOMIC),  # h**2 vanishes
+    ],
+    ids=["hbar-squared-overflows", "h-squared-vanishes"],
+)
+def test_time_reversal_rejects_a_stencil_coefficient_that_is_not_finite(grid, units):
+    # these returned nan and inf, with numpy warnings the suite turns into errors
+    x = grid.nodes() / grid.r_max
+    with pytest.raises(ValueError, match=r"stencil coefficient hbar\*\*2 / \(2 mu h\*\*2\) must be"):
+        time_reversal_check(np.exp(-x * x), 0.5, np.zeros(grid.n), grid, units=units)
+
+
+def test_time_reversal_residual_is_scale_invariant():
+    grid = GridSpec(-5.0, 5.0, 100)
+    x = grid.nodes()
+    psi, potential = np.exp(-0.5 * x * x), 0.5 * x * x
+    residual = time_reversal_check(psi, 0.5, potential, grid)
+    for scale in (2.0**900, 2.0**-900, 1j):
+        assert time_reversal_check(scale * psi, 0.5, potential, grid) == residual
 
 
 def test_time_reversal_length_mismatch():
