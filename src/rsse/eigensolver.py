@@ -33,9 +33,9 @@ V_eff = V + hbar**2 l(l+1) / (2 mu r**2), which one radial form,
   samples are rescaled by a power of two so that they neither overflow nor
   lose their signs.
 
-Each route yields its states from one generator, :func:`_fd_states` or
-:func:`_numerov_states`, which the list solves read and :func:`solve_state`
-reads without eigenvectors or recurrence defects.
+Each route yields its states, node counts included, from one generator,
+:func:`_fd_states` or :func:`_numerov_states`, which the list solves read and
+:func:`solve_state` reads without eigenvectors or recurrence defects.
 
 Grids are uniform.  Coulomb-type problems use the reduced radial function
 u(r) = r R(r) and require r_min > 0.
@@ -127,8 +127,10 @@ class _RadialForm:
         last, coefficients = self._stencil
         if epsilon == last:
             return coefficients
-        t = (self.h * self.h / 12.0) * (self.q - self.w * epsilon)
-        d, c = 1.0 - t, 2.0 + 10.0 * t
+        # h**2 and q are finite, but their product can overflow: check_stencil names it
+        with np.errstate(over="ignore"):
+            t = (self.h * self.h / 12.0) * (self.q - self.w * epsilon)
+            d, c = 1.0 - t, 2.0 + 10.0 * t
         d.flags.writeable = c.flags.writeable = False
         self._stencil = (epsilon, (d, c))
         return d, c
@@ -220,6 +222,11 @@ class TridiagonalOperator:
     grid: GridSpec
     problem: RadialProblem
 
+    def __post_init__(self) -> None:
+        # every consumer (the FD solves, the Numerov seed, rayleigh_quotient) reads a finite matrix
+        if not (np.isfinite(self.diagonal).all() and np.isfinite(self.off_diagonal).all()):
+            raise ValueError("tridiagonal matrix entries must be finite")
+
     @property
     def dim(self) -> int:
         return self.diagonal.shape[0]
@@ -260,11 +267,11 @@ DEGENERACY_GAP = 1e-12  # hartree
 
 
 def _eigen_result(states: Iterator[tuple], method: str, grid: GridSpec) -> EigenResult:
-    """The :class:`EigenResult` of one route's ``(epsilon, wavefunction, residual)`` records.
+    """The :class:`EigenResult` of one route's ``(epsilon, wavefunction, residual, nodes)`` records.
 
-    Node counts and degeneracy flags are derived here, once for both routes.
+    Degeneracy flags are derived here, once for both routes.
     """
-    epsilons, wavefunctions, residuals = (np.array(column) for column in zip(*states))
+    epsilons, wavefunctions, residuals, nodes = (np.array(column) for column in zip(*states))
     degenerate = np.zeros(epsilons.shape[0], dtype=bool)
     close = np.abs(np.diff(epsilons)) < DEGENERACY_GAP
     degenerate[:-1] |= close
@@ -275,28 +282,9 @@ def _eigen_result(states: Iterator[tuple], method: str, grid: GridSpec) -> Eigen
         residuals=residuals,
         method=method,
         grid=grid,
-        nodes=np.array([_interior_nodes(u, method) for u in wavefunctions], dtype=int),
+        nodes=nodes,
         degenerate=degenerate,
     )
-
-
-# an FD eigenvector's samples below this fraction of its peak are round-off
-_FD_NOISE_FLOOR = 16.0 * np.finfo(float).eps
-
-
-def _interior_nodes(u: np.ndarray, method: str) -> int:
-    """Sign changes of a wavefunction between its walls.
-
-    Numerov samples keep their sign bits through every rescale, so all of
-    them count.  Inverse iteration leaves an FD eigenvector's tails with
-    sign noise at round-off level (sign changes at 1e-45 of the peak in a
-    deep centrifugal well), so there only samples above
-    16 eps_mach max|u| count.
-    """
-    interior = u[1:-1]
-    if method == "fd":
-        interior = interior[np.abs(interior) > _FD_NOISE_FLOOR * np.max(np.abs(interior))]
-    return count_sign_changes(interior)
 
 
 def assemble_tridiagonal(problem: RadialProblem, grid: GridSpec) -> TridiagonalOperator:
@@ -306,7 +294,8 @@ def assemble_tridiagonal(problem: RadialProblem, grid: GridSpec) -> TridiagonalO
     nodes; off-diagonal entries are -hbar**2/(2 mu h**2).
     """
     form = _RadialForm(problem, grid)
-    diagonal = form.kinetic + form.v_eff[1:-1]
+    with np.errstate(over="ignore", invalid="ignore"):  # the operator rejects what overflows
+        diagonal = form.kinetic + form.v_eff[1:-1]
     off = np.full(grid.n - 3, -0.5 * form.kinetic)
     return TridiagonalOperator(diagonal=diagonal, off_diagonal=off, grid=grid, problem=problem)
 
@@ -380,16 +369,26 @@ def _tridiagonal_lowest(
     FD grid and 3e-10 on 20000 oscillator nodes.  Only the Numerov seed
     (:func:`_fd_brackets`) passes a looser one.
 
+    LAPACK solves T / 2**s, with the power of two that puts its
+    ||T||inf = max|d| + 2 max|e| in [1, 2): the scaling is exact, and it
+    keeps the squares of e and the pivots finite (unscaled, ``dstein``'s
+    vectors were not finite from e ~ 2e152, and ``dstebz`` went wrong from
+    e ~ 7e153 = sqrt(DBL_MAX) / 2).  The eigenvalues are scaled back; the
+    eigenvectors need nothing.
+
     Raises
     ------
     ValueError
-        If k is outside [1, d.size] or d or e is not finite.
+        If k is outside [1, d.size], or an eigenvalue overflows.
     ConvergenceError
         If LAPACK reports a nonzero ``info``.
     """
     _check_index("k", k, 1, d.shape[0])
-    if not (np.isfinite(d).all() and np.isfinite(e).all()):
-        raise ValueError("tridiagonal matrix entries must be finite")
+    d_max, e_max = float(np.max(np.abs(d))), float(np.max(np.abs(e), initial=0.0))
+    shift = math.frexp(max(d_max, e_max))[1]
+    # ||T||inf / 2**shift, formed without overflow, lies in [0.5, 3)
+    shift += math.frexp(math.ldexp(d_max, -shift) + math.ldexp(e_max, 1 - shift))[1] - 1
+    d, e, abstol = np.ldexp(d, -shift), np.ldexp(e, -shift), math.ldexp(abstol, -shift)
     lapack = _lapack()
     # range 2: indices 1..k; dstein needs the values in block order ("B")
     m, w, iblock, isplit, info = lapack.dstebz(
@@ -397,14 +396,16 @@ def _tridiagonal_lowest(
     )
     if info != 0:
         raise ConvergenceError(f"LAPACK dstebz failed (info = {info})")
-    w = w[:m]
+    with np.errstate(over="ignore"):
+        values = np.ldexp(w[:m], shift)
+    _check_finite("the eigenvalues of the tridiagonal matrix", values.min(), values.max())
     if not vectors:
-        return w, None
-    v, info = lapack.dstein(d, e, w, iblock, isplit)
+        return values, None
+    v, info = lapack.dstein(d, e, w[:m], iblock, isplit)
     if info != 0:
         raise ConvergenceError(f"LAPACK dstein failed (info = {info})")
-    order = np.argsort(w)
-    return w[order], v[:, order]
+    order = np.argsort(values)
+    return values[order], v[:, order]
 
 
 def solve_lowest_k(operator: TridiagonalOperator, k: int) -> EigenResult:
@@ -418,18 +419,30 @@ def solve_lowest_k(operator: TridiagonalOperator, k: int) -> EigenResult:
     return _eigen_result(_fd_states(operator, k, vectors=True), "fd", operator.grid)
 
 
+# an FD eigenvector's samples below this fraction of its peak are round-off
+_FD_NOISE_FLOOR = 16.0 * np.finfo(float).eps
+
+
 def _fd_states(operator: TridiagonalOperator, k: int, vectors: bool) -> Iterator[tuple]:
-    """The lowest k (epsilon, wavefunction, residual) records, values only without ``vectors``."""
+    """The lowest k (epsilon, wavefunction, residual, nodes) records, values only without ``vectors``.
+
+    Inverse iteration leaves an eigenvector's tails with sign noise at
+    round-off level (sign changes at 1e-45 of the peak in a deep centrifugal
+    well), so only its samples above 16 eps_mach max|v| count as nodes.
+    """
     epsilons, columns = _tridiagonal_lowest(
         operator.diagonal, operator.off_diagonal, k, vectors=vectors
     )
     if not vectors:
-        yield from ((epsilon, None, None) for epsilon in epsilons)
+        yield from ((epsilon, None, None, None) for epsilon in epsilons)
         return
     for epsilon, v in zip(epsilons, columns.T):
-        residual = np.max(np.abs(operator.apply(v) - epsilon * v)) / np.max(np.abs(v))
+        magnitude = np.abs(v)
+        peak = np.max(magnitude)
+        residual = np.max(np.abs(operator.apply(v) - epsilon * v)) / peak
+        nodes = count_sign_changes(v[magnitude > _FD_NOISE_FLOOR * peak])
         u = np.concatenate(([0.0], v, [0.0]))
-        yield epsilon, _normalize(_fix_sign(u), operator.grid), residual
+        yield epsilon, _normalize(_fix_sign(u), operator.grid), residual, nodes
 
 
 # ---------------------------------------------------------------------------
@@ -693,8 +706,8 @@ def _numerov_states(
 ) -> Iterator[tuple]:
     """:func:`numerov_solve` of ``states`` (each below k) on ``brackets``, else seeded ones.
 
-    Each ``(epsilon, wavefunction, residual)`` record is yielded as soon as
-    its state is solved; the residual is :func:`numerov_recurrence_defect`,
+    Each ``(epsilon, wavefunction, residual, nodes)`` record is yielded as
+    soon as its state is solved; the residual is :func:`numerov_recurrence_defect`,
     or None without ``vectors``.  A seed (:func:`default_brackets`) on a
     coarse grid can miss a state it resolves badly, such as a narrow well's:
     on :class:`WrongStateError` every seeded bracket is re-seeded from the
@@ -721,7 +734,9 @@ def _numerov_states(
             brackets, reseeded = _fd_brackets(problem, grid, k), True
             epsilon, u = solve(i)
         # the defect follows its own solve, which leaves that energy's stencil in the form
-        yield epsilon, u, numerov_recurrence_defect(u, problem, grid, epsilon) if vectors else None
+        defect = numerov_recurrence_defect(u, problem, grid, epsilon) if vectors else None
+        # numerov_solve returns only a solution with i interior nodes
+        yield epsilon, u, defect, i
 
 
 def numerov_recurrence_defect(
@@ -784,7 +799,7 @@ def solve_state(
         states = _numerov_states(problem, grid, n_index + 1, [n_index], vectors=False)
     else:
         raise ValueError(f"unknown method {method!r}; expected 'fd' or 'numerov'")
-    *_, (epsilon, _, _) = states
+    *_, (epsilon, *_) = states
     return float(epsilon)
 
 

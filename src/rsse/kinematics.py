@@ -202,6 +202,8 @@ def derive_de_broglie(m0: float, v: float, units: UnitSystem = ATOMIC) -> DeBrog
     # g(k) = v_group(k) - speed is strictly monotone, so plain bisection is safe.
     while hi - lo > 1.0e-12 * hi:
         mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):  # adjacent subnormals, where 1e-12 * hi is 0
+            break
         if group_velocity(mid) < speed:
             lo = mid
         else:

@@ -28,48 +28,28 @@ class SolverPreset:
 
 
 def builtin_presets() -> dict[str, SolverPreset]:
-    hydrogen = SolverPreset(
-        name="hydrogen",
-        problem=RadialProblem(PotentialSpec.coulomb(1.0)),
-        fd_grid=GridSpec(1e-4, 30.0, 2000),
-        numerov_grid=GridSpec(1e-5, 40.0, 20000),
-        description="electron in a fixed unit-charge Coulomb field",
-    )
-    presets = {
-        "hydrogen": hydrogen,
+    coulomb = PotentialSpec.coulomb(1.0)
+    hydrogen = RadialProblem(coulomb)
+    hydrogen_grids = GridSpec(1e-4, 30.0, 2000), GridSpec(1e-5, 40.0, 20000)
+    # name -> problem, FD grid, Numerov grid, description
+    table = {
+        "hydrogen": (hydrogen, *hydrogen_grids, "electron in a fixed unit-charge Coulomb field"),
         # generic Coulomb alias, same reference grids
-        "coulomb": SolverPreset(
-            name="coulomb",
-            problem=hydrogen.problem,
-            fd_grid=hydrogen.fd_grid,
-            numerov_grid=hydrogen.numerov_grid,
-            description="alias of the hydrogen preset",
+        "coulomb": (hydrogen, *hydrogen_grids, "alias of the hydrogen preset"),
+        "hydrogen_finite_mass": (
+            reduce_two_body(1.0, PROTON_ELECTRON_MASS_RATIO, coulomb), *hydrogen_grids,
+            "hydrogen with the proton mass kept finite",
         ),
-        "hydrogen_finite_mass": SolverPreset(
-            name="hydrogen_finite_mass",
-            problem=reduce_two_body(1.0, PROTON_ELECTRON_MASS_RATIO, PotentialSpec.coulomb(1.0)),
-            fd_grid=GridSpec(1e-4, 30.0, 2000),
-            numerov_grid=GridSpec(1e-5, 40.0, 20000),
-            description="hydrogen with the proton mass kept finite",
+        "positronium": (
+            reduce_two_body(1.0, 1.0, coulomb), GridSpec(1e-4, 60.0, 4000),
+            GridSpec(1e-5, 80.0, 32000), "electron-positron bound state (mu = 1/2)",
         ),
-        "positronium": SolverPreset(
-            name="positronium",
-            problem=reduce_two_body(1.0, 1.0, PotentialSpec.coulomb(1.0)),
-            fd_grid=GridSpec(1e-4, 60.0, 4000),
-            numerov_grid=GridSpec(1e-5, 80.0, 32000),
-            description="electron-positron bound state (mu = 1/2)",
-        ),
-        "oscillator": SolverPreset(
-            name="oscillator",
-            problem=RadialProblem(
-                potential=PotentialSpec.harmonic(1.0), l=0, mu=1.0, M=1.0
-            ),
-            fd_grid=GridSpec(-12.0, 12.0, 3000),
-            numerov_grid=GridSpec(-12.0, 12.0, 6000),
-            description="unit-frequency harmonic oscillator on the full line",
+        "oscillator": (
+            RadialProblem(PotentialSpec.harmonic(1.0)), GridSpec(-12.0, 12.0, 3000),
+            GridSpec(-12.0, 12.0, 6000), "unit-frequency harmonic oscillator on the full line",
         ),
     }
-    return presets
+    return {name: SolverPreset(name, *fields) for name, fields in table.items()}
 
 
 def parse_kv_file(path: Path | str, kinds: dict[str, Any], what: str) -> dict[str, Any]:

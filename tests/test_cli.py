@@ -64,6 +64,19 @@ def test_solve_hydrogen_numerov(tmp_path):
     assert [int(r["nodes"]) for r in rows] == [0, 1, 2]
 
 
+def test_fd_solve_with_a_huge_stencil_coefficient_reports_the_closed_form_levels(tmp_path):
+    # e = hbar**2 / (2 mu h**2) is 1e154 here: LAPACK, fed the unscaled
+    # matrix, gave both rows as 2.04e154 with 0 nodes, and the report exited 0
+    code, text = run_csv(tmp_path, ["solve", "--preset", "oscillator", "--r-min=-5.25e-77",
+                                    "--r-max=5.25e-77", "--grid-n", "16", "--n-max", "2"])
+    e = 0.5 / GridSpec(-5.25e-77, 5.25e-77, 16).h ** 2
+    rows = csv_rows(text)
+    assert code == 0 and [row["nodes"] for row in rows] == ["0", "1"]
+    for k, row in enumerate(rows, start=1):
+        level = 2.0 * e * (1.0 - math.cos(k * math.pi / 15))
+        assert float(row["epsilon_hartree"]) == pytest.approx(level, rel=1e-12)
+
+
 def test_numerov_solve_on_a_wide_box_reports_finite_residuals(tmp_path):
     # the merged solutions peak near 1.3e154 there; squaring them in the
     # normalisation used to overflow, and the report exited 2 on a nan residual

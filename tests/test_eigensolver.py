@@ -1,6 +1,7 @@
 import functools
 import importlib.machinery
 import importlib.util
+import inspect
 import math
 import re
 
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import trapezoid
 
+import rsse.eigensolver
 from rsse.cli import main
 from rsse.eigensolver import (
     _SEED_RTOL,
@@ -33,6 +35,7 @@ from rsse.eigensolver import (
 from rsse.presets import builtin_presets
 from rsse.problem import (
     BracketError,
+    ConvergenceError,
     GridSpec,
     PotentialSpec,
     RadialProblem,
@@ -61,6 +64,23 @@ def oscillator_fd_error_bound(n: int, h: float) -> float:
     """
     x4 = 0.75 * (2 * n * n + 2 * n + 1)
     return 1.25 * h * h / 24.0 * x4
+
+
+def record(monkeypatch, owner, name):
+    """Wrap ``owner.name``; each call appends its arguments, defaults included, and ``result``."""
+    original = getattr(owner, name)
+    signature = inspect.signature(original)
+    calls = []
+
+    def spy(*args, **kwargs):
+        call = signature.bind(*args, **kwargs)
+        call.apply_defaults()
+        calls.append(call.arguments)
+        call.arguments["result"] = original(*args, **kwargs)
+        return call.arguments["result"]
+
+    monkeypatch.setattr(owner, name, spy)
+    return calls
 
 
 # ---------------------------------------------------------------------------
@@ -308,8 +328,6 @@ def test_numerov_levels_are_those_of_the_form_under_a_linear_map(
 ):
     # Numerov reads the equation only through (h, q, w): x = a r leaves the
     # levels where they are, bit for bit where a is a power of two
-    import rsse.eigensolver
-
     expected = solve_numerov_lowest_k(problem, grid, 3).epsilons
     mapped = _mapped_form(problem, grid, a)
     monkeypatch.setattr(rsse.eigensolver, "_form", lambda *key: mapped)
@@ -498,6 +516,19 @@ def test_fd_solve_state_matches_scipy_bit_for_bit(name, n_index):
     assert solve_state(preset.problem, preset.fd_grid, n_index, "fd") == ref[n_index]
 
 
+def test_tridiagonal_lowest_is_accurate_at_any_scale():
+    # LAPACK solves T / 2**s with ||T / 2**s||inf in [1, 2); unscaled,
+    # dstein's vectors were not finite from e ~ 2.2e152 and dstebz's values
+    # were wrong from e ~ 6.7e153, where the squares of e near overflow
+    exact = 2.0 * (1.0 - np.cos(np.arange(1, 15) * np.pi / 15))  # of d = 2, e = -1
+    for e in np.geomspace(1e-300, 3e307, 300):
+        w, v = _tridiagonal_lowest(np.full(14, 2.0 * e), np.full(13, -e), 14, vectors=True)
+        assert np.abs(w - e * exact).max() <= 1e-12 * 4.0 * e and np.isfinite(v).all(), e
+    # finite entries, but a top level of 5e308, past the largest double
+    with pytest.raises(ValueError, match="eigenvalues of the tridiagonal matrix must be finite"):
+        _tridiagonal_lowest(np.full(14, 1.7e308), np.full(13, -1.7e308), 14, vectors=False)
+
+
 def test_split_operator_needs_the_reorder():
     # dstebz returns the values of the two blocks one block after the other,
     # so without the argsort neither values nor vectors would be ascending
@@ -554,12 +585,13 @@ def test_lapack_tries_each_extension_suffix(fresh_lapack, monkeypatch):
 
 @pytest.mark.parametrize("where", ["diagonal", "off_diagonal"])
 def test_tridiagonal_lowest_rejects_non_finite_entries(where):
+    # the operator is finite by construction, so every solve reads a finite matrix
     operator = assemble_tridiagonal(OSCILLATOR, GridSpec(-5.0, 5.0, 64))
-    getattr(operator, where)[3] = np.nan
-    with pytest.raises(ValueError, match="finite"):
-        solve_lowest_k(operator, 2)
-    with pytest.raises(ValueError, match="finite"):
-        _tridiagonal_lowest(operator.diagonal, operator.off_diagonal, 2, vectors=False)
+    for bad in (np.nan, np.inf, -np.inf):
+        entries = getattr(operator, where).copy()
+        entries[3] = bad
+        with pytest.raises(ValueError, match="tridiagonal matrix entries must be finite"):
+            operator._replace(**{where: entries})
 
 
 # ---------------------------------------------------------------------------
@@ -640,6 +672,14 @@ def test_numerov_solve_rejects_a_stencil_that_overflows(problem, grid):
         numerov_solve(problem, grid, 0, (0.0, 1.0))
 
 
+def test_numerov_names_a_stencil_whose_product_overflows_without_a_warning():
+    # h**2 and q are finite, but (h**2 / 12) q is not: the stencil warned
+    # (an error under the suite's filter) before check_stencil named it
+    well = PotentialSpec.tabulated([-1e150, 0.0, 1e150], [1e300, -1e300, 1e300])
+    with pytest.raises(ValueError, match=r"too coarse for the Numerov stencil .* = -inf <= 0"):
+        solve_numerov_lowest_k(RadialProblem(well), GridSpec(-1e150, 1e150, 50), 2)
+
+
 @pytest.mark.parametrize(
     "grid", [GridSpec(0.05, 1.0, 4000), GridSpec(30.0, 40.0, 400)], ids=["vanishes", "overflows"]
 )
@@ -682,8 +722,6 @@ def test_error_taxonomy():
     # domain/usage errors are ValueErrors (CLI exit 2); non-convergence is a
     # RuntimeError (CLI exit 3); bracket and wrong-state failures stay
     # catchable as ValueError, although the CLI maps them to exit 3 too
-    from rsse.problem import ConvergenceError
-
     assert issubclass(BracketError, ValueError)
     assert issubclass(WrongStateError, ValueError)
     assert issubclass(ConvergenceError, RuntimeError)
@@ -691,9 +729,6 @@ def test_error_taxonomy():
 
 
 def test_numerov_step_cap_raises_convergence_error(monkeypatch):
-    import rsse.eigensolver
-    from rsse.problem import ConvergenceError
-
     # one Cooley step from the midpoint 0.55 cannot reach 1e-12 relative
     monkeypatch.setattr(rsse.eigensolver, "_COOLEY_MAX_STEPS", 1)
     with pytest.raises(ConvergenceError, match="after 1 Cooley steps"):
@@ -701,8 +736,6 @@ def test_numerov_step_cap_raises_convergence_error(monkeypatch):
 
 
 def test_cooley_step_moves_the_match_point_off_an_exact_node(monkeypatch):
-    import rsse.eigensolver
-
     bracket = (0.2, 0.9)
     expected = numerov_solve(OSCILLATOR, OSC_NUMEROV_GRID, 0, bracket).epsilon
     match_index, sweep = _RadialForm.match_index, rsse.eigensolver._numerov_sweep
@@ -762,12 +795,7 @@ def test_numerov_hydrogen_p_channel():
     assert w[0] < -999.0 and np.all(w[2:] > 0.0)
     eps, u = numerov_solve(problem, HYDROGEN_NUMEROV_GRID, 0, (-0.2, -0.05))
     assert eps == pytest.approx(bohr_level(1.0, 1.0, 2), abs=1e-8)
-    assert count_nodes(u) == 0
-
-
-def count_nodes(u):
-    interior = u[1:-1]
-    return int(np.sum(interior[:-1] * interior[1:] < 0.0))
+    assert count_sign_changes(u[1:-1]) == 0
 
 
 def test_fd_hydrogen_p_channel():
@@ -830,8 +858,6 @@ def test_numerov_sweep_halves_overflowing_chunks():
 
 
 def test_numerov_sweep_failures_raise_convergence_error():
-    from rsse.problem import ConvergenceError
-
     f = np.zeros(100)
     f[50] = 12.0  # 1 - h**2 f / 12 = 0: a zero diagonal of the banded system
     with pytest.raises(ConvergenceError, match="singular"):
@@ -889,35 +915,22 @@ def test_normalize_scales_by_a_power_of_two_exactly():
 def test_numerov_solve_evaluates_each_energy_once(monkeypatch):
     # no energy is merged twice by the same form: the converged state
     # reuses the merge of its last Cooley step
-    merged = []
-    original = _RadialForm.cooley_step
-
-    def spy(self, epsilon):
-        merged.append((self, epsilon))  # holding self keeps form ids distinct
-        return original(self, epsilon)
-
-    monkeypatch.setattr(_RadialForm, "cooley_step", spy)
+    merged = record(monkeypatch, _RadialForm, "cooley_step")  # holding self keeps form ids distinct
     solve_numerov_lowest_k(HYDROGEN, HYDROGEN_NUMEROV_GRID, 3)
-    keys = [(id(form), epsilon) for form, epsilon in merged]
+    keys = [(id(call["self"]), call["epsilon"]) for call in merged]
     assert len(keys) == len(set(keys))
 
 
 def test_numerov_solve_builds_one_form_per_problem_and_grid(monkeypatch):
     # every state and every recurrence defect of a solve shares one form on
     # the Numerov grid; the FD seed assembles its own, once, on the seed grid
-    built = []
-    original = _RadialForm.__init__
-
-    def spy(self, problem, grid):
-        built.append((problem, grid))
-        original(self, problem, grid)
-
-    monkeypatch.setattr(_RadialForm, "__init__", spy)
+    built = record(monkeypatch, _RadialForm, "__init__")
     _form.cache_clear()
     solve_numerov_lowest_k(HYDROGEN, HYDROGEN_NUMEROV_GRID, 3)
-    numerov = [entry for entry in built if entry[1] == HYDROGEN_NUMEROV_GRID]
+    keys = [(call["problem"], call["grid"]) for call in built]
+    numerov = [key for key in keys if key[1] == HYDROGEN_NUMEROV_GRID]
     assert numerov == [(HYDROGEN, HYDROGEN_NUMEROV_GRID)]
-    seed = [entry for entry in built if entry not in numerov]
+    seed = [key for key in keys if key not in numerov]
     assert seed == [(HYDROGEN, _seed_grid(HYDROGEN_NUMEROV_GRID, 3))]
     # another problem or grid gets its own form
     built.clear()
@@ -964,18 +977,12 @@ def test_solve_numerov_lowest_k_on_explicit_brackets():
 def test_explicit_brackets_that_miss_their_state_are_never_reseeded(monkeypatch):
     # the second bracket holds state 2, not state 1: the caller's error, which
     # a re-seed from the FD spectrum would hide
-    import rsse.eigensolver
-
-    seeds = []
-    for name in ("default_brackets", "_fd_brackets"):
-        def spy(*args, name=name, original=getattr(rsse.eigensolver, name)):
-            seeds.append(name)
-            return original(*args)
-        monkeypatch.setattr(rsse.eigensolver, name, spy)
+    seeds = [record(monkeypatch, rsse.eigensolver, name)
+             for name in ("default_brackets", "_fd_brackets")]
     brackets = [(0.3, 0.9), (2.1, 2.9)]
     with pytest.raises(WrongStateError, match="holds states 2..2; target state 1 is outside it"):
         solve_numerov_lowest_k(OSCILLATOR, OSC_NUMEROV_GRID, 2, brackets=brackets)
-    assert seeds == []
+    assert seeds == [[], []]
 
 
 def test_a_seeded_bracket_of_zero_width_is_a_missed_state_not_a_usage_error():
@@ -990,24 +997,18 @@ def test_a_seeded_bracket_of_zero_width_is_a_missed_state_not_a_usage_error():
 
 
 def test_a_coarse_seeds_empty_bracket_is_reseeded_from_the_full_grid(monkeypatch):
-    import rsse.eigensolver
-
     expected = solve_numerov_lowest_k(OSCILLATOR, OSC_NUMEROV_GRID, 3).epsilons
-    reseeds = []
 
     def collapsed(problem, grid, k):
         brackets = default_brackets(problem, grid, k)
         brackets[1] = (brackets[1][0], brackets[1][0])
         return brackets
 
-    def spy(problem, grid, k, original=rsse.eigensolver._fd_brackets):
-        reseeds.append(grid)
-        return original(problem, grid, k)
-
     monkeypatch.setattr(rsse.eigensolver, "default_brackets", collapsed)
-    monkeypatch.setattr(rsse.eigensolver, "_fd_brackets", spy)
+    reseeds = record(monkeypatch, rsse.eigensolver, "_fd_brackets")
     result = solve_numerov_lowest_k(OSCILLATOR, OSC_NUMEROV_GRID, 3)
-    assert [grid.n for grid in reseeds] == [750, 6000]  # the coarse seed, then the re-seed
+    # the coarse seed, then the re-seed
+    assert [call["grid"].n for call in reseeds] == [750, 6000]
     np.testing.assert_allclose(result.epsilons, expected, rtol=1e-11)
 
 
@@ -1043,20 +1044,11 @@ def test_default_brackets_need_one_fd_level_above_the_top_state():
     ids=["wide", "narrow"],
 )
 def test_finite_well_numerov_and_fd_agree_to_order_h(monkeypatch, V0, a, grid, seed_grids):
-    import rsse.eigensolver
-
-    seeded = []
-    original = rsse.eigensolver._fd_brackets
-
-    def spy(problem, seed_grid, k):
-        seeded.append(seed_grid.n)
-        return original(problem, seed_grid, k)
-
-    monkeypatch.setattr(rsse.eigensolver, "_fd_brackets", spy)
+    seeded = record(monkeypatch, rsse.eigensolver, "_fd_brackets")
     well = RadialProblem(PotentialSpec.finite_well(V0, a))
     numerov = solve_numerov_lowest_k(well, grid, 3)
     fd = solve_lowest_k(assemble_tridiagonal(well, grid), 3)
-    assert seeded == seed_grids
+    assert [call["grid"].n for call in seeded] == seed_grids
     assert np.array_equal(numerov.nodes, [0, 1, 2])
     # both stencils sample the step on the same nodes but weigh it
     # differently, an O(h) shift that grows with the depth; the measured
@@ -1157,41 +1149,20 @@ def test_numerov_solve_on_narrow_brackets_about_the_default_level(case, state):
     assert solved > 0
 
 
-def _count_calls(monkeypatch, *names):
-    """Counts of the calls to the named ``_RadialForm`` methods, patched in place."""
-    calls = dict.fromkeys(names, 0)
-
-    def counting(name, original):
-        def spy(self, epsilon):
-            calls[name] += 1
-            return original(self, epsilon)
-        return spy
-
-    for name in names:
-        monkeypatch.setattr(_RadialForm, name, counting(name, getattr(_RadialForm, name)))
-    return calls
-
-
 def test_seeded_numerov_counts_no_nodes_and_builds_one_stencil_per_cooley_step(monkeypatch):
     # the FD seed isolates every hydrogen level, so no node count is needed,
     # and each state's recurrence defect reuses the stencil of its last step
-    calls = _count_calls(monkeypatch, "count_states_below", "cooley_step")
-    stencils = []  # held, so that every built array keeps its own id
-    original = _RadialForm.stencil
-
-    def spy(self, epsilon):
-        w, c = original(self, epsilon)
-        stencils.append(w)
-        return w, c
-
-    monkeypatch.setattr(_RadialForm, "stencil", spy)
+    counts = record(monkeypatch, _RadialForm, "count_states_below")
+    steps = record(monkeypatch, _RadialForm, "cooley_step")
+    built = record(monkeypatch, _RadialForm, "stencil")  # held, so every array keeps its own id
     _form.cache_clear()
     result = solve_numerov_lowest_k(HYDROGEN, HYDROGEN_NUMEROV_GRID, 3)
+    stencils = [call["result"][0] for call in built]
     assert np.array_equal(result.nodes, [0, 1, 2])
-    assert calls["count_states_below"] == 0
-    assert calls["cooley_step"] >= 3
-    assert len({id(w) for w in stencils}) == calls["cooley_step"]
-    assert len(stencils) == calls["cooley_step"] + 3
+    assert counts == []
+    assert len(steps) >= 3
+    assert len({id(w) for w in stencils}) == len(steps)
+    assert len(stencils) == len(steps) + 3
     assert not any(w.flags.writeable for w in stencils)
 
 
@@ -1229,15 +1200,9 @@ def test_numerov_solve_bisects_where_the_merged_solution_has_the_wrong_node_coun
 
 
 def test_numerov_solve_counts_each_end_of_the_callers_bracket_once(monkeypatch):
-    seen = []
-    original = _RadialForm.count_states_below
-
-    def spy(self, epsilon):
-        seen.append(epsilon)
-        return original(self, epsilon)
-
-    monkeypatch.setattr(_RadialForm, "count_states_below", spy)
+    counts = record(monkeypatch, _RadialForm, "count_states_below")
     numerov_solve(HYDROGEN, HYDROGEN_NUMEROV_GRID, 0, (-0.6, -0.05))
+    seen = [call["epsilon"] for call in counts]
     assert seen.count(-0.6) == 1
     assert seen.count(-0.05) == 1
 
@@ -1257,12 +1222,13 @@ def test_numerov_solve_rejects_a_bracket_without_its_state_at_the_first_anomaly(
 ):
     # the first Cooley step meets the anomaly, and the two counts at the
     # caller's bracket ends reject it; no bisection closes the bracket first
-    calls = _count_calls(monkeypatch, "count_states_below", "cooley_step")
+    counts = record(monkeypatch, _RadialForm, "count_states_below")
+    steps = record(monkeypatch, _RadialForm, "cooley_step")
     message = f"bracket {bracket} holds {held}; target state {state} is outside it"
     with pytest.raises(WrongStateError, match=re.escape(message)):
         numerov_solve(HYDROGEN, HYDROGEN_NUMEROV_GRID, state, bracket)
-    assert calls["cooley_step"] <= 1
-    assert calls["count_states_below"] == 2
+    assert len(steps) <= 1
+    assert len(counts) == 2
 
 
 # one op per slot of the benchmark's numerov_solve pool (perfbench/workloads.py),
@@ -1298,37 +1264,15 @@ def _seed_operator(problem, grid, k):
     return operator.diagonal, operator.off_diagonal
 
 
-def _record_seed_tolerances(monkeypatch):
-    """The ``abstol`` of every later ``_tridiagonal_lowest`` call, in order."""
-    import rsse.eigensolver
-
-    tolerances = []
-
-    def spy(d, e, k, *, vectors, abstol=0.0):
-        tolerances.append(abstol)
-        return _tridiagonal_lowest(d, e, k, vectors=vectors, abstol=abstol)
-
-    monkeypatch.setattr(rsse.eigensolver, "_tridiagonal_lowest", spy)
-    return tolerances
-
-
 def test_isolated_seeds_bracket_every_state_of_the_numerov_pool(monkeypatch, tmp_path):
-    import rsse.eigensolver
-
-    seeded = []
-
-    def spy(problem, grid, k):
-        brackets = default_brackets(problem, grid, k)
-        seeded.append((problem, grid, brackets))
-        return brackets
-
-    monkeypatch.setattr(rsse.eigensolver, "default_brackets", spy)
-    tolerances = _record_seed_tolerances(monkeypatch)
+    seeded = record(monkeypatch, rsse.eigensolver, "default_brackets")
+    lapack = record(monkeypatch, rsse.eigensolver, "_tridiagonal_lowest")
     _run_numerov_pool_round(tmp_path)
+    tolerances = [call["abstol"] for call in lapack]
     # 8 solves and 3 convergence ladders of 4 grids; none takes the guard
     assert len(seeded) == 20
     assert len(tolerances) == 20 and min(tolerances) > 0.0
-    for problem, grid, brackets in seeded:
+    for problem, grid, brackets in ((c["problem"], c["grid"], c["result"]) for c in seeded):
         k = len(brackets)
         d, e = _seed_operator(problem, grid, k)
         tau = _SEED_RTOL * (np.max(np.abs(d)) + 2.0 * np.max(np.abs(e)))
@@ -1349,8 +1293,9 @@ def test_seed_levels_closer_than_the_guard_are_bisected_to_lapacks_tolerance(mon
         PotentialSpec.tabulated((-6.0, -1.0, -0.9, 0.9, 1.0, 6.0), (0.0, 0.0, 30.0, 30.0, 0.0, 0.0))
     )
     grid = GridSpec(-6.0, 6.0, 4001)
-    tolerances = _record_seed_tolerances(monkeypatch)
+    lapack = record(monkeypatch, rsse.eigensolver, "_tridiagonal_lowest")
     brackets = default_brackets(well, grid, 2)
+    tolerances = [call["abstol"] for call in lapack]
     assert len(tolerances) == 2 and tolerances[0] > 0.0 and tolerances[1] == 0.0
     d, e = _seed_operator(well, grid, 2)
     isolated = _tridiagonal_lowest(d, e, 3, vectors=False, abstol=tolerances[0])[0]
@@ -1361,12 +1306,12 @@ def test_seed_levels_closer_than_the_guard_are_bisected_to_lapacks_tolerance(mon
 
 
 def test_a_numerov_pool_round_takes_at_most_110_cooley_steps(monkeypatch, tmp_path):
-    calls = _count_calls(monkeypatch, "cooley_step")
+    steps = record(monkeypatch, _RadialForm, "cooley_step")
     _run_numerov_pool_round(tmp_path)
-    assert calls["cooley_step"] <= 110
-    calls["cooley_step"] = 0
+    assert len(steps) <= 110
+    steps.clear()
     solve_numerov_lowest_k(HYDROGEN, HYDROGEN_NUMEROV_GRID, 3)
-    assert calls["cooley_step"] <= 13
+    assert len(steps) <= 13
 
 
 def test_fd_and_numerov_agree_within_fd_truncation():
@@ -1450,6 +1395,23 @@ def test_rayleigh_quotient_rejects_zero():
     grid = GridSpec(-12.0, 12.0, 3000)
     with pytest.raises(ValueError):
         rayleigh_quotient(np.zeros(grid.n), OSCILLATOR, grid)
+
+
+@pytest.mark.parametrize(
+    "well, grid",
+    [
+        (PotentialSpec.harmonic(1.0), GridSpec(0.0, 1e-160, 16)),
+        (PotentialSpec.tabulated([-1e-150, 0.0, 1e-150], [1e300, -1e300, 1e300]),
+         GridSpec(-1e-150, 1e-150, 16)),
+        (PotentialSpec.tabulated([-1.0, 1.0], [1.7e308, 1.7e308]), GridSpec(-7.5e-154, 7.5e-154, 16)),
+    ],
+    ids=["kinetic", "potential", "sum"],
+)
+def test_rayleigh_quotient_rejects_a_matrix_that_is_not_finite(well, grid):
+    # hbar**2 / (mu h**2), V or their sum overflows: the solvers reject that
+    # matrix, and the quotient was nan, or the sum a RuntimeWarning
+    with pytest.raises(ValueError, match="tridiagonal matrix entries must be finite"):
+        rayleigh_quotient(np.sin(np.linspace(0.0, np.pi, 16)), RadialProblem(well), grid)
 
 
 def test_rayleigh_quotient_rejects_samples_off_the_grid():

@@ -17,7 +17,6 @@ import ast
 import builtins
 import importlib.util
 import inspect
-import json
 import os
 import re
 import subprocess
@@ -41,11 +40,10 @@ with contextlib.redirect_stdout(io.StringIO()):
     code = rsse.cli.main({argv!r})
 assert code == 0, code
 """
-# prints the loaded numpy and scipy modules as JSON on stderr
-REPORT = """
-import json, sys
-loaded = (m for m in sys.modules if m.split(".")[0] == "numpy" or m.startswith("scipy"))
-print(json.dumps(sorted(loaded)), file=sys.stderr)
+# prints every loaded module's name on stderr, before importing anything itself
+PROBE = """
+import sys
+print(repr(sorted(sys.modules)), file=sys.stderr)
 """
 
 
@@ -61,8 +59,10 @@ def run_fresh(code):
     return result.stderr
 
 
-def array_modules_after(code):
-    return json.loads(run_fresh(code + REPORT).splitlines()[-1])
+def loaded_after(code, *packages):
+    """The sorted modules a fresh interpreter has loaded after ``code``, of ``packages`` if given."""
+    loaded = ast.literal_eval(run_fresh(code + PROBE).splitlines()[-1])
+    return [m for m in loaded if not packages or m.split(".")[0] in packages]
 
 
 @pytest.mark.parametrize(
@@ -78,7 +78,7 @@ def array_modules_after(code):
 )
 def test_analytic_paths_load_no_scipy(code):
     # and no numpy either
-    assert array_modules_after(code) == []
+    assert loaded_after(code, "numpy", "scipy") == []
 
 
 @pytest.mark.parametrize(
@@ -91,21 +91,10 @@ def test_analytic_paths_load_no_scipy(code):
     ids=["solve-fd", "solve-numerov", "convergence-fd"],
 )
 def test_solvers_load_only_the_lapack_extension(argv):
-    loaded = array_modules_after(RUN_MAIN.format(argv=argv))
+    loaded = loaded_after(RUN_MAIN.format(argv=argv), "numpy", "scipy")
     assert "numpy" in loaded
     # neither scipy nor scipy.linalg; the extension itself may be registered
     assert {m for m in loaded if m.startswith("scipy")} <= {"scipy.linalg._flapack"}
-
-
-# prints the loaded rsse modules as JSON on stderr
-RSSE_REPORT = """
-import json, sys
-print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "rsse")), file=sys.stderr)
-"""
-
-
-def rsse_modules_after(code):
-    return json.loads(run_fresh(code + RSSE_REPORT).splitlines()[-1])
 
 
 def test_reading_a_cli_library_name_loads_only_the_module_that_defines_it():
@@ -128,11 +117,11 @@ assert solver is rsse.eigensolver.solve_lowest_k
 
 
 def test_import_rsse_loads_no_submodule():
-    assert rsse_modules_after("import rsse") == ["rsse"]
+    assert loaded_after("import rsse", "rsse") == ["rsse"]
 
 
 def test_kinematics_loads_only_the_numpy_free_modules_it_needs():
-    assert rsse_modules_after(RUN_MAIN.format(argv=["kinematics"])) == [
+    assert loaded_after(RUN_MAIN.format(argv=["kinematics"]), "rsse") == [
         "rsse",
         "rsse.cli",
         "rsse.inversion",
@@ -141,11 +130,6 @@ def test_kinematics_loads_only_the_numpy_free_modules_it_needs():
     ]
 
 
-# prints every loaded module's name on stderr, before importing anything itself
-LOADED_REPORT = """
-import sys
-print(repr(sorted(sys.modules)), file=sys.stderr)
-"""
 ANALYTIC = ["rsse", "rsse.cli", "rsse.units"]
 COMPARE = [*ANALYTIC, "rsse.presets", "rsse.problem", "rsse.spectra"]
 INVERSION = [*ANALYTIC, "rsse.inversion", "rsse.kinematics"]
@@ -169,8 +153,7 @@ def test_each_analytic_command_loads_only_its_own_modules(tmp_path, argv, module
     config = tmp_path / "run.conf"
     config.write_text("beta = 0.5\nm0 = 2.0\n")
     argv = [arg.format(config=config) for arg in argv]
-    report = run_fresh(RUN_MAIN.format(argv=argv) + LOADED_REPORT)
-    loaded = ast.literal_eval(report.splitlines()[-1])
+    loaded = loaded_after(RUN_MAIN.format(argv=argv))
     assert sorted(m for m in loaded if m.split(".")[0] == "rsse") == sorted(modules)
     assert not {"dataclasses", "inspect", *absent} & set(loaded)
 
@@ -263,7 +246,7 @@ for layer, names in {calls!r}.items():
 )
 def test_only_a_wavefunction_dump_loads_the_dump_formatter(tmp_path, argv, loads):
     argv = [arg.format(tmp=tmp_path) for arg in argv]
-    assert ("rsse._g17" in rsse_modules_after(RUN_MAIN.format(argv=argv))) == loads
+    assert ("rsse._g17" in loaded_after(RUN_MAIN.format(argv=argv), "rsse")) == loads
 
 
 # ---------------------------------------------------------------------------
@@ -394,6 +377,14 @@ def test_cli_keeps_wrappers_set_before_the_first_solve():
 # ---------------------------------------------------------------------------
 
 
+EIGENSOLVER = ast.parse(Path(rsse.eigensolver.__file__).read_text())
+
+
+def defined(tree, kind):
+    """The ``kind`` nodes (``ast.ClassDef``, ``ast.FunctionDef``) at the top of ``tree``, by name."""
+    return {node.name: node for node in tree.body if isinstance(node, kind)}
+
+
 def reads(tree, what):
     """The calls of ``what`` in ``tree``; a leading dot names a method or attribute."""
     if what.startswith("."):
@@ -414,13 +405,10 @@ def test_eigensolver_reads_the_problem_only_in_its_radial_form(what):
     # one radial form checks the origin, builds the nodes, evaluates V_eff and
     # forms w = 2 mu / hbar**2 and q = w V_eff; both solvers read it, and no
     # code reads the old coefficients
-    tree = ast.parse(Path(rsse.eigensolver.__file__).read_text())
-    classes = [node for node in tree.body if isinstance(node, ast.ClassDef)]
-    (form,) = [node for node in classes if node.name == "_RadialForm"]
-    assert "_Shooter" not in [node.name for node in classes]
+    classes = defined(EIGENSOLVER, ast.ClassDef)
+    assert "_Shooter" not in classes
     expected = 0 if what in GONE else 1
-    assert len(reads(tree, what)) == expected
-    assert len(reads(form, what)) == expected
+    assert len(reads(EIGENSOLVER, what)) == len(reads(classes["_RadialForm"], what)) == expected
 
 
 NUMEROV_METHODS = ["stencil", "check_stencil", "count_states_below", "match_index", "cooley_step"]
@@ -429,11 +417,7 @@ NUMEROV_METHODS = ["stencil", "check_stencil", "count_states_below", "match_inde
 def test_numerov_reads_only_h_q_w_and_the_outward_start():
     # and its own stencil cache; check_stencil's error message also names the
     # grid and the node of the first bad sample
-    tree = ast.parse(Path(rsse.eigensolver.__file__).read_text())
-    (form,) = [
-        node for node in tree.body if isinstance(node, ast.ClassDef) and node.name == "_RadialForm"
-    ]
-    methods = {node.name: node for node in form.body if isinstance(node, ast.FunctionDef)}
+    methods = defined(defined(EIGENSOLVER, ast.ClassDef)["_RadialForm"], ast.FunctionDef)
     for name in NUMEROV_METHODS:
         read = {
             node.attr
@@ -457,65 +441,47 @@ def test_numerov_reads_only_h_q_w_and_the_outward_start():
 def test_each_route_solves_its_states_in_one_generator(what, callers):
     # the list solves and solve_state read the per-state records of one
     # generator per route; the FD seed is the only other LAPACK eigensolve
-    tree = ast.parse(Path(rsse.eigensolver.__file__).read_text())
-    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    functions = defined(EIGENSOLVER, ast.FunctionDef)
     assert "_seeded_numerov" not in functions
     assert sorted(name for name, node in functions.items() if reads(node, what)) == callers
-    assert len(reads(tree, what)) == sum(len(reads(functions[name], what)) for name in callers)
+    assert len(reads(EIGENSOLVER, what)) == sum(len(reads(functions[name], what)) for name in callers)
 
 
 # ---------------------------------------------------------------------------
-# one positivity rule
+# one rule says each check
 # ---------------------------------------------------------------------------
+
+
+def said(rules, pattern):
+    """Each match of ``pattern`` on a line of an rsse module, as (file, inside its rule, match).
+
+    ``rules`` maps a module file to the function there that owns the phrases.
+    """
+    found = []
+    for path in sorted((SRC / "rsse").glob("*.py")):
+        text = path.read_text()
+        inside = ()
+        if path.name in rules:
+            rule = defined(ast.parse(text), ast.FunctionDef)[rules[path.name]]
+            inside = range(rule.lineno, rule.end_lineno + 1)
+        for number, line in enumerate(text.splitlines(), start=1):
+            found += [(path.name, number in inside, match) for match in re.findall(pattern, line)]
+    return found
 
 
 def test_only_units_check_positive_says_a_parameter_must_be_positive():
     # every mass, charge, frequency, energy and unit scale goes through it
-    package = SRC / "rsse"
-    units = ast.parse((package / "units.py").read_text())
-    (check,) = [
-        node
-        for node in units.body
-        if isinstance(node, ast.FunctionDef) and node.name == "_check_positive"
+    assert said({}, "_check_rest_mass") == []
+    assert said({"units.py": "_check_positive"}, "strictly positive|must be positive") == [
+        ("units.py", True, "must be positive")
     ]
-    inside = range(check.lineno, check.end_lineno + 1)
-    found = []
-    for path in sorted(package.glob("*.py")):
-        text = path.read_text()
-        assert "_check_rest_mass" not in text, path.name
-        for number, line in enumerate(text.splitlines(), start=1):
-            for phrase in ("strictly positive", "must be positive"):
-                if phrase in line:
-                    found.append((path.name, number in inside, phrase))
-    assert found == [("units.py", True, "must be positive")]
 
 
 def test_only_units_check_index_decides_a_count_or_index_is_valid():
     # every n, l, k, n_index and node count goes through it
-    package = SRC / "rsse"
-    units = ast.parse((package / "units.py").read_text())
-    (check,) = [
-        node
-        for node in units.body
-        if isinstance(node, ast.FunctionDef) and node.name == "_check_index"
-    ]
-    inside = range(check.lineno, check.end_lineno + 1)
-    phrases = (
-        "operator.index",
-        "must be an integer",
-        "must be in [",
-        "must be nonnegative",
-        "must be at least",
-        "must be >=",
-        "needs at least",
-    )
-    found = []
-    for path in sorted(package.glob("*.py")):
-        for number, line in enumerate(path.read_text().splitlines(), start=1):
-            for phrase in phrases:
-                if phrase in line:
-                    found.append((path.name, number in inside, phrase))
-    assert found == [
+    phrases = ("operator.index", "must be an integer", "must be in [", "must be nonnegative",
+               "must be at least", "must be >=", "needs at least")
+    assert said({"units.py": "_check_index"}, "|".join(map(re.escape, phrases))) == [
         ("units.py", True, "operator.index"),
         ("units.py", True, "must be an integer"),
         ("units.py", True, "must be in ["),
@@ -525,24 +491,8 @@ def test_only_units_check_index_decides_a_count_or_index_is_valid():
 def test_only_check_finite_and_check_samples_reject_a_non_finite_real_or_sample():
     # every energy, bracket end, float option and table value goes through
     # units._check_finite, and every sampled array through problem._check_samples
-    package = SRC / "rsse"
     rules = {"units.py": "_check_finite", "problem.py": "_check_samples"}
-    inside = {}
-    for module, rule in rules.items():
-        tree = ast.parse((package / module).read_text())
-        (check,) = [
-            node
-            for node in tree.body
-            if isinstance(node, ast.FunctionDef) and node.name == rule
-        ]
-        inside[module] = range(check.lineno, check.end_lineno + 1)
-    found = []
-    for path in sorted(package.glob("*.py")):
-        for number, line in enumerate(path.read_text().splitlines(), start=1):
-            for phrase in ("must be finite, got", "sample shape mismatch"):
-                if phrase in line:
-                    found.append((path.name, number in inside.get(path.name, ()), phrase))
-    assert sorted(found) == [
+    assert said(rules, "must be finite, got|sample shape mismatch") == [
         ("problem.py", True, "sample shape mismatch"),
         ("units.py", True, "must be finite, got"),
     ]
@@ -550,20 +500,8 @@ def test_only_check_finite_and_check_samples_reject_a_non_finite_real_or_sample(
 
 def test_only_parse_kv_file_types_or_rejects_a_flat_file_value():
     # --config files and preset .conf files share one reader, its checks and its messages
-    package = SRC / "rsse"
-    presets = ast.parse((package / "presets.py").read_text())
-    (reader,) = [
-        node
-        for node in presets.body
-        if isinstance(node, ast.FunctionDef) and node.name == "parse_kv_file"
-    ]
-    inside = range(reader.lineno, reader.end_lineno + 1)
-    phrases = re.compile(r"invalid choice|unknown (?:config|preset|\{what\}) key|invalid \S+ value")
-    found = []
-    for path in sorted(package.glob("*.py")):
-        for number, line in enumerate(path.read_text().splitlines(), start=1):
-            found += [(path.name, number in inside, match) for match in phrases.findall(line)]
-    assert found == [
+    pattern = r"invalid choice|unknown (?:config|preset|\{what\}) key|invalid \S+ value"
+    assert said({"presets.py": "parse_kv_file"}, pattern) == [
         ("presets.py", True, "unknown {what} key"),
         ("presets.py", True, "invalid choice"),
         ("presets.py", True, "invalid {kind.__name__} value"),
